@@ -28,6 +28,8 @@ from .linalg import (
     SizeLimitError,
     as_complex,
     embed_operator,
+    matrix_from_dict,
+    matrix_to_dict,
     require_unitary,
 )
 from .states import (
@@ -520,25 +522,11 @@ def compose(second: LoccCircuit, first: LoccCircuit) -> LoccCircuit:
     b0 = c0 + q
     tb0 = b0 + n_b
     map1 = _block_map(first, 0, n_a, c0, b0, tb0)
-
-    # second's A block rides on first's output wires; ancillas are fresh
-    def pos_to_global_a(p: int) -> int:
-        return p  # (A, A') block starts at 0 and A' keeps its offset
-
-    def pos_to_global_b(p: int) -> int:
-        return b0 + p
-
-    map2: dict[int, int] = {}
-    for i, w in enumerate(second.a_wires):
-        map2[w] = pos_to_global_a(first.out_a[i])
-    for i, w in enumerate(second.ta_wires):
-        map2[w] = n_a + first.t_a + i
-    for i, w in enumerate(second.c_wires):
-        map2[w] = c0 + first.q + i
-    for i, w in enumerate(second.b_wires):
-        map2[w] = pos_to_global_b(first.out_b[i])
-    for i, w in enumerate(second.tb_wires):
-        map2[w] = tb0 + first.t_b + i
+    # second's ancillas are fresh; its inputs ride on first's output wires
+    # (the (A, A') block starts at global wire 0, the (B, B') block at b0)
+    map2 = _block_map(second, 0, n_a + first.t_a, c0 + first.q, b0, tb0 + first.t_b)
+    map2.update({w: first.out_a[i] for i, w in enumerate(second.a_wires)})
+    map2.update({w: b0 + first.out_b[i] for i, w in enumerate(second.b_wires)})
 
     rounds = tuple(_remap_rounds(first, map1) + _remap_rounds(second, map2))
     out_a = tuple(
@@ -836,28 +824,28 @@ def is_efficient(family, lambdas: Sequence[int]) -> EfficiencyReport:
     return EfficiencyReport(not violations, tuple(lambdas), tuple(violations))
 
 
-def keyed_pauli_state(key: tuple[int, ...], m: int) -> BipartiteState:
-    """Stock keyed family: EPR pairs rotated by the key's Pauli shift.
-
-    The key is zero-padded to 2m bits; the first m bits choose X factors and
-    the last m choose Z factors.
-    """
+def _key_shift(key: tuple[int, ...], m: int) -> np.ndarray:
+    """Pauli shift of a key zero-padded to 2m bits: the first m bits choose
+    X factors and the last m choose Z factors."""
     bits = tuple(key) + (0,) * (2 * m - len(key))
     if len(bits) != 2 * m:
         raise ValueError(f"key {key} longer than 2m = {2 * m}")
-    return rotated_epr(pauli_shift(bits[:m], bits[m:]), m)
+    return pauli_shift(bits[:m], bits[m:])
+
+
+def keyed_pauli_state(key: tuple[int, ...], m: int) -> BipartiteState:
+    """Stock keyed family: EPR pairs rotated by the key's Pauli shift."""
+    return rotated_epr(_key_shift(key, m), m)
 
 
 def keyed_pauli_unrotate(key: tuple[int, ...], m: int) -> LoccCircuit:
     """Witness circuit distilling the stock keyed family exactly."""
-    bits = tuple(key) + (0,) * (2 * m - len(key))
-    return unrotate_distillation(pauli_shift(bits[:m], bits[m:]), m)
+    return unrotate_distillation(_key_shift(key, m), m)
 
 
 def keyed_pauli_rotate(key: tuple[int, ...], m: int) -> LoccCircuit:
     """Witness circuit preparing the stock keyed family from EPR pairs."""
-    bits = tuple(key) + (0,) * (2 * m - len(key))
-    return bob_unitary_circuit(pauli_shift(bits[:m], bits[m:]), m)
+    return bob_unitary_circuit(_key_shift(key, m), m)
 
 
 # -- serialization ---------------------------------------------------------------
@@ -868,23 +856,14 @@ def _gate_to_dict(g: Gate) -> dict:
     if g.controls:
         d["controls"] = list(g.controls)
     if g.matrix is not None:
-        d["re"] = g.matrix.real.reshape(-1).tolist()
-        d["im"] = g.matrix.imag.reshape(-1).tolist()
+        d.update(matrix_to_dict(g.matrix))
     return d
 
 
 def _gate_from_dict(d: dict) -> Gate:
-    matrix = None
-    if "re" in d:
-        flat = np.asarray(d["re"], dtype=float) + 1j * np.asarray(d["im"], dtype=float)
-        dim = int(round(np.sqrt(flat.shape[0])))
-        matrix = flat.reshape(dim, dim)
-    return Gate(
-        d["kind"],
-        tuple(d["wires"]),
-        matrix,
-        tuple(d.get("controls", ())),
-    )
+    dim = 2 ** len(d["wires"])
+    matrix = matrix_from_dict(d, (dim, dim)) if "re" in d else None
+    return Gate(d["kind"], tuple(d["wires"]), matrix, tuple(d.get("controls", ())))
 
 
 def circuit_to_dict(c: LoccCircuit) -> dict:

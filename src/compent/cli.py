@@ -14,17 +14,19 @@ import io
 import json
 import os
 import sys
+from functools import reduce
 
 import numpy as np
 
 from .circuits import Gate, apply, bbpssw_round, gate_count, teleport_dilution, unrotate_distillation
 from .harness import all_selectors, run_noninvariance_counterexample, run_suites
-from .linalg import SizeLimitError, haar_unitary
+from .linalg import haar_unitary
 from .measures import p_err_dilute, p_err_distill
 from .packing import greedy_packing, packing_to_dict, separation_check
 from .states import (
     bipartite_from_matrix,
     bipartite_pure,
+    column_unitary,
     epr_pairs,
     random_pure_state,
     rotated_epr,
@@ -93,6 +95,8 @@ def resolve_seed(args) -> int:
 
 def cmd_verify(args) -> int:
     lambdas = parse_lambdas(args.lambdas)
+    if not args.suite:
+        raise ConfigError("verify needs at least one --suite")
     if args.tolerance < 0:
         raise ConfigError("tolerance must be nonnegative")
     records = run_suites(
@@ -101,18 +105,24 @@ def cmd_verify(args) -> int:
     )
     text = records_to_json(records) if args.format == "json" else records_to_csv(records)
     write_report(text, args.out)
-    failed = [r for r in records if not r.passed and not r.inconclusive]
-    summary = (
-        f"{len(records)} checks: {sum(r.passed for r in records)} passed, "
-        f"{len(failed)} failed, {sum(r.inconclusive for r in records)} inconclusive\n"
+    inconclusive = sum(r.inconclusive for r in records)
+    passed = sum(r.passed and not r.inconclusive for r in records)
+    failed = len(records) - passed - inconclusive
+    sys.stderr.write(
+        f"{len(records)} checks: {passed} passed, {failed} failed, {inconclusive} inconclusive\n"
     )
-    sys.stderr.write(summary)
     return 1 if failed else 0
 
 
+def _require_size(flag: str, value: int) -> int:
+    """The commands' dense simulations take one or two qubits per party."""
+    if not 1 <= value <= 2:
+        raise ConfigError(f"{flag} must be 1 or 2, got {value}")
+    return value
+
+
 def cmd_net(args) -> int:
-    if args.m > 2:
-        raise ConfigError("packings support m <= 2")
+    _require_size("--m", args.m)
     if not 0.0 < args.eta < 1.0:
         raise ConfigError(f"eta must lie in (0, 1), got {args.eta}")
     packing = greedy_packing(args.m, args.eta, seed=resolve_seed(args))
@@ -127,6 +137,7 @@ def cmd_net(args) -> int:
 def cmd_counterexample(args) -> int:
     if not 0.0 <= args.eps < 1.0:
         raise ConfigError(f"eps must lie in [0, 1), got {args.eps}")
+    _require_size("--m", args.m)
     seed = resolve_seed(args)
     record = run_noninvariance_counterexample(args.m, args.eps, seed)
     eta = record.details.get("threshold")
@@ -152,20 +163,12 @@ def cmd_demo(args) -> int:
     seed = resolve_seed(args)
     rng = np.random.default_rng(seed)
     if args.protocol == "teleport":
-        n = args.n
-        if n > 2:
-            raise ConfigError("teleport demo supports n <= 2")
-        if n == 1:
-            vec = random_pure_state(2, rng)
-            target = bipartite_pure(vec, (1, 1))
-            prep = [Gate.unitary(_column_unitary(vec), (0, 1))]
-        else:
-            vecs = [random_pure_state(2, rng) for _ in range(2)]
-            target = tensor_states(bipartite_pure(vecs[0], (1, 1)), bipartite_pure(vecs[1], (1, 1)))
-            prep = [
-                Gate.unitary(_column_unitary(vecs[0]), (0, 2)),
-                Gate.unitary(_column_unitary(vecs[1]), (1, 3)),
-            ]
+        n = _require_size("--n", args.n)
+        # one random two-qubit pure target per teleported qubit; the prep gate
+        # for target i acts on Alice's share i and the qubit sent to Bob
+        vecs = [random_pure_state(2, rng) for _ in range(n)]
+        target = reduce(tensor_states, [bipartite_pure(v, (1, 1)) for v in vecs])
+        prep = [Gate.unitary(column_unitary(v), (i, n + i)) for i, v in enumerate(vecs)]
         circuit = teleport_dilution(prep, n)
         err = p_err_dilute(circuit, target, n)
         print(f"teleportation dilution of a random pure target ({n} pairs consumed)")
@@ -173,9 +176,7 @@ def cmd_demo(args) -> int:
         print(_demo_budget_line(gate_count(circuit), 20.0 * n + 10.0))
         return 0
     if args.protocol == "unrotate":
-        m = args.m
-        if m > 2:
-            raise ConfigError("unrotate demo supports m <= 2")
+        m = _require_size("--m", args.m)
         u = haar_unitary(2 ** m, rng)
         circuit = unrotate_distillation(u, m)
         err = p_err_distill(circuit, rotated_epr(u, m), m)
@@ -198,14 +199,6 @@ def cmd_demo(args) -> int:
         print(_demo_budget_line(gate_count(circuit), 20.0))
         return 0
     raise ConfigError(f"unknown protocol {args.protocol!r}")
-
-
-def _column_unitary(vec: np.ndarray) -> np.ndarray:
-    d = vec.shape[0]
-    m = np.eye(d, dtype=complex)
-    m[:, 0] = vec
-    q, r = np.linalg.qr(m)
-    return q * (r[0, 0] / abs(r[0, 0]))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -257,10 +250,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, SizeLimitError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:  # SizeLimitError is a ValueError
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass, field
-from typing import Sequence
+from itertools import product
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,6 +50,7 @@ from .states import (
     all_keys,
     bipartite_from_matrix,
     bipartite_pure,
+    column_unitary,
     conjugate_local,
     mixture,
     random_density_matrix,
@@ -59,18 +61,6 @@ from .states import (
 
 EQ_TOL = 1e-9          # default tolerance for equality checks
 STRICT_MARGIN = 1e-6   # margin demanded of strict inequalities
-
-ONE_SHOT_SUITES = (
-    "convexity",
-    "concavity",
-    "superadditivity",
-    "subadditivity",
-    "lu-cost",
-    "lu-distillation",
-    "monotonicity-cost",
-    "monotonicity-distillation",
-)
-
 
 @dataclass(frozen=True)
 class CheckRecord:
@@ -101,15 +91,13 @@ class CheckRecord:
 
 
 def _equality(name, lhs, rhs, tol, lam=None, key=None, details=None) -> CheckRecord:
-    slack = -abs(lhs - rhs)
-    return CheckRecord(
-        name, lam, key, float(lhs), float(rhs), float(slack), tol,
-        slack >= -tol, details=details or {},
-    )
+    return _upper_bound(name, lhs, rhs, tol, lam, key, details, slack=-abs(lhs - rhs))
 
 
-def _upper_bound(name, lhs, rhs, tol, lam=None, key=None, details=None) -> CheckRecord:
-    slack = rhs - lhs
+def _upper_bound(name, lhs, rhs, tol, lam=None, key=None, details=None,
+                 slack=None) -> CheckRecord:
+    """Pass iff slack >= -tol; the slack defaults to rhs - lhs."""
+    slack = rhs - lhs if slack is None else slack
     return CheckRecord(
         name, lam, key, float(lhs), float(rhs), float(slack), tol,
         slack >= -tol, details=details or {},
@@ -323,19 +311,14 @@ def run_noninvariance_counterexample(
     overlap = float(abs(np.trace(u.conj().T @ v)) / 2 ** m)
     psi = mixture([rotated_epr(u, m), rotated_epr(v, m)], [0.5, 0.5])
     upper = distillable_upper_via_squashed(psi, eps)
-    record = _upper_bound(
+    return _upper_bound(
         name, upper, m - STRICT_MARGIN, 0.0,
         details={"m": m, "eps": eps, "threshold": eta, "overlap": overlap,
                  "squashed_upper": upper},
     )
-    return record
 
 
 # -- randomized one-shot suites ---------------------------------------------------
-
-
-def _size(lam: int) -> int:
-    return min(lam, 2)
 
 
 def _random_states(cut, count, rng):
@@ -361,12 +344,7 @@ def _random_local_circuit(s: int, rng) -> LoccCircuit:
 
 def _teleport_for_random_pure(rng) -> tuple[LoccCircuit, BipartiteState]:
     vec = random_pure_state(2, rng)
-    d = 4
-    m = np.eye(d, dtype=complex)
-    m[:, 0] = vec
-    q, r = np.linalg.qr(m)
-    q = q * (r[0, 0] / abs(r[0, 0]))
-    circuit = teleport_dilution([Gate.unitary(q, (0, 1))], 1)
+    circuit = teleport_dilution([Gate.unitary(column_unitary(vec), (0, 1))], 1)
     return circuit, bipartite_pure(vec, (1, 1))
 
 
@@ -380,76 +358,147 @@ def _post_channel(instance: int, rng) -> LoccCircuit:
     return choices[instance % len(choices)]
 
 
+def _convexity_one_shot(rng, s, lam, instance):
+    return (_random_local_circuit(s, rng), _random_states((s, s), 3, rng),
+            rng.dirichlet(np.ones(3)), s)
+
+
+def _concavity_one_shot(rng, s, lam, instance):
+    return (bob_unitary_circuit(haar_unitary(2 ** s, rng), s),
+            _random_states((s, s), 3, rng), rng.dirichlet(np.ones(3)), s)
+
+
+def _superadditivity_one_shot(rng, s, lam, instance):
+    u1, u2 = haar_unitary(2, rng), haar_unitary(2 ** s, rng)
+    # odd instances pair the witness with a deliberately noisy second one
+    g2 = unrotate_distillation(u2, s) if instance % 2 == 0 else identity_circuit(s, s)
+    return unrotate_distillation(u1, 1), g2, rotated_epr(u1, 1), rotated_epr(u2, s), 1, s
+
+
+def _subadditivity_one_shot(rng, s, lam, instance):
+    g1, target1 = _teleport_for_random_pure(rng)
+    if instance % 2 == 0:
+        u = haar_unitary(2, rng)
+        g2, target2 = bob_unitary_circuit(u, 1), rotated_epr(u, 1)
+    else:  # identity witness toward a mixed target: nonzero error
+        g2, target2 = identity_circuit(1, 1), _random_states((1, 1), 1, rng)[0]
+    return g1, g2, target1, target2, 1, 1
+
+
+def _lu_cost_one_shot(rng, s, lam, instance):
+    g, target = _teleport_for_random_pure(rng)
+    return g, target, _random_local_layer(g.m_a, rng), _random_local_layer(g.m_b, rng), 1
+
+
+def _lu_distillation_one_shot(rng, s, lam, instance):
+    u = haar_unitary(2 ** s, rng)
+    return (unrotate_distillation(u, s), rotated_epr(u, s),
+            _random_local_layer(s, rng, two_qubit=True),
+            _random_local_layer(s, rng, two_qubit=True), s)
+
+
+def _monotonicity_cost_one_shot(rng, s, lam, instance):
+    g, target = _teleport_for_random_pure(rng)
+    return g, _post_channel(instance + lam, rng), target, 1
+
+
+def _monotonicity_distillation_one_shot(rng, s, lam, instance):
+    u = haar_unitary(2 ** s, rng)
+    if instance % 2 == 0:  # the trivial-LOCC mechanism: unrotation as a pre-map
+        g, pre = identity_circuit(s, s), unrotate_distillation(u, s)
+    else:
+        g, pre = unrotate_distillation(u, s), _random_local_circuit(s, rng)
+    return g, pre, rotated_epr(u, s), s
+
+
+# -- the suite table ----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class KeyedSetting:
+    """The stock keyed family, Pauli-rotated EPR pairs on m pairs, with the
+    matching keyed witnesses and the per-lambda draws shared by every key."""
+
+    m: int
+    fixed: list[np.ndarray]
+    alice: list[Gate]
+    bob: list[Gate]
+
+    def state(self, key) -> BipartiteState:
+        return keyed_pauli_state(key, self.m)
+
+    def rotate(self, key) -> LoccCircuit:
+        return keyed_pauli_rotate(key, self.m)
+
+    def unrotate(self, key) -> LoccCircuit:
+        return keyed_pauli_unrotate(key, self.m)
+
+    def rotated(self, key) -> list[BipartiteState]:
+        """The keyed state with each fixed rotation applied on Bob's side."""
+        base = self.state(key)
+        return [apply(bob_unitary_circuit(u, self.m), base) for u in self.fixed]
+
+
+class Suite(NamedTuple):
+    """One theorem in both settings.
+
+    ``one_shot(rng, size, lam, instance)`` and ``keyed(setting, *keys)``
+    return the check's positional arguments up to the tolerance; a keyed
+    suite runs once per tuple of ``arity`` keys.  Each builder draws from its
+    generator in a fixed order, which keeps reports byte-identical.
+    """
+
+    check: Callable[..., CheckRecord]
+    one_shot: Callable[..., tuple]
+    keyed: Callable[..., tuple]
+    arity: int = 1
+
+
+SUITES: dict[str, Suite] = {
+    "convexity": Suite(
+        check_convexity_distillation, _convexity_one_shot,
+        lambda k, key: (k.unrotate(key), k.rotated(key), [0.5, 0.5], k.m)),
+    "concavity": Suite(
+        check_concavity_dilution, _concavity_one_shot,
+        lambda k, key: (k.rotate(key), k.rotated(key), [0.5, 0.5], k.m)),
+    "superadditivity": Suite(
+        check_superadditivity_distillation, _superadditivity_one_shot,
+        lambda k, k1, k2: (k.unrotate(k1), k.unrotate(k2), k.state(k1), k.state(k2), k.m, k.m),
+        arity=2),
+    "subadditivity": Suite(
+        check_subadditivity_cost, _subadditivity_one_shot,
+        lambda k, k1, k2: (k.rotate(k1), k.rotate(k2), k.state(k1), k.state(k2), k.m, k.m),
+        arity=2),
+    "lu-cost": Suite(
+        check_lu_invariance_cost, _lu_cost_one_shot,
+        lambda k, key: (k.rotate(key), k.state(key), k.alice, k.bob, k.m)),
+    "lu-distillation": Suite(
+        check_lu_invariance_distillation, _lu_distillation_one_shot,
+        lambda k, key: (k.unrotate(key), k.state(key), k.alice, k.bob, k.m)),
+    "monotonicity-cost": Suite(
+        check_locc_monotonicity_cost, _monotonicity_cost_one_shot,
+        lambda k, key: (k.rotate(key), dephase_bob_circuit(k.m), k.state(key), k.m)),
+    "monotonicity-distillation": Suite(
+        check_locc_monotonicity_distillation, _monotonicity_distillation_one_shot,
+        lambda k, key: (identity_circuit(k.m, k.m), k.unrotate(key), k.state(key), k.m)),
+}
+ONE_SHOT_SUITES = tuple(SUITES)
+_SELECTORS = (*SUITES, *(f"keyed-{s}" for s in SUITES), "counterexample")
+
+
+def _suite(selector: str) -> Suite:
+    if selector not in SUITES:
+        raise ValueError(f"unknown suite selector {selector!r}")
+    return SUITES[selector]
+
+
 def run_one_shot_check(selector: str, lam: int, instance: int, seed: int,
                        tolerance: float = EQ_TOL) -> CheckRecord:
     """One randomized instance of a named one-shot check."""
-    rng = _rng(seed, selector, lam, instance)
-    s = _size(lam)
-    name = f"{selector}#{instance}"
-    if selector == "convexity":
-        g = _random_local_circuit(s, rng)
-        states = _random_states((s, s), 3, rng)
-        p = rng.dirichlet(np.ones(3))
-        return check_convexity_distillation(g, states, p, s, tolerance, lam, name=name)
-    if selector == "concavity":
-        g = bob_unitary_circuit(haar_unitary(2 ** s, rng), s)
-        states = _random_states((s, s), 3, rng)
-        p = rng.dirichlet(np.ones(3))
-        return check_concavity_dilution(g, states, p, s, tolerance, lam, name=name)
-    if selector == "superadditivity":
-        u1, u2 = haar_unitary(2, rng), haar_unitary(2 ** s, rng)
-        g1, rho1 = unrotate_distillation(u1, 1), rotated_epr(u1, 1)
-        if instance % 2 == 0:
-            g2, rho2 = unrotate_distillation(u2, s), rotated_epr(u2, s)
-        else:  # a deliberately noisy second witness
-            g2, rho2 = identity_circuit(s, s), rotated_epr(u2, s)
-        return check_superadditivity_distillation(
-            g1, g2, rho1, rho2, 1, s, tolerance, lam, name=name
-        )
-    if selector == "subadditivity":
-        g1, target1 = _teleport_for_random_pure(rng)
-        if instance % 2 == 0:
-            u = haar_unitary(2, rng)
-            g2, target2 = bob_unitary_circuit(u, 1), rotated_epr(u, 1)
-        else:  # identity witness toward a mixed target: nonzero error
-            g2 = identity_circuit(1, 1)
-            target2 = _random_states((1, 1), 1, rng)[0]
-        return check_subadditivity_cost(
-            g1, g2, target1, target2, 1, 1, tolerance, lam, name=name
-        )
-    if selector == "lu-cost":
-        g, target = _teleport_for_random_pure(rng)
-        return check_lu_invariance_cost(
-            g, target,
-            _random_local_layer(g.m_a, rng),
-            _random_local_layer(g.m_b, rng),
-            1, tolerance, lam, name=name,
-        )
-    if selector == "lu-distillation":
-        u = haar_unitary(2 ** s, rng)
-        g, rho = unrotate_distillation(u, s), rotated_epr(u, s)
-        return check_lu_invariance_distillation(
-            g, rho,
-            _random_local_layer(s, rng, two_qubit=True),
-            _random_local_layer(s, rng, two_qubit=True),
-            s, tolerance, lam, name=name,
-        )
-    if selector == "monotonicity-cost":
-        g, target = _teleport_for_random_pure(rng)
-        post = _post_channel(instance + lam, rng)
-        return check_locc_monotonicity_cost(g, post, target, 1, tolerance, lam, name=name)
-    if selector == "monotonicity-distillation":
-        u = haar_unitary(2 ** s, rng)
-        if instance % 2 == 0:
-            # the trivial-LOCC mechanism: unrotation as a pre-map
-            g, pre, rho = identity_circuit(s, s), unrotate_distillation(u, s), rotated_epr(u, s)
-        else:
-            g, pre, rho = unrotate_distillation(u, s), _random_local_circuit(s, rng), rotated_epr(u, s)
-        return check_locc_monotonicity_distillation(g, pre, rho, s, tolerance, lam, name=name)
-    raise ValueError(f"unknown suite selector {selector!r}")
-
-
-# -- keyed (uniform) suites --------------------------------------------------------
+    suite = _suite(selector)
+    size = min(lam, 2)  # witnesses grow with lambda up to two pairs per side
+    args = suite.one_shot(_rng(seed, selector, lam, instance), size, lam, instance)
+    return suite.check(*args, tolerance, lam, name=f"{selector}#{instance}")
 
 
 def _key_label(*keys: tuple[int, ...]) -> str:
@@ -463,80 +512,26 @@ def run_keyed_suite(
     seed: int,
     tolerance: float = EQ_TOL,
 ) -> list[CheckRecord]:
-    """Run the keyed analogue of a one-shot check for every key.
+    """Run the keyed analogue of a one-shot check for every key, or every
+    pair of keys for the tensor-product laws.
 
-    The stock keyed family is the Pauli-rotated EPR family on
-    m = max(1, ceil(kappa/2)) pairs; witnesses are the matching keyed
-    rotations, so a uniform error budget holds across keys.
+    The keyed family lives on m = max(1, ceil(kappa/2)) pairs; witnesses are
+    the matching keyed rotations, so a uniform error budget holds across keys.
     """
     if kappa < 1 or kappa > 3:
         raise ValueError("keyed suites run with 1 <= kappa <= 3")
+    suite = _suite(selector)
     m = max(1, math.ceil(kappa / 2))
-    records: list[CheckRecord] = []
     name = f"keyed-{selector}"
+    records: list[CheckRecord] = []
     for lam in lambdas:
         rng = _rng(seed, name, lam, 0)
-        fixed = [haar_unitary(2 ** m, rng) for _ in range(2)]
-        alice_layer = _random_local_layer(m, rng)
-        bob_layer = _random_local_layer(m, rng)
-        if selector in ("superadditivity", "subadditivity"):
-            for k1 in all_keys(kappa):
-                for k2 in all_keys(kappa):
-                    label = _key_label(k1, k2)
-                    if selector == "superadditivity":
-                        records.append(check_superadditivity_distillation(
-                            keyed_pauli_unrotate(k1, m), keyed_pauli_unrotate(k2, m),
-                            keyed_pauli_state(k1, m), keyed_pauli_state(k2, m),
-                            m, m, tolerance, lam, label, name=name,
-                        ))
-                    else:
-                        records.append(check_subadditivity_cost(
-                            keyed_pauli_rotate(k1, m), keyed_pauli_rotate(k2, m),
-                            keyed_pauli_state(k1, m), keyed_pauli_state(k2, m),
-                            m, m, tolerance, lam, label, name=name,
-                        ))
-            continue
-        for key in all_keys(kappa):
-            label = _key_label(key)
-            base = keyed_pauli_state(key, m)
-            if selector == "convexity":
-                shift = keyed_pauli_unrotate(key, m)
-                states = [
-                    apply(bob_unitary_circuit(u, m), base) for u in fixed
-                ]
-                records.append(check_convexity_distillation(
-                    shift, states, [0.5, 0.5], m, tolerance, lam, label, name=name,
-                ))
-            elif selector == "concavity":
-                witness = keyed_pauli_rotate(key, m)
-                targets = [
-                    apply(bob_unitary_circuit(u, m), base) for u in fixed
-                ]
-                records.append(check_concavity_dilution(
-                    witness, targets, [0.5, 0.5], m, tolerance, lam, label, name=name,
-                ))
-            elif selector == "lu-cost":
-                records.append(check_lu_invariance_cost(
-                    keyed_pauli_rotate(key, m), base, alice_layer, bob_layer,
-                    m, tolerance, lam, label, name=name,
-                ))
-            elif selector == "lu-distillation":
-                records.append(check_lu_invariance_distillation(
-                    keyed_pauli_unrotate(key, m), base, alice_layer, bob_layer,
-                    m, tolerance, lam, label, name=name,
-                ))
-            elif selector == "monotonicity-cost":
-                records.append(check_locc_monotonicity_cost(
-                    keyed_pauli_rotate(key, m), dephase_bob_circuit(m), base,
-                    m, tolerance, lam, label, name=name,
-                ))
-            elif selector == "monotonicity-distillation":
-                records.append(check_locc_monotonicity_distillation(
-                    identity_circuit(m, m), keyed_pauli_unrotate(key, m), base,
-                    m, tolerance, lam, label, name=name,
-                ))
-            else:
-                raise ValueError(f"unknown suite selector {selector!r}")
+        # draw order: the two fixed rotations, then Alice's and Bob's layers
+        setting = KeyedSetting(m, [haar_unitary(2 ** m, rng) for _ in range(2)],
+                               _random_local_layer(m, rng), _random_local_layer(m, rng))
+        for keys in product(all_keys(kappa), repeat=suite.arity):
+            args = suite.keyed(setting, *keys)
+            records.append(suite.check(*args, tolerance, lam, _key_label(*keys), name=name))
     return records
 
 
@@ -554,37 +549,27 @@ def run_suites(
     """Run the requested suites and return records in canonical order."""
     chosen = []
     for sel in selectors:
-        if sel == "all":
-            chosen.extend(ONE_SHOT_SUITES)
-            chosen.extend(f"keyed-{s}" for s in ONE_SHOT_SUITES)
-            chosen.append("counterexample")
-        else:
-            chosen.append(sel)
+        chosen.extend(_SELECTORS if sel == "all" else [sel])
     seen = set()
     ordered = [s for s in chosen if not (s in seen or seen.add(s))]
+    unknown = [s for s in ordered if s not in _SELECTORS]
+    if unknown:
+        raise ValueError(f"unknown suite selector {unknown[0]!r}")
 
     records: list[CheckRecord] = []
     for sel in ordered:
         if sel == "counterexample":
-            records.append(run_noninvariance_counterexample(1, 0.0, seed))
-            records.append(run_noninvariance_counterexample(1, 1e-4, seed))
-            records.append(run_noninvariance_counterexample(2, 0.25, seed))
+            for m, eps in ((1, 0.0), (1, 1e-4), (2, 0.25)):
+                records.append(run_noninvariance_counterexample(m, eps, seed))
         elif sel.startswith("keyed-"):
             records.extend(run_keyed_suite(sel[len("keyed-"):], kappa, lambdas, seed, tolerance))
-        elif sel in ONE_SHOT_SUITES:
+        else:
             for lam in lambdas:
                 for instance in range(instances):
                     records.append(run_one_shot_check(sel, lam, instance, seed, tolerance))
-        else:
-            raise ValueError(f"unknown suite selector {sel!r}")
     records.sort(key=lambda r: (r.name, r.lam if r.lam is not None else -1, r.key or ""))
     return records
 
 
 def all_selectors() -> list[str]:
-    return (
-        ["all"]
-        + list(ONE_SHOT_SUITES)
-        + [f"keyed-{s}" for s in ONE_SHOT_SUITES]
-        + ["counterexample"]
-    )
+    return ["all", *_SELECTORS]

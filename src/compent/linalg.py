@@ -202,6 +202,16 @@ def embed_operator(op: np.ndarray, wires: Sequence[int], n_qubits: int) -> np.nd
     return permute_qubits(full, n_qubits, inv)
 
 
+def matrix_to_dict(m: np.ndarray) -> dict:
+    """Row-major real and imaginary parts; floats round-trip exactly through json."""
+    return {"re": m.real.reshape(-1).tolist(), "im": m.imag.reshape(-1).tolist()}
+
+
+def matrix_from_dict(d: dict, shape: tuple[int, ...]) -> np.ndarray:
+    """Inverse of ``matrix_to_dict`` for a matrix of the given shape."""
+    return (np.asarray(d["re"], dtype=float) + 1j * np.asarray(d["im"], dtype=float)).reshape(shape)
+
+
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix."""
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))

@@ -119,25 +119,21 @@ class CertificateReport:
         }
 
 
-def _keyed(obj) -> bool:
-    return isinstance(obj, (KeyedStateFamily, KeyedChannelFamily))
-
-
-def _certificate_entries(cert, lambdas, evaluate) -> tuple[CertificateEntry, ...]:
+def _verify_certificate(cert, lambdas, size, p_err) -> CertificateReport:
+    """Evaluate ``p_err(witness, state, size(lam))`` for every lambda (and
+    every key of a keyed family) against epsilon(lam), plus the gate budget."""
+    if not lambdas:
+        raise ValueError("need at least one lambda")
+    keyed = isinstance(cert.family, KeyedStateFamily)
     entries = []
     for lam in lambdas:
         eps = float(cert.epsilon(lam))
-        if _keyed(cert.family):
-            keys = all_keys(cert.family.kappa(lam))
-            for key in keys:
-                err = evaluate(lam, key)
-                entries.append(
-                    CertificateEntry(lam, key, err, eps, err <= eps + VERIFY_TOL)
-                )
-        else:
-            err = evaluate(lam, None)
-            entries.append(CertificateEntry(lam, None, err, eps, err <= eps + VERIFY_TOL))
-    return tuple(entries)
+        for key in all_keys(cert.family.kappa(lam)) if keyed else [None]:
+            args = (lam,) if key is None else (lam, key)
+            n = size(lam)
+            err = p_err(cert.witness.circuit(*args), cert.family.state(*args), n)
+            entries.append(CertificateEntry(lam, key, err, eps, err <= eps + VERIFY_TOL))
+    return CertificateReport(cert.name, tuple(entries), is_efficient(cert.witness, lambdas))
 
 
 def verify_distillation_certificate(
@@ -145,37 +141,14 @@ def verify_distillation_certificate(
 ) -> CertificateReport:
     """Check p_err <= epsilon(lam) for every lambda (and key) and that the
     witness respects its gate budget."""
-    if not lambdas:
-        raise ValueError("need at least one lambda")
-
-    def evaluate(lam: int, key) -> float:
-        m = cert.m(lam)
-        if key is None:
-            return p_err_distill(cert.witness.circuit(lam), cert.family.state(lam), m)
-        return p_err_distill(
-            cert.witness.circuit(lam, key), cert.family.state(lam, key), m
-        )
-
-    entries = _certificate_entries(cert, lambdas, evaluate)
-    return CertificateReport(cert.name, entries, is_efficient(cert.witness, lambdas))
+    return _verify_certificate(cert, lambdas, cert.m, p_err_distill)
 
 
 def verify_dilution_certificate(
     cert: DilutionCertificate, lambdas: Sequence[int]
 ) -> CertificateReport:
-    if not lambdas:
-        raise ValueError("need at least one lambda")
-
-    def evaluate(lam: int, key) -> float:
-        n = cert.n(lam)
-        if key is None:
-            return p_err_dilute(cert.witness.circuit(lam), cert.family.state(lam), n)
-        return p_err_dilute(
-            cert.witness.circuit(lam, key), cert.family.state(lam, key), n
-        )
-
-    entries = _certificate_entries(cert, lambdas, evaluate)
-    return CertificateReport(cert.name, entries, is_efficient(cert.witness, lambdas))
+    """The dilution counterpart of ``verify_distillation_certificate``."""
+    return _verify_certificate(cert, lambdas, cert.n, p_err_dilute)
 
 
 def distillable_upper_via_squashed(rho: BipartiteState, eps: float) -> float:

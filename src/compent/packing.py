@@ -14,7 +14,7 @@ from itertools import product
 
 import numpy as np
 
-from .linalg import haar_unitary, require_unitary, schatten_norm
+from .linalg import haar_unitary, matrix_from_dict, matrix_to_dict, require_unitary, schatten_norm
 from .states import pauli_shift
 
 
@@ -166,18 +166,11 @@ def packing_to_dict(p: UnitaryPacking) -> dict:
         "m": p.m,
         "eta": p.eta,
         "seed": p.seed,
-        "members": [
-            {"re": u.real.reshape(-1).tolist(), "im": u.imag.reshape(-1).tolist()}
-            for u in p.members
-        ],
+        "members": [matrix_to_dict(u) for u in p.members],
     }
 
 
 def packing_from_dict(d: dict) -> UnitaryPacking:
     m = int(d["m"])
-    dim = 2 ** m
-    members = tuple(
-        (np.asarray(e["re"], dtype=float) + 1j * np.asarray(e["im"], dtype=float)).reshape(dim, dim)
-        for e in d["members"]
-    )
+    members = tuple(matrix_from_dict(e, (2 ** m, 2 ** m)) for e in d["members"])
     return UnitaryPacking(m, float(d["eta"]), members, int(d["seed"]))

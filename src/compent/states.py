@@ -19,6 +19,8 @@ from .linalg import (
     SizeLimitError,
     as_complex,
     haar_unitary,
+    matrix_from_dict,
+    matrix_to_dict,
     partial_trace,
     permute_qubits,
     psd_sqrt,
@@ -376,6 +378,15 @@ def random_pure_state(n_qubits: int, rng: np.random.Generator) -> np.ndarray:
     return haar_unitary(2 ** n_qubits, rng)[:, 0]
 
 
+def column_unitary(vec: np.ndarray) -> np.ndarray:
+    """A unitary whose first column is the unit vector ``vec``; as a gate it
+    prepares ``vec`` from |0..0>."""
+    m = np.eye(vec.shape[0], dtype=complex)
+    m[:, 0] = vec
+    q, r = np.linalg.qr(m)
+    return q * (r[0, 0] / abs(r[0, 0]))
+
+
 def random_density_matrix(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
     """Random mixed state from the induced (Ginibre) measure."""
     rank = rank or dim
@@ -390,14 +401,10 @@ def state_to_dict(s: BipartiteState) -> dict:
     return {
         "dims": [int(m.shape[0]), int(m.shape[1])],
         "cut": [int(s.n_a), int(s.n_b)],
-        "re": m.real.reshape(-1).tolist(),
-        "im": m.imag.reshape(-1).tolist(),
+        **matrix_to_dict(m),
     }
 
 
 def state_from_dict(d: dict) -> BipartiteState:
-    rows, cols = d["dims"]
-    m = np.asarray(d["re"], dtype=float).reshape(rows, cols) + 1j * np.asarray(
-        d["im"], dtype=float
-    ).reshape(rows, cols)
+    m = matrix_from_dict(d, tuple(d["dims"]))
     return bipartite_from_matrix(m, (int(d["cut"][0]), int(d["cut"][1])))

@@ -23,6 +23,7 @@ from compent.circuits import (
     gate_count,
     identity_circuit,
     is_efficient,
+    keyed_pauli_rotate,
     keyed_pauli_state,
     keyed_pauli_unrotate,
     local_layer_unitary,
@@ -522,3 +523,12 @@ def test_circuit_serialization_round_trip():
         rho = epr_pairs(circ.n_a) if circ.n_a == circ.n_b else None
         if rho is not None and circ.n_a <= 2:
             assert np.array_equal(apply(back, rho).matrix, apply(circ, rho).matrix)
+
+
+def test_keyed_pauli_padding_and_overlong_keys():
+    # a key shorter than 2m bits is zero-padded: (1,) on m = 1 is an X shift
+    assert np.allclose(keyed_pauli_state((1,), 1).matrix, keyed_pauli_state((1, 0), 1).matrix)
+    assert fidelity(apply(keyed_pauli_rotate((1,), 1), epr_pairs(1)), keyed_pauli_state((1,), 1)) > 1 - 1e-12
+    for build in (keyed_pauli_state, keyed_pauli_rotate, keyed_pauli_unrotate):
+        with pytest.raises(ValueError, match="longer than 2m"):
+            build((0, 1, 1), 1)

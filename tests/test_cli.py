@@ -142,3 +142,53 @@ def test_demo_p_err_values(capsys):
     assert run(["demo", "unrotate", "--m", "1", "--seed", "5"]) == 0
     line = [l for l in capsys.readouterr().out.splitlines() if l.startswith("p_err")][0]
     assert float(line.split(":")[1]) <= 1e-9
+
+
+def test_verify_summary_counts_add_up(capsys):
+    # the (m=2, eps=0.25) counterexample record is inconclusive, not passed
+    assert run(["verify", "--suite", "counterexample", "--lambda", "1"]) == 0
+    captured = capsys.readouterr()
+    records = json.loads(captured.out)
+    total, rest = captured.err.strip().split(" checks: ")
+    counts = [int(part.split()[0]) for part in rest.split(", ")]
+    assert int(total) == len(records) == sum(counts)
+    assert counts == [
+        sum(r["pass"] and not r["inconclusive"] for r in records),
+        sum(not r["pass"] and not r["inconclusive"] for r in records),
+        sum(r["inconclusive"] for r in records),
+    ]
+    assert counts[2] == 1
+
+
+def test_verify_without_suite_exits_2(capsys):
+    assert run(["verify", "--lambda", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_suite_choices_come_from_the_table(capsys):
+    from compent.harness import SUITES, all_selectors
+
+    assert all_selectors() == ["all", *SUITES, *(f"keyed-{s}" for s in SUITES), "counterexample"]
+    parser = cli.build_parser()
+    for sel in all_selectors():
+        assert parser.parse_args(["verify", "--suite", sel]).suite == [sel]
+    with pytest.raises(SystemExit):
+        parser.parse_args(["verify", "--suite", "keyed-counterexample"])
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["demo", "teleport", "--n", "0"],
+    ["demo", "teleport", "--n", "3"],
+    ["demo", "unrotate", "--m", "0"],
+    ["net", "--m", "-1", "--eta", "0.5"],
+    ["net", "--m", "0", "--eta", "0.5"],
+    ["net", "--m", "3", "--eta", "0.5"],
+    ["counterexample", "--m", "0"],
+    ["counterexample", "--m", "3"],
+])
+def test_out_of_range_sizes_exit_2(argv, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")

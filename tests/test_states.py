@@ -12,6 +12,7 @@ from compent.states import (
     binary_mixture_entropy,
     bipartite_from_matrix,
     bipartite_pure,
+    column_unitary,
     conditional_mutual_information,
     conjugate_local,
     epr_pairs,
@@ -261,3 +262,12 @@ def test_state_serialization_round_trip():
         back = state_from_dict(json.loads(packed))
         assert back.cut == s.cut
         assert np.array_equal(back.matrix, s.matrix)  # exact round trip
+
+
+def test_column_unitary_prepares_the_vector():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3):
+        vec = random_pure_state(n, rng)
+        u = column_unitary(vec)
+        assert np.allclose(u.conj().T @ u, np.eye(2 ** n), atol=1e-12)
+        assert np.allclose(u[:, 0], vec, atol=1e-12)
