@@ -17,7 +17,7 @@ print(f"{'check':40s} {'runs':>5s} {'pass':>5s} {'worst slack':>12s}")
 print("-" * 66)
 for name in sorted(groups):
     rs = groups[name]
-    worst = min(r.slack for r in rs)
+    worst = min(r.slack for r in rs if not r.inconclusive)  # inconclusive: no value
     status = "ok" if all(r.passed for r in rs) else "FAIL"
     print(f"{name:40s} {len(rs):5d} {status:>5s} {worst:12.2e}")
 

@@ -86,7 +86,6 @@ from .states import (
     BipartiteState,
     DensityMatrix,
     KeyedStateFamily,
-    PureState,
     StateFamily,
     binary_mixture_entropy,
     bipartite_from_matrix,

@@ -9,7 +9,9 @@ to |0..0>, and C is a shared classical register initialized to |0..0>.
 Each round applies Alice's gates (on A, A', C), dephases C in the
 computational basis, then applies Bob's gates (on B, B', C) and dephases C
 again.  Measurement is modeled exactly as that pinching; no trajectories are
-sampled.  Finally every wire not designated as an output is traced out.
+sampled.  The simulator runs the gates and these dephasings as one flat list
+of steps, which with each wire's last use follows from the circuit alone.
+Finally every wire not designated as an output is traced out.
 
 Gate counting: every unitary or controlled gate costs 1, every pinched wire
 in an explicit measure gate costs 1, and every ancilla or communication
@@ -117,6 +119,16 @@ class Gate:
 
     def touched(self) -> tuple[int, ...]:
         return self.controls + self.wires
+
+    def operator(self) -> np.ndarray | None:
+        """The unitary on ``touched()``; None for a pinch.  A controlled gate
+        acts as its payload on the all-ones control block."""
+        if self.kind != CONTROLLED:
+            return self.matrix
+        dim_c, dim_w = 2 ** len(self.controls), 2 ** len(self.wires)
+        m = np.eye(dim_c * dim_w, dtype=complex)
+        m[(dim_c - 1) * dim_w:, (dim_c - 1) * dim_w:] = self.matrix
+        return m
 
     def remap(self, wire_map: dict[int, int]) -> "Gate":
         return Gate(
@@ -262,13 +274,9 @@ class _TensorState:
 
     def __init__(self, matrix: np.ndarray, wires: Sequence[int], vector=None):
         self.active: list[int] = list(wires)
-        k = len(self.active)
-        if vector is not None:
-            self.pure = True
-            self.t = np.array(vector, dtype=complex).reshape((2,) * k)
-        else:
-            self.pure = False
-            self.t = np.array(matrix, dtype=complex).reshape((2,) * (2 * k))
+        self.pure = vector is not None
+        t = np.array(vector if self.pure else matrix, dtype=complex)
+        self.t = t.reshape((2,) * (self.k if self.pure else 2 * self.k))
 
     @property
     def k(self) -> int:
@@ -284,48 +292,29 @@ class _TensorState:
         fresh = [w for w in wires if w not in self.active]
         if not fresh:
             return
-        if self.pure:
-            block = np.zeros((2,) * len(fresh), dtype=complex)
-            block[(0,) * len(fresh)] = 1.0
-            self.t = np.multiply.outer(self.t, block)
-        else:
-            d = 2 ** len(fresh)
-            block = np.zeros((d, d), dtype=complex)
-            block[0, 0] = 1.0
-            k = self.k
-            f = len(fresh)
-            t = np.multiply.outer(self.t, block.reshape((2,) * (2 * f)))
+        k, f = self.k, len(fresh)
+        block = np.zeros((2,) * (f if self.pure else 2 * f), dtype=complex)
+        block[(0,) * block.ndim] = 1.0
+        self.t = np.multiply.outer(self.t, block)
+        if not self.pure:
             # new bra axes sit after the old bras, new kets at the end
-            self.t = np.moveaxis(t, range(2 * k, 2 * k + f), range(k, k + f))
+            self.t = np.moveaxis(self.t, range(2 * k, 2 * k + f), range(k, k + f))
         self.active.extend(fresh)
 
     def _axes(self, wires: Sequence[int]) -> list[int]:
         return [self.active.index(w) for w in wires]
 
     def unitary(self, u: np.ndarray, wires: Sequence[int]) -> None:
-        w = len(wires)
         axes = self._axes(wires)
-        if self.pure:
-            ut = u.reshape((2,) * (2 * w))
-            contract = list(range(w, 2 * w))
-            self.t = np.moveaxis(
-                np.tensordot(ut, self.t, axes=(contract, axes)), range(w), axes
-            )
-            return
-        both = np.kron(u, np.conj(u)).reshape((2,) * (4 * w))
-        targets = axes + [self.k + a for a in axes]
+        if not self.pure:
+            u = np.kron(u, np.conj(u))
+            axes += [self.k + a for a in axes]
+        n = len(axes)
         self.t = np.moveaxis(
-            np.tensordot(both, self.t, axes=(list(range(2 * w, 4 * w)), targets)),
-            range(2 * w),
-            targets,
+            np.tensordot(u.reshape((2,) * (2 * n)), self.t, axes=(list(range(n, 2 * n)), axes)),
+            range(n),
+            axes,
         )
-
-    def controlled(self, u: np.ndarray, wires: Sequence[int], controls: Sequence[int]) -> None:
-        c, w = len(controls), len(wires)
-        dim_c, dim_w = 2 ** c, 2 ** w
-        m = np.eye(dim_c * dim_w, dtype=complex)
-        m[(dim_c - 1) * dim_w:, (dim_c - 1) * dim_w:] = u
-        self.unitary(m, tuple(controls) + tuple(wires))
 
     def pinch(self, wires: Iterable[int]) -> None:
         wires = list(wires)
@@ -376,72 +365,68 @@ def _as_vector(matrix: np.ndarray) -> np.ndarray | None:
     return vecs[:, -1]
 
 
-def _liveness(circuit: LoccCircuit) -> dict[int, int]:
-    """Index of the last gate touching each wire, over a global gate count."""
+def _schedule(circuit: LoccCircuit) -> tuple[list[tuple], dict[int, int]]:
+    """The run order as ``(wires, operator)`` steps, and for each wire the
+    index of the last gate step that touches it.
+
+    A gate gives its operator on ``touched()``, or None for a pinch.  Once C
+    is in use, each half-round ends with a pinch step, the dephasing of C; it
+    pinches the used C wires that a later gate still touches.
+    """
+    steps: list[tuple[Sequence[int], np.ndarray | None]] = []
     last: dict[int, int] = {}
-    idx = 0
+    c_wires = circuit.c_wires
     for rnd in circuit.rounds:
         for gates in (rnd.alice, rnd.bob):
             for g in gates:
-                for w in g.touched():
-                    last[w] = idx
-                idx += 1
-    return last
+                wires = g.touched()
+                for w in wires:
+                    last[w] = len(steps)
+                steps.append((wires, g.operator()))
+            used_c = [w for w in c_wires if w in last]
+            if used_c:
+                steps.append((used_c, None))
+    # every wire of a pinch gate has last >= its index j; a dephasing keeps the live ones
+    steps = [(wires, op) if op is not None else ([w for w in wires if last[w] >= j], None)
+             for j, (wires, op) in enumerate(steps)]
+    return steps, last
 
 
 def apply(circuit: LoccCircuit, state: BipartiteState) -> BipartiteState:
     """Run the channel on a bipartite input and return the bipartite output.
 
-    Pure inputs ride a state-vector fast path until the first pinch; wires
-    are activated lazily (ancillas start in |0>) and traced out once no later
-    gate touches them.  Every move is an exact density-matrix identity, so
-    the result equals the static full-register simulation.
+    One loop runs the ``_schedule`` steps.  Pure inputs ride a state-vector
+    fast path until the first pinch; wires are activated lazily (ancillas
+    start in |0>) and traced out once no later gate touches them: before a
+    pinch while the state is pure, after every step once it is mixed.  Every
+    move is an exact density-matrix identity, so the result equals the static
+    full-register simulation.
     """
     if state.cut != (circuit.n_a, circuit.n_b):
         raise ValueError(
             f"input cut {state.cut} does not match circuit ({circuit.n_a}, {circuit.n_b})"
         )
-    if circuit.total_qubits > QUBIT_CAP:
-        raise SizeLimitError(f"{circuit.total_qubits} qubits exceed cap {QUBIT_CAP}")
-
-    last = _liveness(circuit)
-    keep_forever = set(circuit.out_a_global) | set(circuit.out_b_global)
+    steps, last = _schedule(circuit)
+    keep = set(circuit.out_a_global) | set(circuit.out_b_global)
     input_wires = list(circuit.a_wires) + list(circuit.b_wires)
     sim = _TensorState(state.matrix, input_wires, vector=_as_vector(state.matrix))
-    done = -1  # index of the last completed gate
 
-    def retire() -> None:
-        dead = [
-            w for w in sim.active
-            if w not in keep_forever and last.get(w, -1) <= done
-        ]
-        sim.trace_out(dead)
+    def retire(j: int) -> None:
+        """Trace out every non-output wire that no gate from step j on touches."""
+        sim.trace_out([w for w in sim.active if w not in keep and last.get(w, -1) < j])
 
     if not sim.pure:
-        retire()
-    for rnd in circuit.rounds:
-        for gates in (rnd.alice, rnd.bob):
-            for g in gates:
-                sim.ensure(g.touched())
-                if g.kind == UNITARY:
-                    sim.unitary(g.matrix, g.wires)
-                elif g.kind == CONTROLLED:
-                    sim.controlled(g.matrix, g.wires, g.controls)
-                else:
-                    if sim.pure:
-                        retire()  # shed dead wires before densifying
-                    sim.pinch(g.wires)
-                done += 1
-                if not sim.pure:
-                    retire()
-            live_c = [w for w in circuit.c_wires if w in sim.active]
-            if live_c:
-                if sim.pure:
-                    retire()  # shed dead wires before the pinch densifies
-                    live_c = [w for w in circuit.c_wires if w in sim.active]
-                if live_c:
-                    sim.pinch(live_c)
-                retire()
+        retire(0)
+    for j, (wires, op) in enumerate(steps):
+        sim.ensure(wires)
+        if op is not None:
+            sim.unitary(op, wires)
+        else:
+            if sim.pure:
+                retire(j)  # shed dead wires before the pinch densifies
+            sim.pinch(wires)
+        if not sim.pure:
+            retire(j + 1)
 
     out_wires = circuit.out_a_global + circuit.out_b_global
     sim.ensure(out_wires)  # untouched ancilla outputs are still |0>
@@ -625,9 +610,6 @@ def teleport_dilution(prep: Sequence[Gate], n: int, m_a: int | None = None) -> L
         m_a = n
     t_a = m_a + n
     circ_q = 2 * n
-    total = n + t_a + circ_q + n
-    if total > QUBIT_CAP:
-        raise SizeLimitError(f"teleportation needs {total} qubits, cap is {QUBIT_CAP}")
     anc = n  # A' offset
     c_off = n + t_a
     b_off = c_off + circ_q
@@ -747,10 +729,6 @@ class GateBudget:
 
     def __call__(self, lam: int) -> float:
         return float(sum(c * lam ** i for i, c in enumerate(self.coeffs)))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
 
 @dataclass(frozen=True)

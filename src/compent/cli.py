@@ -140,17 +140,16 @@ def cmd_counterexample(args) -> int:
     _require_size("--m", args.m)
     seed = resolve_seed(args)
     record = run_noninvariance_counterexample(args.m, args.eps, seed)
-    eta = record.details.get("threshold")
+    if args.out:
+        write_report(records_to_json([record]), args.out)
     if record.inconclusive:
         print(f"threshold: inconclusive (no grid eta beats the g2 term for m={args.m}, eps={args.eps})")
         print("verdict: inconclusive")
         return 0
-    print(f"threshold eta: {eta}")
+    print(f"threshold eta: {record.details['threshold']}")
     print(f"packing overlap: {record.details['overlap']:.9f}")
     print(f"squashed upper bound: {record.lhs:.9f} (target < {args.m} - 1e-6)")
     print(f"verdict: {'pass' if record.passed else 'fail'}")
-    if args.out:
-        write_report(records_to_json([record]), args.out)
     return 0 if record.passed else 1
 
 

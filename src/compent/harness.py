@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import Callable, NamedTuple, Sequence
 
@@ -67,10 +67,10 @@ class CheckRecord:
     name: str
     lam: int | None
     key: str | None
-    lhs: float
-    rhs: float
-    slack: float
-    tolerance: float
+    lhs: float | None  # the four values are None on inconclusive records
+    rhs: float | None
+    slack: float | None
+    tolerance: float | None
     passed: bool
     inconclusive: bool = False
     details: dict = field(default_factory=dict)
@@ -90,17 +90,17 @@ class CheckRecord:
         }
 
 
-def _equality(name, lhs, rhs, tol, lam=None, key=None, details=None) -> CheckRecord:
-    return _upper_bound(name, lhs, rhs, tol, lam, key, details, slack=-abs(lhs - rhs))
+def _equality(name, lhs, rhs, tol, details) -> CheckRecord:
+    return _upper_bound(name, lhs, rhs, tol, details, slack=-abs(lhs - rhs))
 
 
-def _upper_bound(name, lhs, rhs, tol, lam=None, key=None, details=None,
-                 slack=None) -> CheckRecord:
-    """Pass iff slack >= -tol; the slack defaults to rhs - lhs."""
+def _upper_bound(name, lhs, rhs, tol, details, slack=None) -> CheckRecord:
+    """Pass iff slack >= -tol; the slack defaults to rhs - lhs.  The record
+    carries no lambda or key; the suite runner stamps those on."""
     slack = rhs - lhs if slack is None else slack
     return CheckRecord(
-        name, lam, key, float(lhs), float(rhs), float(slack), tol,
-        slack >= -tol, details=details or {},
+        name, None, None, float(lhs), float(rhs), float(slack), tol,
+        slack >= -tol, details=details,
     )
 
 
@@ -118,15 +118,12 @@ def check_convexity_distillation(
     p: Sequence[float],
     m: int,
     tolerance: float = EQ_TOL,
-    lam: int | None = None,
-    key: str | None = None,
-    name: str = "convexity",
 ) -> CheckRecord:
     """Distillation error of a mixture equals the weighted individual errors."""
     eps = p_err_distill(g, mixture(states, p), m)
     eps_x = [p_err_distill(g, s, m) for s in states]
     rhs = float(sum(w * e for w, e in zip(p, eps_x)))
-    return _equality(name, eps, rhs, tolerance, lam, key,
+    return _equality("convexity", eps, rhs, tolerance,
                      {"eps_x": eps_x, "p": [float(w) for w in p]})
 
 
@@ -136,15 +133,12 @@ def check_concavity_dilution(
     p: Sequence[float],
     n: int,
     tolerance: float = EQ_TOL,
-    lam: int | None = None,
-    key: str | None = None,
-    name: str = "concavity",
 ) -> CheckRecord:
     """Dilution error toward a mixture is at most the weighted individual errors."""
     eps = p_err_dilute(g, mixture(states, p), n)
     eps_x = [p_err_dilute(g, s, n) for s in states]
     rhs = float(sum(w * e for w, e in zip(p, eps_x)))
-    return _upper_bound(name, eps, rhs, tolerance, lam, key,
+    return _upper_bound("concavity", eps, rhs, tolerance,
                         {"eps_x": eps_x, "p": [float(w) for w in p]})
 
 
@@ -156,16 +150,13 @@ def check_superadditivity_distillation(
     m1: int,
     m2: int,
     tolerance: float = EQ_TOL,
-    lam: int | None = None,
-    key: str | None = None,
-    name: str = "superadditivity",
 ) -> CheckRecord:
     """Product witnesses obey eps12 = 1 - (1-eps1)(1-eps2) exactly."""
     eps1 = p_err_distill(g1, rho1, m1)
     eps2 = p_err_distill(g2, rho2, m2)
     eps12 = p_err_distill(tensor(g1, g2), tensor_states(rho1, rho2), m1 + m2)
     rhs = 1.0 - (1.0 - eps1) * (1.0 - eps2)
-    return _equality(name, eps12, rhs, tolerance, lam, key,
+    return _equality("superadditivity", eps12, rhs, tolerance,
                      {"eps1": eps1, "eps2": eps2, "sum_bound": eps1 + eps2})
 
 
@@ -177,9 +168,6 @@ def check_subadditivity_cost(
     n1: int,
     n2: int,
     tolerance: float = EQ_TOL,
-    lam: int | None = None,
-    key: str | None = None,
-    name: str = "subadditivity",
 ) -> CheckRecord:
     """Fidelity factorization makes product dilution errors multiply."""
     eps1 = p_err_dilute(g1, rho1, n1)
@@ -188,7 +176,7 @@ def check_subadditivity_cost(
         tensor(g1, g2), tensor_states(rho1, rho2), n1 + n2
     )
     rhs = 1.0 - (1.0 - eps1) * (1.0 - eps2)
-    return _equality(name, eps12, rhs, tolerance, lam, key,
+    return _equality("subadditivity", eps12, rhs, tolerance,
                      {"eps1": eps1, "eps2": eps2, "sum_bound": eps1 + eps2})
 
 
@@ -199,9 +187,6 @@ def check_lu_invariance_cost(
     bob_layer: Sequence[Gate],
     n: int,
     tolerance: float = EQ_TOL,
-    lam: int | None = None,
-    key: str | None = None,
-    name: str = "lu-cost",
 ) -> CheckRecord:
     """Conjugated witnesses dilute the conjugated targets at identical error."""
     u_a = local_layer_unitary(alice_layer, g.m_a)
@@ -210,7 +195,7 @@ def check_lu_invariance_cost(
     conjugated = conjugate_by_local_unitary(g, alice_layer, bob_layer)
     moved = p_err_dilute(conjugated, conjugate_local(target, u_a, u_b), n)
     delta = gate_count(conjugated) - gate_count(g)
-    return _equality(name, moved, base, tolerance, lam, key,
+    return _equality("lu-cost", moved, base, tolerance,
                      {"gate_count_delta": delta,
                       "layer_size": len(alice_layer) + len(bob_layer)})
 
@@ -236,9 +221,6 @@ def check_lu_invariance_distillation(
     bob_layer: Sequence[Gate],
     m: int,
     tolerance: float = EQ_TOL,
-    lam: int | None = None,
-    key: str | None = None,
-    name: str = "lu-distillation",
 ) -> CheckRecord:
     """Pre-composing with the inverse layer distills the rotated family at the
     original error."""
@@ -247,7 +229,7 @@ def check_lu_invariance_distillation(
     base = p_err_distill(g, rho, m)
     inverse = _inverse_layer_circuit(alice_layer, bob_layer, g.n_a, g.n_b)
     moved = p_err_distill(compose(g, inverse), conjugate_local(rho, u_a, u_b), m)
-    return _equality(name, moved, base, tolerance, lam, key,
+    return _equality("lu-distillation", moved, base, tolerance,
                      {"layer_size": len(alice_layer) + len(bob_layer)})
 
 
@@ -257,14 +239,11 @@ def check_locc_monotonicity_cost(
     target: BipartiteState,
     n: int,
     tolerance: float = EQ_TOL,
-    lam: int | None = None,
-    key: str | None = None,
-    name: str = "monotonicity-cost",
 ) -> CheckRecord:
     """Post-processing the witness dilutes the processed target no worse."""
     base = p_err_dilute(g, target, n)
     processed = p_err_dilute(compose(post, g), apply(post, target), n)
-    return _upper_bound(name, processed, base, tolerance, lam, key,
+    return _upper_bound("monotonicity-cost", processed, base, tolerance,
                         {"post_gates": gate_count(post)})
 
 
@@ -274,39 +253,35 @@ def check_locc_monotonicity_distillation(
     rho: BipartiteState,
     m: int,
     tolerance: float = EQ_TOL,
-    lam: int | None = None,
-    key: str | None = None,
-    name: str = "monotonicity-distillation",
 ) -> CheckRecord:
     """Distilling through a pre-map equals distilling the mapped state."""
     lhs = p_err_distill(compose(g, pre_map), rho, m)
     rhs = p_err_distill(g, apply(pre_map, rho), m)
-    return _equality(name, lhs, rhs, tolerance, lam, key,
+    return _equality("monotonicity-distillation", lhs, rhs, tolerance,
                      {"combined_gates": gate_count(g) + gate_count(pre_map)})
 
 
-def run_noninvariance_counterexample(
-    m: int, eps: float, seed: int, name: str = "noninvariance-counterexample"
-) -> CheckRecord:
+def run_noninvariance_counterexample(m: int, eps: float, seed: int) -> CheckRecord:
     """Certify that no single channel distills both members of a separated pair.
 
     Finds the grid threshold eta, builds a two-member packing there, mixes the
     two rotated EPR states, and checks that the squashed-type upper bound on
     the mixture drops strictly below m.  Without a threshold the record is
-    inconclusive rather than failed.
+    inconclusive rather than failed, and its four values are None: nothing
+    was measured.
     """
+    name = "noninvariance-counterexample"
+
+    def inconclusive(**found) -> CheckRecord:
+        return CheckRecord(name, None, None, None, None, None, None, True, True,
+                           {"m": m, "eps": eps, **found})
+
     eta = counterexample_eta_threshold(m, eps)
     if eta is None:
-        return CheckRecord(
-            name, None, None, 0.0, 0.0, 0.0, 0.0, True, True,
-            {"m": m, "eps": eps, "threshold": None},
-        )
+        return inconclusive(threshold=None)
     packing = greedy_packing(m, eta, seed=seed, max_size=2)
     if len(packing) < 2:
-        return CheckRecord(
-            name, None, None, 0.0, 0.0, 0.0, 0.0, True, True,
-            {"m": m, "eps": eps, "threshold": eta, "packing_size": len(packing)},
-        )
+        return inconclusive(threshold=eta, packing_size=len(packing))
     u, v = packing.members[0], packing.members[1]
     overlap = float(abs(np.trace(u.conj().T @ v)) / 2 ** m)
     psi = mixture([rotated_epr(u, m), rotated_epr(v, m)], [0.5, 0.5])
@@ -498,7 +473,7 @@ def run_one_shot_check(selector: str, lam: int, instance: int, seed: int,
     suite = _suite(selector)
     size = min(lam, 2)  # witnesses grow with lambda up to two pairs per side
     args = suite.one_shot(_rng(seed, selector, lam, instance), size, lam, instance)
-    return suite.check(*args, tolerance, lam, name=f"{selector}#{instance}")
+    return replace(suite.check(*args, tolerance), name=f"{selector}#{instance}", lam=lam)
 
 
 def _key_label(*keys: tuple[int, ...]) -> str:
@@ -531,7 +506,8 @@ def run_keyed_suite(
                                _random_local_layer(m, rng), _random_local_layer(m, rng))
         for keys in product(all_keys(kappa), repeat=suite.arity):
             args = suite.keyed(setting, *keys)
-            records.append(suite.check(*args, tolerance, lam, _key_label(*keys), name=name))
+            record = suite.check(*args, tolerance)
+            records.append(replace(record, name=name, lam=lam, key=_key_label(*keys)))
     return records
 
 

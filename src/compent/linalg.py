@@ -58,12 +58,6 @@ class RegisterLayout:
     def names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.registers)
 
-    def count(self, name: str) -> int:
-        for n, c in self.registers:
-            if n == name:
-                return c
-        raise ValueError(f"unknown register {name!r}")
-
     def wires(self, name: str) -> range:
         """Global qubit indices of a register."""
         offset = 0

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -63,34 +63,11 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def n_qubits(self) -> int:
-        return self.layout.total
-
     def reduce(self, keep) -> "DensityMatrix":
         """Partial trace keeping only the named registers."""
         return DensityMatrix(
             partial_trace(self.matrix, self.layout, keep), self.layout.restrict(keep)
         )
-
-
-@dataclass(frozen=True, eq=False)
-class PureState:
-    """State vector together with its register layout."""
-
-    amplitudes: np.ndarray
-    layout: RegisterLayout
-
-    def __post_init__(self):
-        v = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        object.__setattr__(self, "amplitudes", v)
-        if v.shape[0] != self.layout.dim:
-            raise ValueError("amplitude count does not match layout dimension")
-        if abs(np.linalg.norm(v) - 1.0) > NORM_TOL:
-            raise ValueError("state vector is not normalized")
-
-    def to_density(self) -> DensityMatrix:
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()), self.layout)
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,9 +115,9 @@ class BipartiteState:
 class StateFamily:
     """Growth-parameter indexed family of bipartite states."""
 
-    generator: object  # Callable[[int], BipartiteState]
-    n_a: object        # Callable[[int], int]
-    n_b: object        # Callable[[int], int]
+    generator: Callable[[int], BipartiteState]
+    n_a: Callable[[int], int]
+    n_b: Callable[[int], int]
 
     def state(self, lam: int) -> BipartiteState:
         s = self.generator(lam)
@@ -156,8 +133,8 @@ class StateFamily:
 class KeyedStateFamily:
     """Key-indexed family; keys are bit tuples of length kappa(lam)."""
 
-    kappa: object      # Callable[[int], int]
-    generator: object  # Callable[[int, tuple[int, ...]], BipartiteState]
+    kappa: Callable[[int], int]
+    generator: Callable[[int, tuple[int, ...]], BipartiteState]
 
     def state(self, lam: int, key: tuple[int, ...]) -> BipartiteState:
         if len(key) != self.kappa(lam) or any(b not in (0, 1) for b in key):
@@ -171,8 +148,11 @@ def all_keys(kappa: int) -> list[tuple[int, ...]]:
 
 
 def bipartite_pure(amplitudes, cut: tuple[int, int]) -> BipartiteState:
-    layout = RegisterLayout.of(("A", cut[0]), ("B", cut[1]))
-    return BipartiteState(PureState(amplitudes, layout).to_density(), cut)
+    """The pure state with the given unit-norm amplitudes."""
+    v = np.asarray(amplitudes, dtype=complex).reshape(-1)
+    if abs(np.linalg.norm(v) - 1.0) > NORM_TOL:
+        raise ValueError("state vector is not normalized")
+    return bipartite_from_matrix(np.outer(v, v.conj()), cut)
 
 
 def bipartite_from_matrix(matrix, cut: tuple[int, int]) -> BipartiteState:

@@ -192,3 +192,27 @@ def test_out_of_range_sizes_exit_2(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_counterexample_writes_out_when_inconclusive(capsys, tmp_path):
+    report = tmp_path / "cex.json"
+    assert run(["counterexample", "--m", "2", "--eps", "0.25", "--out", str(report)]) == 0
+    assert "verdict: inconclusive" in capsys.readouterr().out
+    [record] = json.loads(report.read_text())
+    assert record["inconclusive"] and record["details"]["threshold"] is None
+
+
+def test_inconclusive_record_reports_no_value(tmp_path):
+    j, c = tmp_path / "r.json", tmp_path / "r.csv"
+    args = ["verify", "--suite", "counterexample", "--lambda", "1"]
+    assert run(args + ["--out", str(j)]) == 0
+    assert run(args + ["--out", str(c), "--format", "csv"]) == 0
+    with open(c) as fh:
+        rows = list(csv.DictReader(fh))
+    for record, row in zip(json.loads(j.read_text()), rows):
+        values = [record[f] for f in ("lhs", "rhs", "slack", "tolerance")]
+        cells = [row[f] for f in ("lhs", "rhs", "slack", "tolerance")]
+        if record["inconclusive"]:
+            assert values == [None] * 4 and cells == [""] * 4
+        else:
+            assert None not in values and "" not in cells

@@ -14,6 +14,7 @@ from compent.circuits import (
     Gate,
     LoccCircuit,
     Round,
+    _as_vector,
     apply,
     circuit_from_dict,
     circuit_to_dict,
@@ -30,7 +31,7 @@ from compent.states import (
     tensor_states,
 )
 
-from oracles import apply_reference
+from oracles import CNOT, apply_reference
 
 
 def random_gate(rng, party_wires, c_wires):
@@ -136,3 +137,23 @@ def test_random_compose_matches_sequential():
         rhs = apply(second, apply(first, state))
         assert np.max(np.abs(lhs.matrix - rhs.matrix)) < 1e-9
         assert gate_count(both) == gate_count(first) + gate_count(second)
+
+
+def test_pure_inputs_at_the_purity_threshold_match_reference():
+    # 256 amplitudes ride the state-vector path, 512 start as a density
+    # tensor.  The pinch is the dephasing of C that ends Alice's half-round;
+    # Bob's gate on C does not commute with it.  Wire 2 dies before it, and
+    # the A wires from 3 on and the last three B wires are never touched
+    for n_a, vector_path in ((4, True), (5, False)):
+        rng = np.random.default_rng(n_a)
+        c, b0 = n_a, n_a + 1
+        circuit = LoccCircuit(n_a, 0, 1, 4, 0, (
+            Round(alice=(Gate.unitary(haar_unitary(4, rng), (1, 2)),
+                         Gate.unitary(CNOT, (0, c))),
+                  bob=(Gate.unitary(haar_unitary(4, rng), (c, b0)),)),
+        ), 2, 1, out_a=(0, 1), out_b=(0,))
+        state = bipartite_pure(random_pure_state(n_a + 4, rng), (n_a, 4))
+        assert (_as_vector(state.matrix) is not None) == vector_path
+        residual = np.max(np.abs(apply(circuit, state).matrix
+                                 - apply_reference(circuit, state).matrix))
+        assert residual < 1e-10, (n_a, residual)

@@ -7,7 +7,6 @@ import pytest
 from compent.linalg import RegisterLayout, SizeLimitError, haar_unitary
 from compent.states import (
     DensityMatrix,
-    PureState,
     all_keys,
     binary_mixture_entropy,
     bipartite_from_matrix,
@@ -50,7 +49,7 @@ def test_density_matrix_validation():
 
 def test_pure_state_validation():
     with pytest.raises(ValueError):
-        PureState(np.array([1.0, 1.0]), RegisterLayout.of(("A", 1)))
+        bipartite_pure(np.array([1.0, 0.0, 0.0, 1.0]), (1, 1))
 
 
 def test_epr_pairs_amplitudes():
