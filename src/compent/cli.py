@@ -130,7 +130,8 @@ def cmd_net(args) -> int:
         sys.stderr.write("separation check failed\n")
         return 1
     write_report(json.dumps(packing_to_dict(packing), sort_keys=True) + "\n", args.out)
-    sys.stderr.write(f"{len(packing)} members, separation check passed\n")
+    sys.stderr.write(f"{len(packing)} members from {packing.candidates} candidates "
+                     f"(stopped: {packing.stop}), separation check passed\n")
     return 0
 
 

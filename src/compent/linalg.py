@@ -206,10 +206,16 @@ def matrix_from_dict(d: dict, shape: tuple[int, ...]) -> np.ndarray:
     return (np.asarray(d["re"], dtype=float) + 1j * np.asarray(d["im"], dtype=float)).reshape(shape)
 
 
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Gaussian matrix."""
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+def haar_unitary(dim: int, rng: np.random.Generator, count: int | None = None) -> np.ndarray:
+    """Haar-distributed unitary via QR of a complex Gaussian matrix.
+
+    With ``count`` it returns a ``(count, dim, dim)`` stack, bitwise equal to
+    ``count`` single draws from the same generator.
+    """
+    g = rng.standard_normal((1 if count is None else count, 2, dim, dim))
+    z = g[:, 0] + 1j * g[:, 1]
     z /= np.sqrt(2.0)
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    q = q * (d / np.abs(d))[:, None, :]
+    return q[0] if count is None else q

@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 import numpy as np
 
 from .linalg import haar_unitary, matrix_from_dict, matrix_to_dict, require_unitary, schatten_norm
 from .states import pauli_shift
+
+_BLOCK = 64  # candidates per Haar draw, and members per overlap product
 
 
 @dataclass(frozen=True, eq=False)
@@ -24,6 +27,9 @@ class UnitaryPacking:
     eta: float
     members: tuple[np.ndarray, ...]
     seed: int
+    # how the greedy construction ran; not serialized
+    candidates: int = 0
+    stop: str = ""
 
     @property
     def d(self) -> int:
@@ -68,27 +74,22 @@ def epr_overlap(u, v, m: int) -> complex:
 
 def pauli_orbit(v, m: int) -> list[np.ndarray]:
     """All 4^m 'sigma_X(a) sigma_Z(b) V' shifts of a unitary."""
-    v = require_unitary(v)
-    orbit = []
-    for a in product((0, 1), repeat=m):
-        for b in product((0, 1), repeat=m):
-            orbit.append(pauli_shift(a, b) @ v)
-    return orbit
+    return list(_paulis(m) @ require_unitary(v))
 
 
-def _orbit_stack(v: np.ndarray, m: int) -> np.ndarray:
-    """Stacked adjoints (P V)^dag of the full Pauli orbit of v."""
-    return np.stack([p.conj().T for p in pauli_orbit(v, m)])
+@cache
+def _paulis(m: int) -> np.ndarray:
+    """The 4^m shifts sigma_X(a) sigma_Z(b) stacked in ``product`` order of (a, b)."""
+    bits = list(product((0, 1), repeat=m))
+    table = np.stack([pauli_shift(a, b) for a in bits for b in bits])
+    table.flags.writeable = False
+    return table
 
 
-def max_orbit_overlap(stack: np.ndarray, candidate: np.ndarray, m: int) -> float:
-    """max over the orbit of |tr((P U)^dag V)| / 2^m."""
-    traces = np.einsum("kij,ji->k", stack, candidate)
-    return float(np.max(np.abs(traces)) / 2 ** m)
-
-
-def separated(stack: np.ndarray, candidate: np.ndarray, m: int, eta: float, tol: float = 0.0) -> bool:
-    return max_orbit_overlap(stack, candidate, m) <= 1.0 - eta + tol
+def _orbit_rows(u: np.ndarray, m: int) -> np.ndarray:
+    """Flattened conj(P U) over the orbit, 4^m rows per unitary in ``u``
+    (one matrix or a stack), so that ``rows @ V.ravel()`` is tr((P U)^dag V)."""
+    return (_paulis(m) @ u[..., None, :, :]).conj().reshape(-1, 4 ** m)
 
 
 def greedy_packing(
@@ -105,34 +106,66 @@ def greedy_packing(
     The first candidate is always accepted; construction stops after
     ``max_rejections`` consecutive rejections (or at ``max_size`` members).
     Deterministic for a fixed seed.
+
+    Candidates come in blocks of ``_BLOCK`` Haar draws. The members' orbit
+    rows live in one buffer that doubles when full, and a candidate is
+    tested against ``_BLOCK`` members per matrix product, up to the first
+    block that rejects it.
     """
-    if m > 2:
-        raise ValueError("packings are built for m <= 2 (orbit scans stay cheap)")
+    if not 1 <= m <= 2:
+        raise ValueError(f"packings are built for 1 <= m <= 2 (orbit scans stay cheap), got m={m}")
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
     rng = np.random.default_rng(seed)
+    k = 4 ** m
+    bound = (1.0 - eta) * 2 ** m  # on |tr((P U)^dag V)|, exact scaling by 2^m
+    rows = np.empty((_BLOCK * k, k), dtype=complex)
     members: list[np.ndarray] = []
-    stacks: list[np.ndarray] = []
-    rejections = 0
-    while rejections < max_rejections:
-        if max_size is not None and len(members) >= max_size:
-            break
-        candidate = haar_unitary(2 ** m, rng)
-        if all(separated(s, candidate, m, eta) for s in stacks):
-            members.append(candidate)
-            stacks.append(_orbit_stack(candidate, m))
-            rejections = 0
-        else:
+    candidates = rejections = 0
+    while rejections < max_rejections and (max_size is None or len(members) < max_size):
+        if candidates % _BLOCK == 0:
+            draws = haar_unitary(2 ** m, rng, _BLOCK)
+        v = draws[candidates % _BLOCK]
+        candidates += 1
+        n = len(members)
+        blocks = (rows[s * k:min(s + _BLOCK, n) * k] for s in range(0, n, _BLOCK))
+        if any(np.abs(block @ v.reshape(k)).max() > bound for block in blocks):
             rejections += 1
-    return UnitaryPacking(m, eta, tuple(members), seed)
+            continue
+        if (n + 1) * k > len(rows):
+            rows = np.concatenate((rows, np.empty_like(rows)))
+        rows[n * k:(n + 1) * k] = _orbit_rows(v, m)
+        members.append(v.copy())
+        rejections = 0
+    stop = "max_rejections reached" if rejections >= max_rejections else "max_size"
+    return UnitaryPacking(m, eta, tuple(members), seed, candidates, stop)
 
 
 def separation_check(p: UnitaryPacking, tol: float = 1e-9) -> bool:
-    """True iff every cross-orbit pair satisfies the fidelity separation."""
-    stacks = [_orbit_stack(u, p.m) for u in p.members]
-    for i in range(len(p.members)):
-        for j in range(i + 1, len(p.members)):
-            if not separated(stacks[i], p.members[j], p.m, p.eta, tol):
+    """True iff every cross-orbit pair satisfies the fidelity separation.
+
+    Each block of ``_BLOCK`` members is tested against each later block of
+    ``_BLOCK`` members in one matrix product, up to the first product with a
+    violating pair.
+    """
+    d, n = p.d, len(p.members)
+    members = []
+    for i, u in enumerate(p.members):
+        if np.shape(u) != (d, d):
+            raise ValueError(f"packing members must be {d}x{d} for m={p.m}, got shape {np.shape(u)}")
+        members.append(require_unitary(u, f"packing member {i}"))
+    k = d * d
+    flat = np.array(members).reshape(n, k)
+    bound = (1.0 - p.eta + tol) * d
+    for s in range(0, n, _BLOCK):
+        rows = _orbit_rows(flat[s:s + _BLOCK].reshape(-1, d, d), p.m)
+        for t in range(s, n, _BLOCK):
+            cols = flat[t:t + _BLOCK]
+            # orbit maximum of member s + i against member t + j
+            traces = np.abs(rows @ cols.T).reshape(-1, k, len(cols)).max(axis=1)
+            if t == s:
+                traces = np.triu(traces, 1)  # keep the pairs j > i
+            if traces.max() > bound:
                 return False
     return True
 

@@ -2,8 +2,11 @@
 
 Everything here deliberately avoids the optimized code paths it is used to
 check: the circuit oracle builds explicit full-space operators round by
-round, and the purification oracle works with raw 4-qubit projectors.
+round, the purification oracle works with raw 4-qubit projectors, and the
+packing oracle is the per-candidate, per-member greedy loop.
 """
+
+from itertools import product
 
 import numpy as np
 
@@ -142,3 +145,45 @@ def bell_bookkeeping_oracle(f: float):
     p_succ = (a + rest) ** 2 + (2 * rest) ** 2
     fidelity = (a * a + rest * rest) / p_succ
     return p_succ, fidelity
+
+
+def haar_single(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """One Haar draw: QR of a complex Gaussian matrix, phases fixed by diag(R)."""
+    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    z /= np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def orbit_adjoints(u: np.ndarray, m: int) -> np.ndarray:
+    """(P U)^dag for the 4^m shifts P = X^a Z^b, each built by explicit krons."""
+    out = []
+    for a in product((0, 1), repeat=m):
+        for b in product((0, 1), repeat=m):
+            p = kron(*(np.linalg.matrix_power(X, ai) @ np.linalg.matrix_power(Z, bi)
+                       for ai, bi in zip(a, b)))
+            out.append((p @ u).conj().T)
+    return np.stack(out)
+
+
+def greedy_packing_reference(m: int, eta: float, max_rejections: int = 500, seed: int = 0,
+                             max_size: int | None = None):
+    """The greedy packing drawn one candidate at a time and tested one member
+    orbit at a time, stopping at the first member that rejects it.
+
+    Returns the members and the number of candidates drawn.
+    """
+    rng = np.random.default_rng(seed)
+    members, stacks = [], []
+    candidates = rejections = 0
+    while rejections < max_rejections and (max_size is None or len(members) < max_size):
+        v = haar_single(2 ** m, rng)
+        candidates += 1
+        if all(np.max(np.abs(np.einsum("kij,ji->k", s, v))) / 2 ** m <= 1.0 - eta for s in stacks):
+            members.append(v)
+            stacks.append(orbit_adjoints(v, m))
+            rejections = 0
+        else:
+            rejections += 1
+    return members, candidates

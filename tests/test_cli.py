@@ -87,9 +87,10 @@ def test_seed_env_override(tmp_path, monkeypatch):
     assert b.read_bytes() == c.read_bytes()
 
 
-def test_net_command(tmp_path):
+def test_net_command(tmp_path, capsys):
     out = tmp_path / "packing.json"
     assert run(["net", "--m", "1", "--eta", "0.3", "--seed", "7", "--out", str(out)]) == 0
+    assert "candidates (stopped: max_rejections reached)" in capsys.readouterr().err
     packing = packing_from_dict(json.loads(out.read_text()))
     assert len(packing) >= 2
     assert separation_check(packing)

@@ -14,6 +14,8 @@ from compent.linalg import (
     tensor_product,
 )
 
+from oracles import haar_single
+
 RNG = np.random.default_rng(1234)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -183,3 +185,13 @@ def test_haar_unitary_is_unitary():
         for _ in range(25):
             u = haar_unitary(d, RNG)
             assert np.max(np.abs(u.conj().T @ u - np.eye(d))) < 1e-12
+
+
+def test_haar_unitary_block_equals_single_draws():
+    for d in (1, 2, 4, 16):
+        for seed in range(5):
+            block = haar_unitary(d, np.random.default_rng(seed), 64)
+            rng = np.random.default_rng(seed)
+            singles = [haar_single(d, rng) for _ in range(64)]
+            assert block.shape == (64, d, d)
+            assert block.tobytes() == np.stack(singles).tobytes()

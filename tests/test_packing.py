@@ -13,15 +13,15 @@ from compent.packing import (
     epr_overlap,
     frobenius_distance,
     greedy_packing,
-    max_orbit_overlap,
     net_cardinality_bounds,
     packing_from_dict,
     packing_to_dict,
     pauli_orbit,
     separation_check,
-    _orbit_stack,
 )
 from compent.states import epr_vector, pauli_shift, rotated_epr
+
+from oracles import greedy_packing_reference
 
 RNG = np.random.default_rng(31337)
 
@@ -82,7 +82,7 @@ def test_orbit_overlap_lower_bound():
     for m in (1, 2):
         for _ in range(20):
             u, v = haar_unitary(2 ** m, RNG), haar_unitary(2 ** m, RNG)
-            assert max_orbit_overlap(_orbit_stack(u, m), v, m) >= 2.0 ** -m - 1e-12
+            assert max(abs(epr_overlap(w, v, m)) for w in pauli_orbit(u, m)) >= 2.0 ** -m - 1e-12
 
 
 def test_greedy_packing_basics():
@@ -92,10 +92,25 @@ def test_greedy_packing_basics():
     # deterministic for a fixed seed
     q = greedy_packing(1, 0.3, seed=7)
     assert all(np.array_equal(a, b) for a, b in zip(p.members, q.members))
-    with pytest.raises(ValueError):
-        greedy_packing(3, 0.5)
+    for m in (3, 0, -1):
+        with pytest.raises(ValueError, match="1 <= m <= 2"):
+            greedy_packing(m, 0.5)
     with pytest.raises(ValueError):
         greedy_packing(1, 0.0)
+
+
+@pytest.mark.parametrize("m, eta, max_size", [
+    (1, 0.3, None), (1, 0.5, None), (2, 0.5, None),
+    (2, 0.3, 200),  # crosses the 64-member block and two buffer doublings
+    (1, 0.3, 2), (2, 0.5, 2),
+])
+def test_greedy_packing_matches_per_member_reference(m, eta, max_size):
+    for seed in (0, 7):
+        ref, candidates = greedy_packing_reference(m, eta, seed=seed, max_size=max_size)
+        p = greedy_packing(m, eta, seed=seed, max_size=max_size)
+        assert [u.tobytes() for u in p.members] == [u.tobytes() for u in ref]
+        assert p.candidates == candidates
+        assert p.stop == ("max_size" if max_size is not None else "max_rejections reached")
 
 
 def test_greedy_packing_high_eta_single_member():
@@ -127,6 +142,38 @@ def test_separation_check_rejects_duplicates():
     assert not separation_check(p)
     singleton = UnitaryPacking(1, 0.3, (u,), 0)
     assert separation_check(singleton)
+
+
+def test_separation_check_rejects_wrong_member_shape():
+    p = UnitaryPacking(2, 0.3, (np.eye(4), np.eye(2)), 0)
+    with pytest.raises(ValueError, match="4x4 for m=2"):
+        separation_check(p)
+
+
+def test_separation_check_rejects_non_unitary_members():
+    # scaled-down members would make every overlap small and pass the bound
+    for members in ((0.5 * np.eye(2), 0.5 * np.eye(2)), (0.5 * np.eye(2),)):
+        with pytest.raises(ValueError, match="not unitary"):
+            separation_check(UnitaryPacking(1, 0.3, members, 0))
+
+
+@pytest.fixture(scope="module")
+def packing_m2_eta03():
+    return greedy_packing(2, 0.3, seed=0)
+
+
+def test_separation_check_accepts_the_eta_03_packing(packing_m2_eta03):
+    assert len(packing_m2_eta03) == 636
+    assert separation_check(packing_m2_eta03)
+
+
+@pytest.mark.parametrize("source, target", [(100, 0), (70, 130), (65, 66), (600, 635)])
+def test_separation_check_finds_a_planted_shifted_copy(packing_m2_eta03, source, target):
+    # a Pauli-shifted copy of a member lies in its orbit, at root fidelity 1
+    members = list(packing_m2_eta03.members)
+    members[target] = pauli_shift([1, 0], [0, 1]) @ members[source]
+    p = UnitaryPacking(2, 0.3, tuple(members), 0)
+    assert not separation_check(p)
 
 
 def test_separation_matches_rotated_epr_fidelity():
