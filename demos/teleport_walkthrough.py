@@ -12,22 +12,13 @@ import numpy as np
 
 from compent import Gate, apply, epr_pairs, fidelity, gate_count, teleport_dilution
 from compent.measures import p_err_dilute
-from compent.states import bipartite_pure, random_pure_state, tensor_states
+from compent.states import bipartite_pure, column_unitary, random_pure_state, tensor_states
 
 rng = np.random.default_rng(7)
 
-
-def preparation_gate(vec):
-    d = vec.shape[0]
-    m = np.eye(d, dtype=complex)
-    m[:, 0] = vec
-    q, r = np.linalg.qr(m)
-    return q * (r[0, 0] / abs(r[0, 0]))
-
-
 target_vec = random_pure_state(2, rng)
 target = bipartite_pure(target_vec, (1, 1))
-circuit = teleport_dilution([Gate.unitary(preparation_gate(target_vec), (0, 1))], n=1)
+circuit = teleport_dilution([Gate.unitary(column_unitary(target_vec), (0, 1))], n=1)
 
 print("registers: A=%d A'=%d C=%d B=%d B'=%d" % (
     circuit.n_a, circuit.t_a, circuit.q, circuit.n_b, circuit.t_b))
@@ -41,8 +32,8 @@ print(f"p_err as a dilution witness:     {p_err_dilute(circuit, target, 1):.3e}"
 print("\nthe same machinery scales to two pairs (a product of two blocks):")
 vecs = [random_pure_state(2, rng) for _ in range(2)]
 prep = [
-    Gate.unitary(preparation_gate(vecs[0]), (0, 2)),
-    Gate.unitary(preparation_gate(vecs[1]), (1, 3)),
+    Gate.unitary(column_unitary(vecs[0]), (0, 2)),
+    Gate.unitary(column_unitary(vecs[1]), (1, 3)),
 ]
 two = teleport_dilution(prep, n=2)
 joint_target = tensor_states(bipartite_pure(vecs[0], (1, 1)), bipartite_pure(vecs[1], (1, 1)))

@@ -4,6 +4,10 @@ A circuit acts on five registers laid out in the fixed global order
 
     A (n_a) | A' (t_a) | C (q) | B (n_b) | B' (t_b)
 
+``REGISTERS`` is the one home of that order: each circuit's register blocks
+(``LoccCircuit.block``) and the wire maps of ``tensor`` and ``compose``
+derive from it.
+
 A and B hold the bipartite input, A' and B' are local ancillas initialized
 to |0..0>, and C is a shared classical register initialized to |0..0>.
 Each round applies Alice's gates (on A, A', C), dephases C in the
@@ -20,7 +24,8 @@ qubit costs 1 at creation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import accumulate, chain, zip_longest
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -46,6 +51,12 @@ from .states import (
 UNITARY = "unitary"
 CONTROLLED = "controlled"
 PINCH = "pinch"
+
+# A controlled gate runs as one dense operator on its controls and payload.
+MAX_CONTROLS = 2
+
+# The global wire order: every wire index, block and remap derives from it.
+REGISTERS = ("n_a", "t_a", "q", "n_b", "t_b")
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -91,6 +102,9 @@ class Gate:
             object.__setattr__(self, "matrix", m)
             if self.kind == CONTROLLED and not self.controls:
                 raise ValueError("controlled gate needs at least one control wire")
+            if len(self.controls) > MAX_CONTROLS:
+                raise SizeLimitError(
+                    f"{len(self.controls)} controls exceed the cap of {MAX_CONTROLS}")
             if self.kind == UNITARY and self.controls:
                 raise ValueError("plain unitary gate cannot carry controls")
         elif self.kind == PINCH:
@@ -131,12 +145,8 @@ class Gate:
         return m
 
     def remap(self, wire_map: dict[int, int]) -> "Gate":
-        return Gate(
-            self.kind,
-            tuple(wire_map[w] for w in self.wires),
-            self.matrix,
-            tuple(wire_map[w] for w in self.controls),
-        )
+        return Gate(self.kind, tuple(wire_map[w] for w in self.wires), self.matrix,
+                    tuple(wire_map[w] for w in self.controls))
 
 
 @dataclass(frozen=True)
@@ -166,9 +176,13 @@ class LoccCircuit:
     out_b: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        for name in ("n_a", "t_a", "q", "n_b", "t_b", "m_a", "m_b"):
+        for name in REGISTERS + ("m_a", "m_b"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
+        sizes = _sizes(self)
+        blocks = {r: range(s, s + n)
+                  for r, s, n in zip(REGISTERS, accumulate(sizes, initial=0), sizes)}
+        object.__setattr__(self, "_blocks", blocks)
         if self.total_qubits > QUBIT_CAP:
             raise SizeLimitError(
                 f"circuit needs {self.total_qubits} qubits, cap is {QUBIT_CAP}"
@@ -188,58 +202,36 @@ class LoccCircuit:
                 raise ValueError(f"output positions {out} outside block of {block}")
         object.__setattr__(self, "out_a", out_a)
         object.__setattr__(self, "out_b", out_b)
-        alice_ok = set(self.alice_wires)
-        bob_ok = set(self.bob_wires)
-        for rnd in self.rounds:
-            for g in rnd.alice:
-                if not set(g.touched()) <= alice_ok:
-                    raise ValueError(f"Alice gate touches foreign wires: {g.touched()}")
-                self._check_pinch(g)
-            for g in rnd.bob:
-                if not set(g.touched()) <= bob_ok:
-                    raise ValueError(f"Bob gate touches foreign wires: {g.touched()}")
-                self._check_pinch(g)
-
-    def _check_pinch(self, g: Gate) -> None:
-        if g.kind == PINCH and not set(g.wires) <= set(self.c_wires):
-            raise ValueError(f"measure-pinch wires {g.wires} must lie in C")
+        c_wires = set(self.c_wires)
+        for party, owned in (("alice", set(self.alice_wires)), ("bob", set(self.bob_wires))):
+            for g in chain.from_iterable(getattr(rnd, party) for rnd in self.rounds):
+                if not owned.issuperset(g.touched()):
+                    raise ValueError(
+                        f"{party.capitalize()} gate touches foreign wires: {g.touched()}")
+                if g.kind == PINCH and not c_wires.issuperset(g.wires):
+                    raise ValueError(f"measure-pinch wires {g.wires} must lie in C")
 
     # -- register geometry ---------------------------------------------------
 
+    def block(self, register: str) -> range:
+        """The global wires of one of the ``REGISTERS``."""
+        return self._blocks[register]
+
     @property
     def total_qubits(self) -> int:
-        return self.n_a + self.t_a + self.q + self.n_b + self.t_b
-
-    @property
-    def a_wires(self) -> range:
-        return range(0, self.n_a)
-
-    @property
-    def ta_wires(self) -> range:
-        return range(self.n_a, self.n_a + self.t_a)
+        return self.block("t_b").stop
 
     @property
     def c_wires(self) -> range:
-        off = self.n_a + self.t_a
-        return range(off, off + self.q)
-
-    @property
-    def b_wires(self) -> range:
-        off = self.n_a + self.t_a + self.q
-        return range(off, off + self.n_b)
-
-    @property
-    def tb_wires(self) -> range:
-        off = self.n_a + self.t_a + self.q + self.n_b
-        return range(off, off + self.t_b)
+        return self.block("q")
 
     @property
     def alice_wires(self) -> tuple[int, ...]:
-        return tuple(self.a_wires) + tuple(self.ta_wires) + tuple(self.c_wires)
+        return tuple(range(self.block("q").stop))  # A, A', C
 
     @property
     def bob_wires(self) -> tuple[int, ...]:
-        return tuple(self.b_wires) + tuple(self.tb_wires) + tuple(self.c_wires)
+        return (*range(self.block("n_b").start, self.total_qubits), *self.c_wires)  # B, B', C
 
     @property
     def out_a_global(self) -> tuple[int, ...]:
@@ -247,8 +239,7 @@ class LoccCircuit:
 
     @property
     def out_b_global(self) -> tuple[int, ...]:
-        off = self.n_a + self.t_a + self.q
-        return tuple(off + p for p in self.out_b)
+        return tuple(self.block("n_b").start + p for p in self.out_b)
 
 
 def gate_count(circuit: LoccCircuit) -> int:
@@ -408,7 +399,7 @@ def apply(circuit: LoccCircuit, state: BipartiteState) -> BipartiteState:
         )
     steps, last = _schedule(circuit)
     keep = set(circuit.out_a_global) | set(circuit.out_b_global)
-    input_wires = list(circuit.a_wires) + list(circuit.b_wires)
+    input_wires = [*circuit.block("n_a"), *circuit.block("n_b")]
     sim = _TensorState(state.matrix, input_wires, vector=_as_vector(state.matrix))
 
     def retire(j: int) -> None:
@@ -438,60 +429,44 @@ def apply(circuit: LoccCircuit, state: BipartiteState) -> BipartiteState:
 
 
 def _remap_rounds(circuit: LoccCircuit, wire_map: dict[int, int]) -> list[Round]:
-    return [
-        Round(
-            tuple(g.remap(wire_map) for g in rnd.alice),
-            tuple(g.remap(wire_map) for g in rnd.bob),
-        )
-        for rnd in circuit.rounds
-    ]
+    def remap(gates):
+        return tuple(g.remap(wire_map) for g in gates)
+    return [Round(remap(rnd.alice), remap(rnd.bob)) for rnd in circuit.rounds]
 
 
-def _block_map(circuit: LoccCircuit, a0: int, ta0: int, c0: int, b0: int, tb0: int) -> dict[int, int]:
-    m: dict[int, int] = {}
-    for i, w in enumerate(circuit.a_wires):
-        m[w] = a0 + i
-    for i, w in enumerate(circuit.ta_wires):
-        m[w] = ta0 + i
-    for i, w in enumerate(circuit.c_wires):
-        m[w] = c0 + i
-    for i, w in enumerate(circuit.b_wires):
-        m[w] = b0 + i
-    for i, w in enumerate(circuit.tb_wires):
-        m[w] = tb0 + i
-    return m
+def _sizes(circuit: LoccCircuit) -> list[int]:
+    return [getattr(circuit, r) for r in REGISTERS]
+
+
+def _wire_map(circuit: LoccCircuit, starts: Iterable[int]) -> dict[int, int]:
+    """Send each register block of ``circuit`` to consecutive wires from its new start."""
+    return {w: s + i for r, s in zip(REGISTERS, starts) for i, w in enumerate(circuit.block(r))}
+
+
+def _wire_maps(sizes: list[int], g1: LoccCircuit, g2: LoccCircuit) -> tuple[dict, dict]:
+    """Wire maps onto registers of ``sizes``: g1's blocks open each register,
+    g2's follow them."""
+    starts = list(accumulate(sizes, initial=0))
+    return _wire_map(g1, starts), _wire_map(g2, map(sum, zip(starts, _sizes(g1))))
+
+
+def _assemble(sizes: list[int], rounds, parts) -> LoccCircuit:
+    """The circuit on registers of ``sizes`` running ``rounds``, with the outputs
+    of each ``(circuit, wire map)`` part in turn sent through its map; positions
+    count from wire 0 for (A, A') and from the B start for (B, B')."""
+    b0 = sum(sizes[:REGISTERS.index("n_b")])
+    out_a = tuple(m[w] for g, m in parts for w in g.out_a_global)
+    out_b = tuple(m[w] - b0 for g, m in parts for w in g.out_b_global)
+    return LoccCircuit(*sizes, tuple(rounds), len(out_a), len(out_b), out_a=out_a, out_b=out_b)
 
 
 def tensor(g1: LoccCircuit, g2: LoccCircuit) -> LoccCircuit:
     """Parallel composition: g1 on the first A:B block, g2 on the second."""
-    n_a, t_a, q = g1.n_a + g2.n_a, g1.t_a + g2.t_a, g1.q + g2.q
-    n_b, t_b = g1.n_b + g2.n_b, g1.t_b + g2.t_b
-    c0 = n_a + t_a
-    b0 = c0 + q
-    tb0 = b0 + n_b
-    map1 = _block_map(g1, 0, n_a, c0, b0, tb0)
-    map2 = _block_map(
-        g2, g1.n_a, n_a + g1.t_a, c0 + g1.q, b0 + g1.n_b, tb0 + g1.t_b
-    )
-    rounds1 = _remap_rounds(g1, map1)
-    rounds2 = _remap_rounds(g2, map2)
-    rounds = []
-    for i in range(max(len(rounds1), len(rounds2))):
-        r1 = rounds1[i] if i < len(rounds1) else Round()
-        r2 = rounds2[i] if i < len(rounds2) else Round()
-        rounds.append(Round(r1.alice + r2.alice, r1.bob + r2.bob))
-
-    def merge_out(o1, o2, n1, n2, tsub1):
-        out = [p if p < n1 else n2 + p for p in o1]
-        out += [n1 + p if p < n2 else n1 + tsub1 + p for p in o2]
-        return tuple(out)
-
-    return LoccCircuit(
-        n_a, t_a, q, n_b, t_b, tuple(rounds),
-        g1.m_a + g2.m_a, g1.m_b + g2.m_b,
-        out_a=merge_out(g1.out_a, g2.out_a, g1.n_a, g2.n_a, g1.t_a),
-        out_b=merge_out(g1.out_b, g2.out_b, g1.n_b, g2.n_b, g1.t_b),
-    )
+    sizes = [n1 + n2 for n1, n2 in zip(_sizes(g1), _sizes(g2))]
+    map1, map2 = _wire_maps(sizes, g1, g2)
+    pairs = zip_longest(_remap_rounds(g1, map1), _remap_rounds(g2, map2), fillvalue=Round())
+    return _assemble(sizes, (Round(r1.alice + r2.alice, r1.bob + r2.bob) for r1, r2 in pairs),
+                     ((g1, map1), (g2, map2)))
 
 
 def compose(second: LoccCircuit, first: LoccCircuit) -> LoccCircuit:
@@ -501,31 +476,14 @@ def compose(second: LoccCircuit, first: LoccCircuit) -> LoccCircuit:
             f"shape mismatch: first outputs ({first.m_a}, {first.m_b}), "
             f"second expects ({second.n_a}, {second.n_b})"
         )
-    n_a, t_a, q = first.n_a, first.t_a + second.t_a, first.q + second.q
-    n_b, t_b = first.n_b, first.t_b + second.t_b
-    c0 = n_a + t_a
-    b0 = c0 + q
-    tb0 = b0 + n_b
-    map1 = _block_map(first, 0, n_a, c0, b0, tb0)
     # second's ancillas are fresh; its inputs ride on first's output wires
-    # (the (A, A') block starts at global wire 0, the (B, B') block at b0)
-    map2 = _block_map(second, 0, n_a + first.t_a, c0 + first.q, b0, tb0 + first.t_b)
-    map2.update({w: first.out_a[i] for i, w in enumerate(second.a_wires)})
-    map2.update({w: b0 + first.out_b[i] for i, w in enumerate(second.b_wires)})
-
-    rounds = tuple(_remap_rounds(first, map1) + _remap_rounds(second, map2))
-    out_a = tuple(
-        first.out_a[p] if p < second.n_a else n_a + first.t_a + (p - second.n_a)
-        for p in second.out_a
-    )
-    out_b = tuple(
-        first.out_b[p] if p < second.n_b else n_b + first.t_b + (p - second.n_b)
-        for p in second.out_b
-    )
-    return LoccCircuit(
-        n_a, t_a, q, n_b, t_b, rounds, second.m_a, second.m_b,
-        out_a=out_a, out_b=out_b,
-    )
+    sizes = [n if r in ("n_a", "n_b") else n + getattr(second, r)
+             for r, n in zip(REGISTERS, _sizes(first))]
+    map1, map2 = _wire_maps(sizes, first, second)
+    inputs = (*second.block("n_a"), *second.block("n_b"))
+    map2.update(zip(inputs, (map1[w] for w in first.out_a_global + first.out_b_global)))
+    return _assemble(sizes, _remap_rounds(first, map1) + _remap_rounds(second, map2),
+                     ((second, map2),))
 
 
 def local_layer_unitary(gates: Sequence[Gate], n_qubits: int) -> np.ndarray:
@@ -557,11 +515,7 @@ def conjugate_by_local_unitary(
     for gate in alice + bob:
         if gate.kind != UNITARY:
             raise ValueError("conjugation layers may contain only unitary gates")
-    return LoccCircuit(
-        g.n_a, g.t_a, g.q, g.n_b, g.t_b,
-        g.rounds + (Round(alice, bob),),
-        g.m_a, g.m_b, out_a=g.out_a, out_b=g.out_b,
-    )
+    return replace(g, rounds=g.rounds + (Round(alice, bob),))
 
 
 # -- stock protocols ------------------------------------------------------------
@@ -844,12 +798,13 @@ def _gate_from_dict(d: dict) -> Gate:
     return Gate(d["kind"], tuple(d["wires"]), matrix, tuple(d.get("controls", ())))
 
 
+# JSON key of each size field, in the serialized order
+_SIZE_KEYS = dict(nA="n_a", tA="t_a", q="q", nB="n_b", tB="t_b", mA="m_a", mB="m_b")
+
+
 def circuit_to_dict(c: LoccCircuit) -> dict:
     return {
-        "registers": {
-            "nA": c.n_a, "tA": c.t_a, "q": c.q,
-            "nB": c.n_b, "tB": c.t_b, "mA": c.m_a, "mB": c.m_b,
-        },
+        "registers": {key: getattr(c, name) for key, name in _SIZE_KEYS.items()},
         "outA": list(c.out_a),
         "outB": list(c.out_b),
         "rounds": [
@@ -872,7 +827,7 @@ def circuit_from_dict(d: dict) -> LoccCircuit:
         for rnd in d["rounds"]
     )
     return LoccCircuit(
-        r["nA"], r["tA"], r["q"], r["nB"], r["tB"], rounds, r["mA"], r["mB"],
+        **{name: r[key] for key, name in _SIZE_KEYS.items()}, rounds=rounds,
         out_a=tuple(d["outA"]) if "outA" in d else None,
         out_b=tuple(d["outB"]) if "outB" in d else None,
     )

@@ -41,23 +41,28 @@ REPORT_FIELDS = (
 )
 
 
+# Every lambda reruns each selected suite, so a longer range is a typo rather
+# than a run; counting a range before building its list keeps a huge one from
+# exhausting memory.
+MAX_LAMBDAS = 100
+
+
 class ConfigError(Exception):
     pass
 
 
 def parse_lambdas(text: str) -> list[int]:
     """Parse 'a..b' (inclusive) or a single value; all values must be >= 1."""
+    bounds = text.split("..", 1) if ".." in text else (text, text)
     try:
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            values = list(range(int(lo), int(hi) + 1))
-        else:
-            values = [int(text)]
+        lo, hi = int(bounds[0]), int(bounds[1])
     except ValueError as exc:
         raise ConfigError(f"bad lambda range {text!r}") from exc
-    if not values or min(values) < 1:
+    if hi - lo + 1 > MAX_LAMBDAS:
+        raise ConfigError(f"lambda range {text!r} has more than {MAX_LAMBDAS} values")
+    if hi < lo or lo < 1:
         raise ConfigError(f"lambda values must be >= 1, got {text!r}")
-    return values
+    return list(range(lo, hi + 1))
 
 
 def records_to_json(records) -> str:
@@ -97,8 +102,8 @@ def cmd_verify(args) -> int:
     lambdas = parse_lambdas(args.lambdas)
     if not args.suite:
         raise ConfigError("verify needs at least one --suite")
-    if args.tolerance < 0:
-        raise ConfigError("tolerance must be nonnegative")
+    if not 0.0 <= args.tolerance < float("inf"):
+        raise ConfigError(f"tolerance must be finite and nonnegative, got {args.tolerance}")
     records = run_suites(
         args.suite, lambdas, resolve_seed(args),
         tolerance=args.tolerance, kappa=args.kappa,

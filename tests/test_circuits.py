@@ -39,6 +39,7 @@ from compent.states import (
     all_keys,
     bipartite_from_matrix,
     bipartite_pure,
+    column_unitary,
     conjugate_local,
     epr_pairs,
     fidelity,
@@ -60,11 +61,7 @@ def random_bipartite(n_a, n_b, rng=RNG):
 
 def prep_gates_for_state(vec, n_qubits):
     """Single-gate preparation of a <=2 qubit pure state from |0..0>."""
-    d = 2 ** n_qubits
-    m = np.eye(d, dtype=complex)
-    m[:, 0] = vec
-    q, r = np.linalg.qr(m)
-    q = q * (r[0, 0] / abs(r[0, 0]))
+    q = column_unitary(vec)
     assert np.allclose(q[:, 0], vec, atol=1e-12)
     return [Gate.unitary(q, tuple(range(n_qubits)))]
 
@@ -83,6 +80,11 @@ def test_gate_validation():
         Gate(kind="pinch", wires=())
     with pytest.raises(ValueError):
         Gate.controlled(X, (0,), (0,))  # overlapping wires
+    # construction only: past two controls a gate is refused before any operator exists
+    assert Gate.controlled(X, (0,), (1, 2)).controls == (1, 2)
+    for controls in ((1, 2, 3), tuple(range(1, 7))):
+        with pytest.raises(SizeLimitError):
+            Gate.controlled(X, (0,), controls)
 
 
 def test_circuit_wire_ownership():

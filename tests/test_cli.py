@@ -21,6 +21,18 @@ def test_parse_lambdas():
         cli.parse_lambdas("x..y")
     with pytest.raises(cli.ConfigError):
         cli.parse_lambdas("3..1")
+    # the range length is checked before its list is built
+    for text in ("1..1000", "5..105"):
+        with pytest.raises(cli.ConfigError, match="more than"):
+            cli.parse_lambdas(text)
+    assert cli.parse_lambdas(f"1..{cli.MAX_LAMBDAS}") == list(range(1, cli.MAX_LAMBDAS + 1))
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-1e-9"])
+def test_verify_rejects_a_non_finite_or_negative_tolerance(tolerance, capsys):
+    code = run(["verify", "--suite", "convexity", "--lambda", "1", f"--tolerance={tolerance}"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: tolerance must be finite")
 
 
 def test_verify_single_suite(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 
 from compent.linalg import RegisterLayout, SizeLimitError, haar_unitary
 from compent.states import (
+    PSD_CHECK_DIM,
     DensityMatrix,
     all_keys,
     binary_mixture_entropy,
@@ -45,6 +46,19 @@ def test_density_matrix_validation():
         DensityMatrix(np.array([[0.5, 0.5], [-0.5, 0.5]]), RegisterLayout.of(("A", 1)))
     with pytest.raises(ValueError):
         DensityMatrix(np.diag([1.5, -0.5]), RegisterLayout.of(("A", 1)))
+
+
+def test_density_matrix_psd_check_at_its_dimension_threshold():
+    # the largest dimension whose spectrum is still checked: 8 qubits
+    assert PSD_CHECK_DIM == 2 ** 8
+    vals = np.full(PSD_CHECK_DIM, (1 + 1e-6) / (PSD_CHECK_DIM - 1))
+    vals[0] = -1e-6
+    u = haar_unitary(PSD_CHECK_DIM, np.random.default_rng(11))
+    m = (u * vals) @ u.conj().T
+    m = (m + m.conj().T) / 2
+    assert abs(np.trace(m).real - 1.0) < 1e-12
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        DensityMatrix(m, RegisterLayout.of(("A", 8)))
 
 
 def test_pure_state_validation():
