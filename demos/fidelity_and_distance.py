@@ -34,7 +34,7 @@ print("\n== Fuchs-van de Graaf sandwich on a random pair ==")
 print(f"1 - sqrt(F) = {1 - np.sqrt(f):.6f}  <=  T = {td:.6f}  <=  sqrt(1-F) = {np.sqrt(1 - f):.6f}")
 
 print("\n== entropies ==")
-print(f"H(EPR pair)                 = {von_neumann_entropy(phi.state):.6f}  (pure)")
+print(f"H(EPR pair)                 = {von_neumann_entropy(phi):.6f}  (pure)")
 print(f"H(reduced half)             = {von_neumann_entropy(phi.reduced_a()):.6f}  (maximally mixed)")
 print(f"trivial-extension bound     = {squashed_trivial_upper(phi):.6f}  (one EPR pair of correlation)")
 

@@ -1,11 +1,11 @@
 """Resource-bounded LOCC circuit simulation and certification of
 computational entanglement bounds.
 
-The package provides a dense density-matrix kernel over labeled qubit
-registers (:mod:`compent.linalg`), bipartite states and entropy functionals
-(:mod:`compent.states`), a round-structured circuit model of LOCC channels
-with gate-count accounting (:mod:`compent.circuits`), distillation and
-dilution error functionals with witness certificates
+The package provides a dense kernel for matrices on qubits
+(:mod:`compent.linalg`), states split into qubit registers and entropy
+functionals (:mod:`compent.states`), a round-structured circuit model of
+LOCC channels with gate-count accounting (:mod:`compent.circuits`),
+distillation and dilution error functionals with witness certificates
 (:mod:`compent.measures`), separated unitary packings
 (:mod:`compent.packing`), and one executable check per structural theorem
 (:mod:`compent.harness`).  The ``compent`` command line wraps the suites.
@@ -51,11 +51,10 @@ from .harness import (
 )
 from .linalg import (
     QUBIT_CAP,
-    RegisterLayout,
     SizeLimitError,
     eig_hermitian,
     haar_unitary,
-    partial_trace,
+    marginal,
     psd_sqrt,
     schatten_norm,
     tensor_product,

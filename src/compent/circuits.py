@@ -34,7 +34,9 @@ from .linalg import (
     QUBIT_CAP,
     SizeLimitError,
     as_complex,
+    as_ints,
     embed_operator,
+    marginal,
     matrix_from_dict,
     matrix_to_dict,
     require_unitary,
@@ -70,9 +72,7 @@ _SWAP = np.array(
 
 
 def _wires(w) -> tuple[int, ...]:
-    if isinstance(w, (int, np.integer)):
-        return (int(w),)
-    return tuple(int(x) for x in w)
+    return as_ints((w,) if isinstance(w, (int, np.integer)) else w, "wires")
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,10 +176,10 @@ class LoccCircuit:
     out_b: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        for name in REGISTERS + ("m_a", "m_b"):
-            if getattr(self, name) < 0:
+        sizes = as_ints(_sizes(self) + [self.m_a, self.m_b], "register sizes")
+        for name, size in zip(REGISTERS + ("m_a", "m_b"), sizes):
+            if size < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        sizes = _sizes(self)
         blocks = {r: range(s, s + n)
                   for r, s, n in zip(REGISTERS, accumulate(sizes, initial=0), sizes)}
         object.__setattr__(self, "_blocks", blocks)
@@ -192,8 +192,8 @@ class LoccCircuit:
         if self.m_a < 1 or self.m_b < 1:
             raise ValueError("each party must output at least one qubit")
         object.__setattr__(self, "rounds", tuple(self.rounds))
-        out_a = tuple(self.out_a) if self.out_a is not None else tuple(range(self.m_a))
-        out_b = tuple(self.out_b) if self.out_b is not None else tuple(range(self.m_b))
+        out_a = tuple(range(self.m_a)) if self.out_a is None else as_ints(self.out_a, "outA")
+        out_b = tuple(range(self.m_b)) if self.out_b is None else as_ints(self.out_b, "outB")
         for out, size, block in ((out_a, self.m_a, self.n_a + self.t_a),
                                  (out_b, self.m_b, self.n_b + self.t_b)):
             if len(out) != size or len(set(out)) != size:
@@ -339,10 +339,7 @@ class _TensorState:
     def extract(self, wires: Sequence[int]) -> np.ndarray:
         self.trace_out([w for w in self.active if w not in set(wires)])
         self.densify()
-        perm = self._axes(wires)
-        k = self.k
-        t = np.transpose(self.t, perm + [k + p for p in perm])
-        return t.reshape(2 ** k, 2 ** k)
+        return marginal(self.t, self.k, self._axes(wires))
 
 
 def _as_vector(matrix: np.ndarray) -> np.ndarray | None:
@@ -732,7 +729,8 @@ def is_efficient(family, lambdas: Sequence[int]) -> EfficiencyReport:
     """Check every generated circuit against the declared polynomial budget.
 
     Keyed families are checked for every key; unequal gate counts across keys
-    of one lambda are reported as violations as well.
+    of one lambda make every key of it a violation.  Each (lambda, key) is
+    listed at most once.
     """
     if not lambdas:
         raise ValueError("need at least one lambda to check")
@@ -740,15 +738,11 @@ def is_efficient(family, lambdas: Sequence[int]) -> EfficiencyReport:
     for lam in lambdas:
         cap = family.budget(lam)
         if isinstance(family, KeyedChannelFamily):
-            counts = {}
-            for key in all_keys(family.kappa(lam)):
-                count = gate_count(family.circuit(lam, key))
-                counts[key] = count
-                if count > cap:
-                    violations.append((lam, key, count, cap))
-            if len(set(counts.values())) > 1:
-                for key, count in counts.items():
-                    violations.append((lam, key, count, cap))
+            counts = {key: gate_count(family.circuit(lam, key))
+                      for key in all_keys(family.kappa(lam))}
+            uneven = len(set(counts.values())) > 1
+            violations += [(lam, key, count, cap) for key, count in counts.items()
+                           if uneven or count > cap]
         else:
             count = gate_count(family.circuit(lam))
             if count > cap:

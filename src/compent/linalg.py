@@ -1,4 +1,4 @@
-"""Dense complex matrix kernel over labeled qubit registers.
+"""Dense complex matrix kernel for matrices on qubits.
 
 Index convention used throughout the package: qubits are numbered left to
 right and qubit 0 is the most significant bit of a row/column index.  A
@@ -9,8 +9,8 @@ and the basis state ``|b_0 b_1 .. b_{n-1}>`` sits at row
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+import operator
+from typing import Sequence
 
 import numpy as np
 
@@ -24,62 +24,19 @@ class SizeLimitError(ValueError):
     """An operation would exceed the dense-simulation qubit cap."""
 
 
-@dataclass(frozen=True)
-class RegisterLayout:
-    """Ordered, named qubit registers fixing the tensor-factor order.
-
-    The register order fixes the global qubit order; qubit 0 of the first
-    register is the most significant bit.
-    """
-
-    registers: tuple[tuple[str, int], ...]
-
-    def __post_init__(self):
-        names = [name for name, _ in self.registers]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate register names in {names}")
-        for name, count in self.registers:
-            if count < 1:
-                raise ValueError(f"register {name!r} must hold at least one qubit")
-
-    @staticmethod
-    def of(*registers: tuple[str, int]) -> "RegisterLayout":
-        return RegisterLayout(tuple((str(n), int(c)) for n, c in registers))
-
-    @property
-    def total(self) -> int:
-        return sum(c for _, c in self.registers)
-
-    @property
-    def dim(self) -> int:
-        return 2 ** self.total
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.registers)
-
-    def wires(self, name: str) -> range:
-        """Global qubit indices of a register."""
-        offset = 0
-        for n, c in self.registers:
-            if n == name:
-                return range(offset, offset + c)
-            offset += c
-        raise ValueError(f"unknown register {name!r}")
-
-    def restrict(self, keep: Iterable[str]) -> "RegisterLayout":
-        keep = set(keep)
-        unknown = keep - set(self.names)
-        if unknown:
-            raise ValueError(f"unknown registers {sorted(unknown)}")
-        return RegisterLayout(tuple(r for r in self.registers if r[0] in keep))
-
-
 def as_complex(m) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValueError("matrix entries must be finite")
     return m
+
+
+def as_ints(values, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple of ints; a non-integer entry raises ValueError."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ValueError(f"{what} {values!r} must be integers") from None
 
 
 def tensor_product(a, b) -> np.ndarray:
@@ -94,46 +51,21 @@ def tensor_product(a, b) -> np.ndarray:
     return np.kron(a, b)
 
 
-def permute_qubits(m: np.ndarray, n_qubits: int, new_order: Sequence[int]) -> np.ndarray:
-    """Reorder the qubits of a ``2**n x 2**n`` matrix.
+def marginal(m: np.ndarray, n_qubits: int, keep: Sequence[int]) -> np.ndarray:
+    """The matrix on qubits ``keep``, in that order, with the rest traced out.
 
-    ``new_order[i]`` is the old position of the qubit that lands at new
-    position ``i``; both rows and columns are permuted.
+    ``m`` may also be given as its ``(2,) * 2n`` tensor.  With nothing traced
+    out the result is an exact reordered copy, signed zeros included.
     """
-    if sorted(new_order) != list(range(n_qubits)):
-        raise ValueError(f"new_order must be a permutation of 0..{n_qubits - 1}")
-    t = m.reshape((2,) * (2 * n_qubits))
-    axes = list(new_order) + [n_qubits + q for q in new_order]
-    return np.transpose(t, axes).reshape(m.shape)
-
-
-def trace_out_qubits(m: np.ndarray, n_qubits: int, drop: Iterable[int]) -> np.ndarray:
-    """Partial trace over the given global qubit positions."""
-    drop = sorted(set(drop))
-    if any(q < 0 or q >= n_qubits for q in drop):
-        raise ValueError(f"qubit positions {drop} out of range for {n_qubits} qubits")
-    keep = [q for q in range(n_qubits) if q not in drop]
-    t = m.reshape((2,) * (2 * n_qubits))
-    order = keep + drop + [n_qubits + q for q in keep] + [n_qubits + q for q in drop]
-    k, d = 2 ** len(keep), 2 ** len(drop)
-    t = np.transpose(t, order).reshape(k, d, k, d)
-    return np.einsum("abcb->ac", t)
-
-
-def partial_trace(m, layout: RegisterLayout, keep: Iterable[str]) -> np.ndarray:
-    """Trace out every register not named in ``keep``; order is preserved."""
-    m = as_complex(m)
-    if m.shape[0] != m.shape[1] or m.shape[0] != layout.dim:
-        raise ValueError(f"matrix shape {m.shape} does not match layout dim {layout.dim}")
-    keep = set(keep)
-    unknown = keep - set(layout.names)
-    if unknown:
-        raise ValueError(f"unknown registers {sorted(unknown)}")
-    drop = []
-    for name in layout.names:
-        if name not in keep:
-            drop.extend(layout.wires(name))
-    return trace_out_qubits(m, layout.total, drop)
+    keep = list(keep)
+    if len(set(keep)) != len(keep) or any(q < 0 or q >= n_qubits for q in keep):
+        raise ValueError(f"qubit positions {keep} are not distinct positions of {n_qubits} qubits")
+    order = keep + [q for q in range(n_qubits) if q not in keep]
+    t = np.transpose(m.reshape((2,) * (2 * n_qubits)), order + [n_qubits + q for q in order])
+    k, d = 2 ** len(keep), 2 ** (n_qubits - len(keep))
+    if d == 1:
+        return t.reshape(k, k)
+    return np.einsum("abcb->ac", t.reshape(k, d, k, d))
 
 
 def schatten_norm(m, p) -> float:
@@ -189,11 +121,9 @@ def embed_operator(op: np.ndarray, wires: Sequence[int], n_qubits: int) -> np.nd
     k = len(wires)
     if op.shape != (2 ** k, 2 ** k):
         raise ValueError(f"operator shape {op.shape} does not match {k} wires")
-    rest = [q for q in range(n_qubits) if q not in wires]
+    order = wires + [q for q in range(n_qubits) if q not in wires]  # qubit order of full
     full = np.kron(op, np.eye(2 ** (n_qubits - k), dtype=complex))
-    cur = wires + rest
-    inv = [cur.index(q) for q in range(n_qubits)]
-    return permute_qubits(full, n_qubits, inv)
+    return marginal(full, n_qubits, [order.index(q) for q in range(n_qubits)])
 
 
 def matrix_to_dict(m: np.ndarray) -> dict:

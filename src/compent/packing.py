@@ -205,5 +205,6 @@ def packing_to_dict(p: UnitaryPacking) -> dict:
 
 def packing_from_dict(d: dict) -> UnitaryPacking:
     m = int(d["m"])
-    members = tuple(matrix_from_dict(e, (2 ** m, 2 ** m)) for e in d["members"])
+    members = tuple(require_unitary(matrix_from_dict(e, (2 ** m, 2 ** m)), "packing member")
+                    for e in d["members"])
     return UnitaryPacking(m, float(d["eta"]), members, int(d["seed"]))

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -15,14 +16,13 @@ import numpy as np
 from .linalg import (
     HERMITIAN_TOL,
     PSD_FLOOR,
-    RegisterLayout,
     SizeLimitError,
     as_complex,
+    as_ints,
     haar_unitary,
+    marginal,
     matrix_from_dict,
     matrix_to_dict,
-    partial_trace,
-    permute_qubits,
     psd_sqrt,
     require_unitary,
 )
@@ -37,18 +37,22 @@ PSD_CHECK_DIM = 256
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """A density matrix together with its register layout."""
+    """A density matrix split into registers of ``cut[i]`` qubits each, most
+    significant first: (A, B) for a bipartite state, (A, B, E) for a
+    tripartite one."""
 
     matrix: np.ndarray
-    layout: RegisterLayout
+    cut: tuple[int, ...]
 
     def __post_init__(self):
+        cut = as_ints(self.cut, "cut")
+        if any(c < 1 for c in cut):
+            raise ValueError(f"every register of cut {cut} must hold at least one qubit")
+        object.__setattr__(self, "cut", cut)
         m = as_complex(self.matrix)
         object.__setattr__(self, "matrix", m)
-        if m.shape != (self.layout.dim, self.layout.dim):
-            raise ValueError(
-                f"matrix shape {m.shape} does not match layout dim {self.layout.dim}"
-            )
+        if m.shape != (2 ** sum(cut),) * 2:
+            raise ValueError(f"matrix shape {m.shape} does not match cut {cut}")
         if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
             raise ValueError("density matrix is not Hermitian within tolerance")
         tr = np.trace(m).real
@@ -60,35 +64,6 @@ class DensityMatrix:
                 raise ValueError(f"density matrix has negative eigenvalue {low}")
 
     @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def reduce(self, keep) -> "DensityMatrix":
-        """Partial trace keeping only the named registers."""
-        return DensityMatrix(
-            partial_trace(self.matrix, self.layout, keep), self.layout.restrict(keep)
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class BipartiteState:
-    """Density matrix with an explicit A:B qubit bipartition.
-
-    All A qubits are stored before all B qubits.
-    """
-
-    state: DensityMatrix
-    cut: tuple[int, int]
-
-    def __post_init__(self):
-        n_a, n_b = self.cut
-        expected = RegisterLayout.of(("A", n_a), ("B", n_b))
-        if self.state.layout != expected:
-            raise ValueError(
-                f"layout {self.state.layout} does not match cut {self.cut}"
-            )
-
-    @property
     def n_a(self) -> int:
         return self.cut[0]
 
@@ -97,18 +72,33 @@ class BipartiteState:
         return self.cut[1]
 
     @property
-    def matrix(self) -> np.ndarray:
-        return self.state.matrix
-
-    @property
     def dim(self) -> int:
-        return self.state.dim
+        return self.matrix.shape[0]
 
-    def reduced_a(self) -> DensityMatrix:
-        return self.state.reduce({"A"})
+    def reduce(self, keep: Sequence[int]) -> "DensityMatrix":
+        """The state on the registers ``keep``, in that order, with the rest
+        traced out."""
+        if any(not 0 <= r < len(self.cut) for r in keep):
+            raise ValueError(f"register indices {keep} out of range for cut {self.cut}")
+        wires = _register_wires(self.cut, keep)
+        return DensityMatrix(marginal(self.matrix, sum(self.cut), wires),
+                             tuple(self.cut[r] for r in keep))
 
-    def reduced_b(self) -> DensityMatrix:
-        return self.state.reduce({"B"})
+    def reduced_a(self) -> "DensityMatrix":
+        return self.reduce((0,))
+
+    def reduced_b(self) -> "DensityMatrix":
+        return self.reduce((1,))
+
+
+# The A:B name of the one state class.
+BipartiteState = DensityMatrix
+
+
+def _register_wires(cut: tuple[int, ...], keep: Sequence[int]) -> list[int]:
+    """The qubit positions of the registers ``keep`` of ``cut``, in that order."""
+    starts = list(accumulate(cut, initial=0))
+    return [q for r in keep for q in range(starts[r], starts[r + 1])]
 
 
 @dataclass(frozen=True)
@@ -156,8 +146,9 @@ def bipartite_pure(amplitudes, cut: tuple[int, int]) -> BipartiteState:
 
 
 def bipartite_from_matrix(matrix, cut: tuple[int, int]) -> BipartiteState:
-    layout = RegisterLayout.of(("A", cut[0]), ("B", cut[1]))
-    return BipartiteState(DensityMatrix(matrix, layout), cut)
+    if len(cut) != 2:
+        raise ValueError(f"a bipartite cut has two registers, got {cut}")
+    return DensityMatrix(matrix, cut)
 
 
 def epr_vector(n: int) -> np.ndarray:
@@ -214,11 +205,7 @@ def _bits(bits) -> tuple[int, ...]:
 
 
 def _mat(x) -> np.ndarray:
-    if isinstance(x, BipartiteState):
-        return x.matrix
-    if isinstance(x, DensityMatrix):
-        return x.matrix
-    return as_complex(x)
+    return x.matrix if isinstance(x, DensityMatrix) else as_complex(x)
 
 
 def fidelity(rho, sigma) -> float:
@@ -260,14 +247,13 @@ def von_neumann_entropy(rho) -> float:
 
 
 def conditional_mutual_information(rho: DensityMatrix) -> float:
-    """I(A;B|E) = H(AE) + H(BE) - H(ABE) - H(E) for a state on registers A, B, E."""
-    for name in ("A", "B", "E"):
-        if name not in rho.layout.names:
-            raise ValueError(f"register {name!r} missing from layout")
-    h_ae = von_neumann_entropy(rho.reduce({"A", "E"}))
-    h_be = von_neumann_entropy(rho.reduce({"B", "E"}))
+    """I(A;B|E) = H(AE) + H(BE) - H(ABE) - H(E) for a state on cut (A, B, E)."""
+    if len(rho.cut) != 3:
+        raise ValueError(f"conditional mutual information needs a cut (A, B, E), got {rho.cut}")
+    h_ae = von_neumann_entropy(rho.reduce((0, 2)))
+    h_be = von_neumann_entropy(rho.reduce((1, 2)))
     h_abe = von_neumann_entropy(rho)
-    h_e = von_neumann_entropy(rho.reduce({"E"}))
+    h_e = von_neumann_entropy(rho.reduce((2,)))
     value = h_ae + h_be - h_abe - h_e
     if value < -1e-9:
         raise ValueError(f"conditional mutual information {value} is negative")
@@ -279,7 +265,7 @@ def squashed_trivial_upper(rho: BipartiteState) -> float:
     on squashed entanglement."""
     h_a = von_neumann_entropy(rho.reduced_a())
     h_b = von_neumann_entropy(rho.reduced_b())
-    h_ab = von_neumann_entropy(rho.state)
+    h_ab = von_neumann_entropy(rho)
     return 0.5 * (h_a + h_b - h_ab)
 
 
@@ -331,18 +317,9 @@ def mixture(states: Sequence[BipartiteState], p: Sequence[float]) -> BipartiteSt
 
 def tensor_states(s1: BipartiteState, s2: BipartiteState) -> BipartiteState:
     """Bipartite tensor product: A parts concatenate, B parts concatenate."""
-    m = np.kron(s1.matrix, s2.matrix)  # qubit order A1 B1 A2 B2
-    a1, b1 = s1.cut
-    a2, b2 = s2.cut
-    n = a1 + b1 + a2 + b2
-    # target order A1 A2 B1 B2
-    order = (
-        list(range(a1))
-        + [a1 + b1 + i for i in range(a2)]
-        + [a1 + i for i in range(b1)]
-        + [a1 + b1 + a2 + i for i in range(b2)]
-    )
-    return bipartite_from_matrix(permute_qubits(m, n, order), (a1 + a2, b1 + b2))
+    cut = s1.cut + s2.cut  # qubit order A1 B1 A2 B2
+    m = marginal(np.kron(s1.matrix, s2.matrix), sum(cut), _register_wires(cut, (0, 2, 1, 3)))
+    return bipartite_from_matrix(m, (s1.n_a + s2.n_a, s1.n_b + s2.n_b))
 
 
 def conjugate_local(s: BipartiteState, u_a, u_b) -> BipartiteState:
@@ -379,12 +356,11 @@ def state_to_dict(s: BipartiteState) -> dict:
     """JSON-ready form; floats round-trip exactly through json."""
     m = s.matrix
     return {
-        "dims": [int(m.shape[0]), int(m.shape[1])],
-        "cut": [int(s.n_a), int(s.n_b)],
+        "dims": list(m.shape),
+        "cut": list(s.cut),
         **matrix_to_dict(m),
     }
 
 
 def state_from_dict(d: dict) -> BipartiteState:
-    m = matrix_from_dict(d, tuple(d["dims"]))
-    return bipartite_from_matrix(m, (int(d["cut"][0]), int(d["cut"][1])))
+    return bipartite_from_matrix(matrix_from_dict(d, tuple(d["dims"])), tuple(d["cut"]))

@@ -47,6 +47,8 @@ from compent.states import (
     random_density_matrix,
     random_pure_state,
     rotated_epr,
+    state_from_dict,
+    state_to_dict,
     tensor_states,
 )
 
@@ -463,6 +465,9 @@ def test_keyed_family_unequal_counts_flagged():
     report = is_efficient(fam, [1])
     assert not report.passed
     assert report.violations  # counts differ across keys for one lambda
+    # key (1,) is also over budget: still each key is listed once
+    fam = KeyedChannelFamily(lambda lam: 1, lopsided, GateBudget((1.0,)))
+    assert is_efficient(fam, [1]).violations == ((1, (0,), 1, 1.0), (1, (1,), 2, 1.0))
 
 
 def test_keyed_family_counts_and_behavior():
@@ -525,6 +530,20 @@ def test_circuit_serialization_round_trip():
         rho = epr_pairs(circ.n_a) if circ.n_a == circ.n_b else None
         if rho is not None and circ.n_a <= 2:
             assert np.array_equal(apply(back, rho).matrix, apply(circ, rho).matrix)
+
+
+def test_non_integer_inputs_are_refused():
+    d = circuit_to_dict(bob_unitary_circuit(X, 1))
+    bad_wire = json.loads(json.dumps(d))
+    bad_wire["rounds"][0]["bob"][0]["wires"] = [1.7]
+    bad_out = dict(d, outA=[0.5])
+    bad_size = dict(d, registers=dict(d["registers"], nA=1.5))
+    for bad in (bad_wire, bad_out, bad_size):
+        with pytest.raises(ValueError):
+            circuit_from_dict(bad)
+    state = state_to_dict(random_bipartite(1, 2))
+    with pytest.raises(ValueError):
+        state_from_dict(dict(state, cut=[1.9, 1]))
 
 
 def test_keyed_pauli_padding_and_overlong_keys():

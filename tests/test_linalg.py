@@ -2,17 +2,16 @@ import numpy as np
 import pytest
 
 from compent.linalg import (
-    RegisterLayout,
     SizeLimitError,
     eig_hermitian,
     embed_operator,
     haar_unitary,
-    partial_trace,
-    permute_qubits,
+    marginal,
     psd_sqrt,
     schatten_norm,
     tensor_product,
 )
+from compent.states import DensityMatrix
 
 from oracles import haar_single
 
@@ -60,54 +59,68 @@ def test_tensor_product_cap():
 
 def test_layout_validation():
     with pytest.raises(ValueError):
-        RegisterLayout.of(("A", 1), ("A", 2))
+        DensityMatrix(np.eye(2), (1, 0))
     with pytest.raises(ValueError):
-        RegisterLayout.of(("A", 0))
-    layout = RegisterLayout.of(("A", 2), ("B", 1))
-    assert layout.total == 3
-    assert list(layout.wires("B")) == [2]
+        DensityMatrix(np.eye(8) / 8, (0, 3))
+    rho = DensityMatrix(np.eye(8) / 8, (2, 1))
+    assert sum(rho.cut) == 3
+    assert rho.reduce((1,)).cut == (1,)
     with pytest.raises(ValueError):
-        layout.wires("C")
+        rho.reduce((2,))
 
 
 def test_partial_trace_epr():
     phi = np.zeros(4, dtype=complex)
     phi[0] = phi[3] = 1 / np.sqrt(2)
     rho = np.outer(phi, phi.conj())
-    layout = RegisterLayout.of(("A", 1), ("B", 1))
-    reduced = partial_trace(rho, layout, {"A"})
+    reduced = marginal(rho, 2, [0])
     assert np.allclose(reduced, np.eye(2) / 2, atol=1e-12)
 
 
 def test_partial_trace_product_factorizes():
     rho = random_hermitian(2)
     sigma = random_hermitian(4)
-    layout = RegisterLayout.of(("A", 1), ("B", 2))
-    out = partial_trace(np.kron(rho, sigma), layout, {"A"})
+    out = marginal(np.kron(rho, sigma), 3, [0])
     assert np.allclose(out, rho * np.trace(sigma), atol=1e-12)
 
 
 def test_partial_trace_preserves_trace():
     for _ in range(10):
         rho = random_hermitian(8)
-        layout = RegisterLayout.of(("A", 1), ("B", 1), ("C", 1))
-        out = partial_trace(rho, layout, {"A", "C"})
+        out = marginal(rho, 3, [0, 2])
         assert abs(np.trace(out) - np.trace(rho)) < 1e-12
 
 
 def test_partial_trace_full_complement_is_trace():
     for _ in range(10):
         rho = random_hermitian(8)
-        layout = RegisterLayout.of(("A", 2), ("B", 1))
-        out = partial_trace(rho, layout, set())
+        out = marginal(rho, 3, [])
         assert out.shape == (1, 1)
         assert abs(out[0, 0] - np.trace(rho)) < 1e-12
 
 
 def test_partial_trace_unknown_register():
-    layout = RegisterLayout.of(("A", 1), ("B", 1))
-    with pytest.raises(ValueError):
-        partial_trace(np.eye(4), layout, {"Z"})
+    for keep in ([2], [-1], [0, 0]):
+        with pytest.raises(ValueError):
+            marginal(np.eye(4), 2, keep)
+
+
+def test_marginal_keeps_kept_qubits_in_the_given_order():
+    a, b, c = random_hermitian(2), random_hermitian(2), random_hermitian(2)
+    m = np.kron(np.kron(a, b), c)
+    assert np.allclose(marginal(m, 3, [2, 0]), np.kron(c, a) * np.trace(b), atol=1e-12)
+
+
+def test_marginal_without_a_trace_is_a_bitwise_reordering():
+    # kron(op, I) holds -0.0 entries; a reorder must carry them over bitwise
+    rng = np.random.default_rng(5)
+    m = np.kron(random_hermitian(4, rng), np.eye(8, dtype=complex))
+    assert np.signbit(m.real[m.real == 0]).any()
+    for _ in range(20):
+        perm = [int(q) for q in rng.permutation(5)]
+        expect = np.transpose(m.reshape((2,) * 10), perm + [5 + q for q in perm]).reshape(32, 32)
+        assert marginal(m, 5, perm).tobytes() == expect.tobytes()
+    assert marginal(m, 5, range(5)).tobytes() == m.tobytes()
 
 
 def test_schatten_norms():
@@ -169,7 +182,7 @@ def test_psd_sqrt():
 
 
 def test_permute_and_embed():
-    swap = permute_qubits(np.kron(X, np.eye(2)), 2, [1, 0])
+    swap = marginal(np.kron(X, np.eye(2)), 2, [1, 0])
     assert np.allclose(swap, np.kron(np.eye(2), X))
     embedded = embed_operator(X, (1,), 2)
     assert np.allclose(embedded, np.kron(np.eye(2), X))

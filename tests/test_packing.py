@@ -227,3 +227,10 @@ def test_packing_serialization_round_trip():
     for a, b in zip(p.members, back.members):
         assert np.array_equal(a, b)
     assert separation_check(back)
+
+
+def test_packing_from_dict_refuses_a_non_unitary_member():
+    d = packing_to_dict(greedy_packing(1, 0.3, seed=9))
+    d["members"][0] = {"re": [2.0, 0.0, 0.0, 1.0], "im": [0.0] * 4}
+    with pytest.raises(ValueError, match="not unitary"):
+        packing_from_dict(d)
