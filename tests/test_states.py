@@ -151,21 +151,21 @@ def test_von_neumann_entropy():
 
 
 def test_conditional_mutual_information():
-    layout = (1, 1, 1)
+    cut = (1, 1, 1)
     rho_a = random_density_matrix(2, RNG)
     rho_b = random_density_matrix(2, RNG)
     rho_e = random_density_matrix(2, RNG)
-    product = DensityMatrix(np.kron(np.kron(rho_a, rho_b), rho_e), layout)
+    product = DensityMatrix(np.kron(np.kron(rho_a, rho_b), rho_e), cut)
     assert abs(conditional_mutual_information(product)) < 1e-9
 
     zero = np.zeros((2, 2), dtype=complex)
     zero[0, 0] = 1.0
-    phi_e = DensityMatrix(np.kron(epr_pairs(1).matrix, zero), layout)
+    phi_e = DensityMatrix(np.kron(epr_pairs(1).matrix, zero), cut)
     assert abs(conditional_mutual_information(phi_e) - 2.0) < 1e-9
 
     ghz = np.zeros(8, dtype=complex)
     ghz[0] = ghz[7] = 1 / math.sqrt(2)
-    assert abs(conditional_mutual_information(DensityMatrix(pure_dm(ghz), layout)) - 1.0) < 1e-9
+    assert abs(conditional_mutual_information(DensityMatrix(pure_dm(ghz), cut)) - 1.0) < 1e-9
 
     with pytest.raises(ValueError):
         conditional_mutual_information(DensityMatrix(product.matrix, (2, 1)))
