@@ -787,9 +787,9 @@ def _gate_to_dict(g: Gate) -> dict:
 
 
 def _gate_from_dict(d: dict) -> Gate:
-    dim = 2 ** len(d["wires"])
-    matrix = matrix_from_dict(d, (dim, dim)) if "re" in d else None
-    return Gate(d["kind"], tuple(d["wires"]), matrix, tuple(d.get("controls", ())))
+    wires = _wires(d["wires"])
+    matrix = matrix_from_dict(d, (2 ** len(wires),) * 2) if "re" in d else None
+    return Gate(d["kind"], wires, matrix, tuple(d.get("controls", ())))
 
 
 # JSON key of each size field, in the serialized order

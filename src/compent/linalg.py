@@ -26,7 +26,7 @@ class SizeLimitError(ValueError):
 
 def as_complex(m) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():  # a complex entry is finite iff both parts are
         raise ValueError("matrix entries must be finite")
     return m
 
@@ -84,9 +84,9 @@ def schatten_norm(m, p) -> float:
 def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
     m = as_complex(m)
-    if m.shape[0] != m.shape[1]:
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("eig_hermitian expects a square matrix")
-    if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
+    if np.abs(m - m.conj().T).max() > HERMITIAN_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
     vals, vecs = np.linalg.eigh(m)
     return vals, vecs
@@ -97,20 +97,15 @@ def psd_sqrt(m) -> np.ndarray:
     vals, vecs = eig_hermitian(m)
     if vals.min(initial=0.0) < PSD_FLOOR:
         raise ValueError(f"matrix is not PSD: min eigenvalue {vals.min()}")
-    vals = np.clip(vals, 0.0, None)
+    vals = np.maximum(vals, 0.0)
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
-
-
-def is_unitary(m, tol: float = UNITARY_TOL) -> bool:
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
-    return bool(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= tol)
 
 
 def require_unitary(m, what: str = "matrix") -> np.ndarray:
     m = as_complex(m)
-    if not is_unitary(m):
+    square = m.ndim == 2 and m.shape[0] == m.shape[1]
+    # "not <=" refuses a NaN residual too
+    if not (square and np.abs(m.conj().T @ m - np.eye(m.shape[0])).max() <= UNITARY_TOL):
         raise ValueError(f"{what} is not unitary within {UNITARY_TOL}")
     return m
 

@@ -15,7 +15,9 @@ from itertools import product
 
 import numpy as np
 
-from .linalg import haar_unitary, matrix_from_dict, matrix_to_dict, require_unitary, schatten_norm
+from .linalg import (
+    as_ints, haar_unitary, matrix_from_dict, matrix_to_dict, require_unitary, schatten_norm,
+)
 from .states import pauli_shift
 
 _BLOCK = 64  # candidates per Haar draw, and members per overlap product
@@ -204,7 +206,7 @@ def packing_to_dict(p: UnitaryPacking) -> dict:
 
 
 def packing_from_dict(d: dict) -> UnitaryPacking:
-    m = int(d["m"])
+    m, seed = as_ints((d["m"], d["seed"]), "m and seed")
     members = tuple(require_unitary(matrix_from_dict(e, (2 ** m, 2 ** m)), "packing member")
                     for e in d["members"])
-    return UnitaryPacking(m, float(d["eta"]), members, int(d["seed"]))
+    return UnitaryPacking(m, float(d["eta"]), members, seed)

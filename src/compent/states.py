@@ -53,9 +53,9 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", m)
         if m.shape != (2 ** sum(cut),) * 2:
             raise ValueError(f"matrix shape {m.shape} does not match cut {cut}")
-        if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
+        if np.abs(m - m.conj().T).max() > HERMITIAN_TOL:
             raise ValueError("density matrix is not Hermitian within tolerance")
-        tr = np.trace(m).real
+        tr = m.trace().real
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace {tr} is not 1")
         if m.shape[0] <= PSD_CHECK_DIM:
@@ -196,9 +196,7 @@ def pauli_shift(a, b) -> np.ndarray:
 
 
 def _bits(bits) -> tuple[int, ...]:
-    if isinstance(bits, str):
-        bits = [int(c) for c in bits]
-    bits = tuple(int(b) for b in bits)
+    bits = as_ints([int(c) for c in bits] if isinstance(bits, str) else bits, "bit string")
     if any(b not in (0, 1) for b in bits):
         raise ValueError(f"{bits} is not a bit string")
     return bits
@@ -214,19 +212,20 @@ def fidelity(rho, sigma) -> float:
     Computed from the spectrum of sqrt(rho) sigma sqrt(rho).  Negative
     eigenvalue noise is clipped to zero, and eigenvalues below 1e-12 of the
     largest one are dropped: the square root would otherwise amplify
-    O(machine epsilon) rank noise into O(1e-8) fidelity error.
+    O(machine epsilon) rank noise into O(1e-8) fidelity error.  ``psd_sqrt``
+    is the one check of rho (finite, square, Hermitian, PSD).
     """
-    r, s = _mat(rho), _mat(sigma)
-    if r.shape != s.shape:
-        raise ValueError(f"dimension mismatch {r.shape} vs {s.shape}")
-    root = psd_sqrt(r)
+    s = _mat(sigma)
+    root = psd_sqrt(rho.matrix if isinstance(rho, DensityMatrix) else rho)
+    if root.shape != s.shape:
+        raise ValueError(f"dimension mismatch {root.shape} vs {s.shape}")
     core = root @ s @ root
     vals = np.linalg.eigvalsh((core + core.conj().T) / 2.0)
-    vals = np.clip(vals, 0.0, None)
+    vals = np.maximum(vals, 0.0)
     top = vals.max(initial=0.0)
     if top > 0.0:
         vals[vals < top * 1e-12] = 0.0
-    f = float(np.sum(np.sqrt(vals)) ** 2)
+    f = float(np.sqrt(vals).sum() ** 2)
     return min(f, 1.0) if f <= 1.0 + 1e-9 else f
 
 
@@ -236,7 +235,7 @@ def trace_distance(rho, sigma) -> float:
     if r.shape != s.shape:
         raise ValueError(f"dimension mismatch {r.shape} vs {s.shape}")
     vals = np.linalg.eigvalsh(r - s)
-    return float(0.5 * np.sum(np.abs(vals)))
+    return float(0.5 * np.abs(vals).sum())
 
 
 def von_neumann_entropy(rho) -> float:
@@ -363,4 +362,4 @@ def state_to_dict(s: BipartiteState) -> dict:
 
 
 def state_from_dict(d: dict) -> BipartiteState:
-    return bipartite_from_matrix(matrix_from_dict(d, tuple(d["dims"])), tuple(d["cut"]))
+    return bipartite_from_matrix(matrix_from_dict(d, as_ints(d["dims"], "dims")), tuple(d["cut"]))

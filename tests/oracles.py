@@ -3,7 +3,9 @@
 Everything here deliberately avoids the optimized code paths it is used to
 check: the circuit oracle builds explicit full-space operators round by
 round, the purification oracle works with raw 4-qubit projectors, and the
-packing oracle is the per-candidate, per-member greedy loop.
+packing oracle is the per-candidate, per-member greedy loop.  The fidelity
+oracle is the fidelity computation with every input check done separately:
+each argument scanned on its own, then rho scanned again by its eigensolve.
 """
 
 from itertools import product
@@ -12,7 +14,7 @@ import numpy as np
 
 from compent.circuits import CONTROLLED, PINCH, UNITARY, LoccCircuit
 from compent.linalg import embed_operator
-from compent.states import BipartiteState, bipartite_from_matrix
+from compent.states import BipartiteState, DensityMatrix, bipartite_from_matrix
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -22,6 +24,16 @@ CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=
 
 PHI = np.zeros(4, dtype=complex)
 PHI[0] = PHI[3] = 1 / np.sqrt(2)
+
+# Raw 2x2 inputs spoiled one way each; trace 1 wherever the spoiling allows.
+BAD_INPUTS = {
+    "nan-real": np.array([[complex(np.nan, 0.0), 0.0], [0.0, 0.5]]),
+    "+inf-imag": np.array([[0.5, complex(0.0, np.inf)], [complex(0.0, -np.inf), 0.5]]),
+    "-inf-imag": np.array([[0.5, complex(0.0, -np.inf)], [complex(0.0, np.inf), 0.5]]),
+    "non-hermitian": np.array([[0.5, 0.5], [-0.5, 0.5]], dtype=complex),
+    "negative-eigenvalue": np.diag([1.0 + 1e-6, -1e-6]).astype(complex),
+    "non-square": np.full((2, 3), 1.0 / 3.0, dtype=complex),
+}
 
 
 def kron(*ms):
@@ -187,3 +199,44 @@ def greedy_packing_reference(m: int, eta: float, max_rejections: int = 500, seed
         else:
             rejections += 1
     return members, candidates
+
+
+def _as_complex(m) -> np.ndarray:
+    m = np.asarray(m, dtype=complex)
+    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+        raise ValueError("matrix entries must be finite")
+    return m
+
+
+def _mat(x) -> np.ndarray:
+    return x.matrix if isinstance(x, DensityMatrix) else _as_complex(x)
+
+
+def _psd_sqrt(m) -> np.ndarray:
+    m = _as_complex(m)
+    if m.shape[0] != m.shape[1]:
+        raise ValueError("eig_hermitian expects a square matrix")
+    if np.max(np.abs(m - m.conj().T)) > 1e-10:
+        raise ValueError("matrix is not Hermitian within tolerance")
+    vals, vecs = np.linalg.eigh(m)
+    if vals.min(initial=0.0) < -1e-10:
+        raise ValueError(f"matrix is not PSD: min eigenvalue {vals.min()}")
+    vals = np.clip(vals, 0.0, None)
+    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+
+
+def fidelity_reference(rho, sigma) -> float:
+    """Uhlmann fidelity, the same numpy calls as ``states.fidelity`` on the
+    same values, so the two agree bitwise."""
+    r, s = _mat(rho), _mat(sigma)
+    if r.shape != s.shape:
+        raise ValueError(f"dimension mismatch {r.shape} vs {s.shape}")
+    root = _psd_sqrt(r)
+    core = root @ s @ root
+    vals = np.linalg.eigvalsh((core + core.conj().T) / 2.0)
+    vals = np.clip(vals, 0.0, None)
+    top = vals.max(initial=0.0)
+    if top > 0.0:
+        vals[vals < top * 1e-12] = 0.0
+    f = float(np.sum(np.sqrt(vals)) ** 2)
+    return min(f, 1.0) if f <= 1.0 + 1e-9 else f

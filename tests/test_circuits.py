@@ -11,6 +11,7 @@ from compent.circuits import (
     KeyedChannelFamily,
     LoccCircuit,
     Round,
+    _as_vector,
     apply,
     bbpssw_round,
     bob_unitary_circuit,
@@ -34,7 +35,7 @@ from compent.circuits import (
     tensor,
     unrotate_distillation,
 )
-from compent.linalg import SizeLimitError, haar_unitary
+from compent.linalg import SizeLimitError, embed_operator, haar_unitary
 from compent.states import (
     all_keys,
     bipartite_from_matrix,
@@ -506,6 +507,26 @@ def test_replace_bob_outputs_fresh_zero():
     assert np.allclose(out.matrix, expected, atol=1e-12)
 
 
+def test_local_unitaries_on_either_side_of_the_purity_threshold():
+    # 256 amplitudes take the state-vector path, 512 the dense density path;
+    # both must equal U rho U^dag with U built densely from the same gates
+    rng = np.random.default_rng(256)
+    for n_a, vector_path in ((4, True), (5, False)):
+        n = n_a + 4
+        gates_a = [Gate.unitary(haar_unitary(4, rng), (0, 1)),
+                   Gate.unitary(haar_unitary(2, rng), (n_a - 1,))]
+        gates_b = [Gate.unitary(haar_unitary(4, rng), (n_a + 3, n_a)),
+                   Gate.unitary(haar_unitary(2, rng), (n_a + 1,))]
+        state = bipartite_pure(random_pure_state(n, rng), (n_a, 4))
+        assert (_as_vector(state.matrix) is not None) == vector_path
+        u = np.eye(2 ** n, dtype=complex)
+        for g in gates_a + gates_b:
+            u = embed_operator(g.matrix, g.wires, n) @ u
+        out = apply(local_unitary_circuit(gates_a, gates_b, n_a, 4), state)
+        assert out.cut == (n_a, 4)
+        assert np.max(np.abs(out.matrix - u @ state.matrix @ u.conj().T)) < 1e-9, n
+
+
 # -- serialization ----------------------------------------------------------------
 
 
@@ -544,6 +565,15 @@ def test_non_integer_inputs_are_refused():
     state = state_to_dict(random_bipartite(1, 2))
     with pytest.raises(ValueError):
         state_from_dict(dict(state, cut=[1.9, 1]))
+
+
+def test_gate_loader_refuses_a_scalar_non_integer_wire():
+    d = json.loads(json.dumps(circuit_to_dict(bob_unitary_circuit(X, 1))))
+    d["rounds"][0]["bob"][0]["wires"] = 1.7
+    with pytest.raises(ValueError, match="wires"):
+        circuit_from_dict(d)
+    d["rounds"][0]["bob"][0]["wires"] = 1  # a scalar integer wire is one wire
+    assert circuit_from_dict(d).rounds[0].bob[0].wires == (1,)
 
 
 def test_keyed_pauli_padding_and_overlong_keys():

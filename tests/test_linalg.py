@@ -8,12 +8,13 @@ from compent.linalg import (
     haar_unitary,
     marginal,
     psd_sqrt,
+    require_unitary,
     schatten_norm,
     tensor_product,
 )
 from compent.states import DensityMatrix
 
-from oracles import haar_single
+from oracles import BAD_INPUTS, haar_single
 
 RNG = np.random.default_rng(1234)
 
@@ -179,6 +180,27 @@ def test_psd_sqrt():
         assert schatten_norm(root @ root - p, 2) <= 1e-9
     with pytest.raises(ValueError):
         psd_sqrt(np.diag([1.0, -0.5]))
+
+
+VALIDATED = {
+    eig_hermitian: ("nan-real", "+inf-imag", "-inf-imag", "non-hermitian", "non-square"),
+    psd_sqrt: tuple(BAD_INPUTS),
+    # none of the spoiled matrices is unitary either
+    require_unitary: tuple(BAD_INPUTS),
+}
+
+
+@pytest.mark.parametrize("check, bad", [(f, b) for f, bads in VALIDATED.items() for b in bads],
+                         ids=lambda x: getattr(x, "__name__", x))
+def test_each_validator_refuses_each_spoiled_input(check, bad):
+    with pytest.raises(ValueError):
+        check(BAD_INPUTS[bad])
+
+
+def test_validators_refuse_a_vector():
+    for check in VALIDATED:
+        with pytest.raises(ValueError):
+            check(np.full(2, 0.5))
 
 
 def test_permute_and_embed():

@@ -229,6 +229,13 @@ def test_packing_serialization_round_trip():
     assert separation_check(back)
 
 
+def test_packing_loader_refuses_non_integer_m_and_seed():
+    d = packing_to_dict(greedy_packing(1, 0.3, seed=9))
+    for bad in (dict(d, m=1.5), dict(d, seed=9.5), dict(d, m="1")):
+        with pytest.raises(ValueError, match="m and seed"):
+            packing_from_dict(bad)
+
+
 def test_packing_from_dict_refuses_a_non_unitary_member():
     d = packing_to_dict(greedy_packing(1, 0.3, seed=9))
     d["members"][0] = {"re": [2.0, 0.0, 0.0, 1.0], "im": [0.0] * 4}

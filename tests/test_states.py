@@ -32,6 +32,8 @@ from compent.states import (
     von_neumann_entropy,
 )
 
+from oracles import BAD_INPUTS, fidelity_reference
+
 RNG = np.random.default_rng(99)
 
 
@@ -104,6 +106,23 @@ def test_fidelity_pure_pair_matches_inner_product():
         assert abs(fidelity(pure_dm(psi), pure_dm(chi)) - expected) < 1e-10
 
 
+def test_fidelity_is_bitwise_the_reference_at_every_rank():
+    # every rank 1..d of rho, rank-deficient sigma included; a state object
+    # wherever d is a power of two
+    rng = np.random.default_rng(2024)
+    for d in range(2, 33):
+        n = d.bit_length() - 1
+        for rank in range(1, d + 1):
+            rho = random_density_matrix(d, rng, rank)
+            sigma = random_density_matrix(d, rng, int(rng.integers(1, d + 1)))
+            pairs = [(rho, sigma), (sigma, rho), (rho, rho)]
+            if d == 2 ** n:
+                cut = (n - n // 2, n // 2) if n > 1 else (1,)
+                pairs += [(DensityMatrix(a, cut), DensityMatrix(b, cut)) for a, b in pairs]
+            for a, b in pairs:
+                assert fidelity(a, b) == fidelity_reference(a, b), (d, rank)
+
+
 def test_fidelity_dimension_mismatch():
     with pytest.raises(ValueError):
         fidelity(np.eye(2) / 2, np.eye(4) / 4)
@@ -120,6 +139,29 @@ def test_trace_distance_values():
     assert abs(trace_distance(zero, plus) - math.sqrt(1 - f)) < 1e-10
 
 
+SCANNED = ("nan-real", "+inf-imag", "-inf-imag", "non-square")
+# rho's square root checks Hermiticity and the PSD floor; sigma, and both
+# arguments of the trace distance, are only scanned for finiteness and shape
+VALIDATED = {
+    "fidelity-rho": (lambda m: fidelity(m, np.eye(2) / 2), tuple(BAD_INPUTS)),
+    "fidelity-sigma": (lambda m: fidelity(np.eye(2) / 2, m), SCANNED),
+    "trace_distance-rho": (lambda m: trace_distance(m, np.eye(2) / 2), SCANNED),
+    "trace_distance-sigma": (lambda m: trace_distance(np.eye(2) / 2, m), SCANNED),
+    "DensityMatrix": (lambda m: DensityMatrix(m, (1,)), tuple(BAD_INPUTS)),
+}
+
+
+@pytest.mark.parametrize("check, bad", [(c, b) for c, (_, bads) in VALIDATED.items() for b in bads])
+def test_each_validator_refuses_each_spoiled_input(check, bad):
+    with pytest.raises(ValueError):
+        VALIDATED[check][0](BAD_INPUTS[bad])
+
+
+def test_fidelity_refuses_two_non_square_arguments_of_one_shape():
+    with pytest.raises(ValueError):
+        fidelity(BAD_INPUTS["non-square"], BAD_INPUTS["non-square"])
+
+
 def test_pauli_shift():
     assert np.array_equal(pauli_shift([0], [0]), np.eye(2))
     assert np.array_equal(pauli_shift([1], [0]), np.array([[0, 1], [1, 0]]))
@@ -128,6 +170,9 @@ def test_pauli_shift():
                           np.kron(np.eye(2), np.array([[0, 1], [1, 0]])))
     with pytest.raises(ValueError):
         pauli_shift([1], [0, 1])
+    for bad in ([1.5], [2], "12"):
+        with pytest.raises(ValueError):
+            pauli_shift(bad, [0])
 
 
 def test_rotated_epr():
@@ -274,6 +319,13 @@ def test_state_serialization_round_trip():
         back = state_from_dict(json.loads(packed))
         assert back.cut == s.cut
         assert np.array_equal(back.matrix, s.matrix)  # exact round trip
+
+
+def test_state_loader_refuses_non_integer_dims():
+    d = state_to_dict(bipartite_from_matrix(random_density_matrix(4, RNG), (1, 1)))
+    for dims in ([4.0, 4.0], 4, [4.5, 4]):
+        with pytest.raises(ValueError, match="dims"):
+            state_from_dict(dict(d, dims=dims))
 
 
 def test_column_unitary_prepares_the_vector():
