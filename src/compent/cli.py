@@ -130,7 +130,8 @@ def cmd_net(args) -> int:
     _require_size("--m", args.m)
     if not 0.0 < args.eta < 1.0:
         raise ConfigError(f"eta must lie in (0, 1), got {args.eta}")
-    packing = greedy_packing(args.m, args.eta, seed=resolve_seed(args))
+    packing = greedy_packing(args.m, args.eta, seed=resolve_seed(args),
+                             max_candidates=args.max_candidates)
     if not separation_check(packing):
         sys.stderr.write("separation check failed\n")
         return 1
@@ -231,6 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     net.add_argument("--eta", type=float, required=True)
     net.add_argument("--seed", type=int, default=0)
     net.add_argument("--out", default=None)
+    net.add_argument("--max-candidates", type=int, default=None, help="stop after N candidates")
     net.set_defaults(func=cmd_net)
 
     cex = sub.add_parser("counterexample", help="run the non-invariance pipeline")

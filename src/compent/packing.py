@@ -100,46 +100,56 @@ def greedy_packing(
     max_rejections: int = 500,
     seed: int = 0,
     max_size: int | None = None,
+    max_candidates: int | None = None,
 ) -> UnitaryPacking:
     """Randomized greedy packing of Pauli-orbit-separated unitaries.
 
     Haar candidates are accepted when every existing member's orbit keeps
     root-fidelity at most 1 - eta from the candidate's rotated EPR state.
-    The first candidate is always accepted; construction stops after
-    ``max_rejections`` consecutive rejections (or at ``max_size`` members).
-    Deterministic for a fixed seed.
+    The first candidate is always accepted; ``stop`` names the rule that ended
+    the run: ``max_rejections`` consecutive rejections, ``max_size`` members
+    or ``max_candidates`` candidates. Deterministic for a fixed seed.
 
-    Candidates come in blocks of ``_BLOCK`` Haar draws. The members' orbit
-    rows live in one buffer that doubles when full, and a candidate is
-    tested against ``_BLOCK`` members per matrix product, up to the first
-    block that rejects it.
+    Candidates come in blocks of ``_BLOCK`` Haar draws; the members' orbit
+    rows live in one buffer that doubles when full. One product tests a
+    block's live candidates against ``_BLOCK`` members or against a member
+    accepted from the block, and the candidates it rejects leave the next.
     """
     if not 1 <= m <= 2:
         raise ValueError(f"packings are built for 1 <= m <= 2 (orbit scans stay cheap), got m={m}")
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
+    if max_candidates is not None and max_candidates < 1:
+        raise ValueError(f"max_candidates must be at least 1, got {max_candidates}")
     rng = np.random.default_rng(seed)
     k = 4 ** m
     bound = (1.0 - eta) * 2 ** m  # on |tr((P U)^dag V)|, exact scaling by 2^m
+    size_cap = math.inf if max_size is None else max_size
+    candidate_cap = math.inf if max_candidates is None else max_candidates
     rows = np.empty((_BLOCK * k, k), dtype=complex)
     members: list[np.ndarray] = []
     candidates = rejections = 0
-    while rejections < max_rejections and (max_size is None or len(members) < max_size):
-        if candidates % _BLOCK == 0:
+    while rejections < max_rejections and len(members) < size_cap and candidates < candidate_cap:
+        i, n = candidates % _BLOCK, len(members)
+        if i == 0:
             draws = haar_unitary(2 ** m, rng, _BLOCK)
-        v = draws[candidates % _BLOCK]
+            live, tested = np.ones(_BLOCK, dtype=bool), 0
+        for s in range(tested, n * k, _BLOCK * k):  # rows the block has not met
+            j = i + np.flatnonzero(live[i:])
+            overlaps = rows[s:min(s + _BLOCK * k, n * k)] @ draws[j].reshape(-1, k).T
+            live[j] = np.abs(overlaps).max(axis=0) <= bound
+        tested = n * k
         candidates += 1
-        n = len(members)
-        blocks = (rows[s * k:min(s + _BLOCK, n) * k] for s in range(0, n, _BLOCK))
-        if any(np.abs(block @ v.reshape(k)).max() > bound for block in blocks):
+        if not live[i]:
             rejections += 1
             continue
         if (n + 1) * k > len(rows):
             rows = np.concatenate((rows, np.empty_like(rows)))
-        rows[n * k:(n + 1) * k] = _orbit_rows(v, m)
-        members.append(v.copy())
+        rows[n * k:(n + 1) * k] = _orbit_rows(draws[i], m)
+        members.append(draws[i].copy())
         rejections = 0
-    stop = "max_rejections reached" if rejections >= max_rejections else "max_size"
+    stop = ("max_rejections reached" if rejections >= max_rejections
+            else "max_size" if len(members) >= size_cap else "max_candidates")
     return UnitaryPacking(m, eta, tuple(members), seed, candidates, stop)
 
 

@@ -230,10 +230,13 @@ def fidelity(rho, sigma) -> float:
 
 
 def trace_distance(rho, sigma) -> float:
-    """Half the trace norm of rho - sigma."""
+    """Half the trace norm of rho - sigma; a raw array must be Hermitian."""
     r, s = _mat(rho), _mat(sigma)
-    if r.shape != s.shape:
-        raise ValueError(f"dimension mismatch {r.shape} vs {s.shape}")
+    if r.shape != s.shape or r.shape != r.shape[:1] * 2:
+        raise ValueError(f"trace distance needs square inputs of one shape: {r.shape}, {s.shape}")
+    for x, m in ((rho, r), (sigma, s)):
+        if not isinstance(x, DensityMatrix) and np.abs(m - m.conj().T).max() > HERMITIAN_TOL:
+            raise ValueError("trace distance input is not Hermitian within tolerance")
     vals = np.linalg.eigvalsh(r - s)
     return float(0.5 * np.abs(vals).sum())
 

@@ -5,7 +5,7 @@ import pytest
 
 from compent import cli
 from compent.harness import CheckRecord
-from compent.packing import packing_from_dict, separation_check
+from compent.packing import greedy_packing, packing_from_dict, packing_to_dict, separation_check
 
 
 def run(argv):
@@ -111,6 +111,13 @@ def test_net_command(tmp_path, capsys):
     assert run(["net", "--m", "1", "--eta", "0.99", "--seed", "7", "--out", str(solo)]) == 0
     assert len(packing_from_dict(json.loads(solo.read_text()))) == 1
 
+    capped = tmp_path / "capped.json"
+    assert run(["net", "--m", "1", "--eta", "0.3", "--seed", "7", "--max-candidates", "100",
+                "--out", str(capped)]) == 0
+    assert "from 100 candidates (stopped: max_candidates)" in capsys.readouterr().err
+    expected = greedy_packing(1, 0.3, seed=7, max_candidates=100)
+    assert capped.read_text() == json.dumps(packing_to_dict(expected), sort_keys=True) + "\n"
+
     assert run(["net", "--m", "1", "--eta", "1.5"]) == 2
     assert run(["net", "--m", "3", "--eta", "0.5"]) == 2
 
@@ -197,6 +204,7 @@ def test_suite_choices_come_from_the_table(capsys):
     ["net", "--m", "-1", "--eta", "0.5"],
     ["net", "--m", "0", "--eta", "0.5"],
     ["net", "--m", "3", "--eta", "0.5"],
+    ["net", "--eta", "0.5", "--max-candidates", "0"],
     ["counterexample", "--m", "0"],
     ["counterexample", "--m", "3"],
 ])

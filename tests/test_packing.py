@@ -113,6 +113,60 @@ def test_greedy_packing_matches_per_member_reference(m, eta, max_size):
         assert p.stop == ("max_size" if max_size is not None else "max_rejections reached")
 
 
+def test_block_walk_cases_match_the_reference():
+    # m=1, eta=0.1, seed 0 holds each case of the walk through a 64-candidate
+    # block after its first: two members accepted from one block, a candidate
+    # that every earlier block's member lets through but a member accepted
+    # earlier in its own block rejects, and a max_rejections stop mid-block
+    m, eta, seed = 1, 0.1, 0
+    ref, candidates = greedy_packing_reference(m, eta, seed=seed)
+    p = greedy_packing(m, eta, seed=seed)
+    assert [u.tobytes() for u in p.members] == [u.tobytes() for u in ref]
+    assert p.candidates == candidates and p.stop == "max_rejections reached"
+    rng = np.random.default_rng(seed)
+    draws = np.concatenate([haar_unitary(2 ** m, rng, 64) for _ in range(-(-candidates // 64))])
+    draws = draws[:candidates]
+    index = {v.tobytes(): c for c, v in enumerate(draws)}
+    accepted_at = np.array([index[u.tobytes()] for u in ref])
+    orbits = np.array([pauli_orbit(u, m) for u in ref])
+    # overlap[j, c]: root fidelity of member j's orbit against candidate c
+    overlap = np.abs(np.einsum("jpab,cab->jpc", orbits.conj(), draws)).max(axis=1) / 2 ** m
+    block_start = np.arange(candidates) // 64 * 64
+    earlier_block = accepted_at[:, None] < block_start
+    own_block = (accepted_at[:, None] >= block_start) & (accepted_at[:, None] < np.arange(candidates))
+    passes_earlier = np.where(earlier_block, overlap, 0.0).max(axis=0) <= 1 - eta
+    fails_own = np.where(own_block, overlap, 0.0).max(axis=0) > 1 - eta
+    accepted_per_later_block = np.bincount(accepted_at // 64)[1:]
+    assert accepted_per_later_block.max() >= 2
+    assert (passes_earlier & fails_own & (block_start > 0)).any()
+    assert candidates % 64 != 0
+
+
+@pytest.fixture(scope="module")
+def accepted_at_m2_eta05():
+    """The full m=2, eta=0.5, seed 1 run, and the candidate count at which
+    each of its members was accepted."""
+    full = greedy_packing(2, 0.5, seed=1)
+    return full, [greedy_packing(2, 0.5, seed=1, max_size=n).candidates
+                  for n in range(1, len(full) + 1)]
+
+
+@pytest.mark.parametrize("cap", [1, 2, 63, 64, 65, 300, 764, 765, 766])
+def test_max_candidates_keeps_what_the_first_candidates_accepted(accepted_at_m2_eta05, cap):
+    full, accepted_at = accepted_at_m2_eta05
+    p = greedy_packing(2, 0.5, seed=1, max_candidates=cap)
+    kept = sum(c <= cap for c in accepted_at)
+    assert [u.tobytes() for u in p.members] == [u.tobytes() for u in full.members[:kept]]
+    assert p.candidates == min(cap, full.candidates)
+    assert p.stop == ("max_candidates" if cap < full.candidates else "max_rejections reached")
+
+
+def test_max_candidates_must_be_positive():
+    for cap in (0, -3):
+        with pytest.raises(ValueError, match="max_candidates"):
+            greedy_packing(1, 0.3, max_candidates=cap)
+
+
 def test_greedy_packing_high_eta_single_member():
     # orbit overlap >= 1/2 at m=1, so nothing survives next to one member
     p = greedy_packing(1, 0.99, seed=11)

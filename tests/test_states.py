@@ -140,13 +140,14 @@ def test_trace_distance_values():
 
 
 SCANNED = ("nan-real", "+inf-imag", "-inf-imag", "non-square")
-# rho's square root checks Hermiticity and the PSD floor; sigma, and both
-# arguments of the trace distance, are only scanned for finiteness and shape
+# rho's square root checks Hermiticity and the PSD floor, the trace distance
+# checks both arguments for Hermiticity, and fidelity's sigma is only scanned
+# for finiteness and shape
 VALIDATED = {
     "fidelity-rho": (lambda m: fidelity(m, np.eye(2) / 2), tuple(BAD_INPUTS)),
     "fidelity-sigma": (lambda m: fidelity(np.eye(2) / 2, m), SCANNED),
-    "trace_distance-rho": (lambda m: trace_distance(m, np.eye(2) / 2), SCANNED),
-    "trace_distance-sigma": (lambda m: trace_distance(np.eye(2) / 2, m), SCANNED),
+    "trace_distance-rho": (lambda m: trace_distance(m, np.eye(2) / 2), SCANNED + ("non-hermitian",)),
+    "trace_distance-sigma": (lambda m: trace_distance(np.eye(2) / 2, m), SCANNED + ("non-hermitian",)),
     "DensityMatrix": (lambda m: DensityMatrix(m, (1,)), tuple(BAD_INPUTS)),
 }
 
