@@ -33,9 +33,9 @@ import numpy as np
 from .linalg import (
     QUBIT_CAP,
     SizeLimitError,
-    as_complex,
     as_ints,
     embed_operator,
+    kron,
     marginal,
     matrix_from_dict,
     matrix_to_dict,
@@ -75,6 +75,15 @@ def _wires(w) -> tuple[int, ...]:
     return as_ints((w,) if isinstance(w, (int, np.integer)) else w, "wires")
 
 
+def _set_wires(gate: "Gate", wires, controls) -> None:
+    """Give ``gate`` its wires and controls as integer tuples that share no wire."""
+    wires, controls = _wires(wires), _wires(controls)
+    if len(set(wires + controls)) != len(wires) + len(controls):
+        raise ValueError(f"duplicate wires in gate: {wires + controls}")
+    object.__setattr__(gate, "wires", wires)
+    object.__setattr__(gate, "controls", controls)
+
+
 @dataclass(frozen=True, eq=False)
 class Gate:
     """A single circuit element: unitary, computational-basis controlled
@@ -86,11 +95,7 @@ class Gate:
     controls: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "wires", _wires(self.wires))
-        object.__setattr__(self, "controls", _wires(self.controls))
-        touched = self.wires + self.controls
-        if len(set(touched)) != len(touched):
-            raise ValueError(f"duplicate wires in gate: {touched}")
+        _set_wires(self, self.wires, self.controls)
         if self.kind in (UNITARY, CONTROLLED):
             if not 1 <= len(self.wires) <= 2:
                 raise ValueError("unitary payloads act on 1 or 2 qubits")
@@ -117,15 +122,15 @@ class Gate:
 
     @staticmethod
     def unitary(matrix, wires) -> "Gate":
-        return Gate(UNITARY, _wires(wires), as_complex(matrix))
+        return Gate(UNITARY, wires, matrix)
 
     @staticmethod
     def controlled(matrix, wires, controls) -> "Gate":
-        return Gate(CONTROLLED, _wires(wires), as_complex(matrix), _wires(controls))
+        return Gate(CONTROLLED, wires, matrix, controls)
 
     @staticmethod
     def pinch(wires) -> "Gate":
-        return Gate(PINCH, _wires(wires))
+        return Gate(PINCH, wires)
 
     @property
     def cost(self) -> int:
@@ -145,8 +150,11 @@ class Gate:
         return m
 
     def remap(self, wire_map: dict[int, int]) -> "Gate":
-        return Gate(self.kind, tuple(wire_map[w] for w in self.wires), self.matrix,
-                    tuple(wire_map[w] for w in self.controls))
+        """The gate on the mapped wires; a map cannot break the checked payload."""
+        g = object.__new__(Gate)
+        g.__dict__.update(self.__dict__)
+        _set_wires(g, [wire_map[w] for w in self.wires], [wire_map[w] for w in self.controls])
+        return g
 
 
 @dataclass(frozen=True)
@@ -259,8 +267,8 @@ class _TensorState:
     Pure inputs are tracked as an amplitude tensor until a pinch or partial
     trace forces densification; afterwards the state is a (2,)*2k density
     tensor where bra axis i and ket axis k+i both belong to ``active[i]``.
-    Unitaries act on the density tensor as a single contraction with
-    U (x) conj(U), which halves the number of large transpose copies.
+    A gate step is one ``np.dot`` of its operator (on a density tensor,
+    ``linalg.kron(U, conj U)``) with the tensor's gate axes moved in front.
     """
 
     def __init__(self, matrix: np.ndarray, wires: Sequence[int], vector=None):
@@ -298,14 +306,13 @@ class _TensorState:
     def unitary(self, u: np.ndarray, wires: Sequence[int]) -> None:
         axes = self._axes(wires)
         if not self.pure:
-            u = np.kron(u, np.conj(u))
+            u = kron(u, u.conj())
             axes += [self.k + a for a in axes]
-        n = len(axes)
-        self.t = np.moveaxis(
-            np.tensordot(u.reshape((2,) * (2 * n)), self.t, axes=(list(range(n, 2 * n)), axes)),
-            range(n),
-            axes,
-        )
+        # np.tensordot's dot on its operands; u keeps its memory order (a copy can move last bits)
+        perm = axes + [i for i in range(self.t.ndim) if i not in axes]
+        flat = self.t.transpose(perm).reshape(len(u), -1)
+        back = sorted(range(len(perm)), key=perm.__getitem__)  # the inverse of perm
+        self.t = np.dot(u, flat).reshape(self.t.shape).transpose(back)
 
     def pinch(self, wires: Iterable[int]) -> None:
         wires = list(wires)

@@ -48,7 +48,13 @@ def tensor_product(a, b) -> np.ndarray:
             f"tensor product exceeds the {QUBIT_CAP}-qubit cap: "
             f"{a.shape} x {b.shape}"
         )
-    return np.kron(a, b)
+    return kron(a, b)
+
+
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two matrices as its one multiply (bitwise equal), minus its shape work."""
+    (p, q), (r, s) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(p * r, q * s)
 
 
 def marginal(m: np.ndarray, n_qubits: int, keep: Sequence[int]) -> np.ndarray:
@@ -117,7 +123,7 @@ def embed_operator(op: np.ndarray, wires: Sequence[int], n_qubits: int) -> np.nd
     if op.shape != (2 ** k, 2 ** k):
         raise ValueError(f"operator shape {op.shape} does not match {k} wires")
     order = wires + [q for q in range(n_qubits) if q not in wires]  # qubit order of full
-    full = np.kron(op, np.eye(2 ** (n_qubits - k), dtype=complex))
+    full = kron(op, np.eye(2 ** (n_qubits - k), dtype=complex))
     return marginal(full, n_qubits, [order.index(q) for q in range(n_qubits)])
 
 

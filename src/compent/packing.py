@@ -119,8 +119,10 @@ def greedy_packing(
         raise ValueError(f"packings are built for 1 <= m <= 2 (orbit scans stay cheap), got m={m}")
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
-    if max_candidates is not None and max_candidates < 1:
-        raise ValueError(f"max_candidates must be at least 1, got {max_candidates}")
+    for name, cap in (("max_rejections", max_rejections), ("max_size", max_size),
+                      ("max_candidates", max_candidates)):
+        if cap is not None and cap < 1:
+            raise ValueError(f"{name} must be at least 1, got {cap}")
     rng = np.random.default_rng(seed)
     k = 4 ** m
     bound = (1.0 - eta) * 2 ** m  # on |tr((P U)^dag V)|, exact scaling by 2^m

@@ -20,6 +20,7 @@ from .linalg import (
     as_complex,
     as_ints,
     haar_unitary,
+    kron,
     marginal,
     matrix_from_dict,
     matrix_to_dict,
@@ -191,7 +192,7 @@ def pauli_shift(a, b) -> np.ndarray:
             factor = x @ factor
         if bi:
             factor = factor @ z
-        out = np.kron(out, factor)
+        out = kron(out, factor)
     return out
 
 
@@ -320,15 +321,13 @@ def mixture(states: Sequence[BipartiteState], p: Sequence[float]) -> BipartiteSt
 def tensor_states(s1: BipartiteState, s2: BipartiteState) -> BipartiteState:
     """Bipartite tensor product: A parts concatenate, B parts concatenate."""
     cut = s1.cut + s2.cut  # qubit order A1 B1 A2 B2
-    m = marginal(np.kron(s1.matrix, s2.matrix), sum(cut), _register_wires(cut, (0, 2, 1, 3)))
+    m = marginal(kron(s1.matrix, s2.matrix), sum(cut), _register_wires(cut, (0, 2, 1, 3)))
     return bipartite_from_matrix(m, (s1.n_a + s2.n_a, s1.n_b + s2.n_b))
 
 
 def conjugate_local(s: BipartiteState, u_a, u_b) -> BipartiteState:
     """Apply a local unitary U_A (x) U_B to a bipartite state."""
-    u_a = require_unitary(u_a, "U_A")
-    u_b = require_unitary(u_b, "U_B")
-    u = np.kron(u_a, u_b)
+    u = kron(require_unitary(u_a, "U_A"), require_unitary(u_b, "U_B"))
     return bipartite_from_matrix(u @ s.matrix @ u.conj().T, s.cut)
 
 

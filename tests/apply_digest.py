@@ -1,0 +1,77 @@
+"""Print SHA-256 digests of ``circuits.apply`` outputs on seeded inputs.
+
+    PYTHONPATH=src python tests/apply_digest.py
+
+Every input is drawn here with plain numpy from fixed seeds, so two source
+trees that simulate bit for bit alike print the same lines.  The cases are
+the stock channel zoo on random mixed states, ``bbpssw_round`` on isotropic
+pairs, the n=2 teleport on a noisy isotropic resource, and a 3+3 Haar local
+circuit on a mixed state.  Each line is ``<case> <sha256 of the output's
+bytes>``.
+"""
+
+import hashlib
+
+import numpy as np
+
+from compent.circuits import (
+    Gate, apply, bbpssw_round, local_unitary_circuit, stock_channel_zoo, teleport_dilution,
+)
+from compent.states import DensityMatrix
+
+PHI = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
+
+
+def ginibre(dim, rng):
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def haar(dim, rng):
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def isotropic(f):
+    phi = np.outer(PHI, PHI.conj())
+    return f * phi + (1 - f) * (np.eye(4) - phi) / 3.0
+
+
+def pairs(*rhos):
+    """Pairs (A_i, B_i) as one state on A_1..A_n B_1..B_n."""
+    n = len(rhos)
+    m = rhos[0]
+    for r in rhos[1:]:
+        m = np.kron(m, r)  # order A1 B1 A2 B2 ...
+    order = [2 * i for i in range(n)] + [2 * i + 1 for i in range(n)]
+    t = m.reshape((2,) * (4 * n)).transpose(order + [2 * n + q for q in order])
+    return DensityMatrix(t.reshape(4 ** n, 4 ** n), (n, n))
+
+
+def cases():
+    """(name, circuit, input state) for every digested apply."""
+    rng = np.random.default_rng(2026)
+    for name, c in stock_channel_zoo():
+        for i in range(3):
+            rho = ginibre(2 ** (c.n_a + c.n_b), rng)
+            yield f"zoo-{name}-{i}", c, DensityMatrix(rho, (c.n_a, c.n_b))
+    for f in (0.6, 0.8, 0.95):
+        yield f"bbpssw-F{f}", bbpssw_round(), pairs(isotropic(f), isotropic(f))
+    prep = [Gate.unitary(haar(4, rng), w) for w in ((0, 2), (1, 3), (0, 1), (2, 3))]
+    yield "teleport-n2-F0.9", teleport_dilution(prep, 2), pairs(isotropic(0.9), isotropic(0.9))
+    alice, bob = ([Gate.unitary(haar(4, rng), (a + i, a + j)) for i, j in ((0, 1), (1, 2), (0, 2))]
+                  + [Gate.unitary(haar(2, rng), (a + 2,))] for a in (0, 3))
+    local = local_unitary_circuit(alice, bob, 3, 3)
+    yield "local-3+3", local, DensityMatrix(ginibre(64, rng), (3, 3))
+
+
+def digests():
+    return [(name, hashlib.sha256(apply(c, s).matrix.tobytes()).hexdigest())
+            for name, c, s in cases()]
+
+
+if __name__ == "__main__":
+    for name, digest in digests():
+        print(name, digest)

@@ -6,6 +6,8 @@ round, the purification oracle works with raw 4-qubit projectors, and the
 packing oracle is the per-candidate, per-member greedy loop.  The fidelity
 oracle is the fidelity computation with every input check done separately:
 each argument scanned on its own, then rho scanned again by its eigensolve.
+The gate-step oracle is the simulator's step written with ``np.kron``,
+``np.tensordot`` and ``np.moveaxis``.
 """
 
 from itertools import product
@@ -41,6 +43,18 @@ def kron(*ms):
     for m in ms:
         out = np.kron(out, m)
     return out
+
+
+def unitary_step_reference(t, u, axes, k=None):
+    """Gate ``u`` on the tensor axes ``axes`` of an amplitude tensor ``t``, or,
+    given ``k``, of a (2,)*2k density tensor (bra axis i, ket axis k+i)."""
+    axes = list(axes)
+    if k is not None:
+        u = np.kron(u, np.conj(u))
+        axes += [k + a for a in axes]
+    n = len(axes)
+    contracted = np.tensordot(u.reshape((2,) * (2 * n)), t, axes=(list(range(n, 2 * n)), axes))
+    return np.moveaxis(contracted, range(n), axes)
 
 
 def permute(m, perm):

@@ -35,7 +35,7 @@ from compent.circuits import (
     tensor,
     unrotate_distillation,
 )
-from compent.linalg import SizeLimitError, embed_operator, haar_unitary
+from compent.linalg import SizeLimitError, embed_operator, haar_unitary, require_unitary
 from compent.states import (
     all_keys,
     bipartite_from_matrix,
@@ -88,6 +88,37 @@ def test_gate_validation():
     for controls in ((1, 2, 3), tuple(range(1, 7))):
         with pytest.raises(SizeLimitError):
             Gate.controlled(X, (0,), controls)
+
+
+def test_remap_keeps_the_checked_payload():
+    g = Gate.unitary(CNOT.conj().T, (0, 1))
+    moved = g.remap({0: 4, 1: 2})
+    assert moved.wires == (4, 2) and moved.matrix is g.matrix and moved.kind == g.kind
+    c = Gate.controlled(CNOT, (1, 2), (0,))
+    assert c.remap({0: 5, 1: 3, 2: 4}).touched() == (5, 3, 4)
+    for gate, colliding in ((g, {0: 3, 1: 3}), (c, {0: 2, 1: 3, 2: 2})):
+        with pytest.raises(ValueError, match="duplicate wires"):
+            gate.remap(colliding)
+    with pytest.raises(ValueError, match="integers"):
+        g.remap({0: 1.5, 1: 2})
+
+
+def test_tensor_checks_no_payload_again(monkeypatch):
+    first, second = identity_circuit(1, 1), bbpssw_round()
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return require_unitary(*args, **kwargs)
+
+    monkeypatch.setattr("compent.circuits.require_unitary", counting)
+    g = tensor(first, second)
+    assert calls == []
+    payloads = [[h.matrix for r in c.rounds for h in r.alice + r.bob] for c in (g, second)]
+    assert len(payloads[0]) == len(payloads[1]) == 10
+    assert all(a is b for a, b in zip(*payloads))
+    Gate.unitary(X, (0,))  # the counter sees a fresh gate's check
+    assert len(calls) == 1
 
 
 def test_circuit_wire_ownership():

@@ -167,6 +167,17 @@ def test_max_candidates_must_be_positive():
             greedy_packing(1, 0.3, max_candidates=cap)
 
 
+@pytest.mark.parametrize("name", ["max_size", "max_rejections"])
+def test_size_and_rejection_caps_must_be_positive(name):
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match=name):
+            greedy_packing(1, 0.3, **{name: cap})
+    # the smallest legal cap still accepts the first candidate
+    p = greedy_packing(1, 0.3, seed=7, **{name: 1})
+    assert len(p) == 1 and separation_check(p)
+    assert p.stop == ("max_size" if name == "max_size" else "max_rejections reached")
+
+
 def test_greedy_packing_high_eta_single_member():
     # orbit overlap >= 1/2 at m=1, so nothing survives next to one member
     p = greedy_packing(1, 0.99, seed=11)
