@@ -260,6 +260,10 @@ def gate_count(circuit: LoccCircuit) -> int:
 
 # -- simulation ---------------------------------------------------------------
 
+# A gate step on a tensor of more than 2**_STEP_AXES entries gathers and
+# multiplies blocks of 2**_STEP_AXES entries (512 KiB), which stay in cache.
+_STEP_AXES = 15
+
 
 class _TensorState:
     """State over a dynamic set of active wires.
@@ -269,6 +273,9 @@ class _TensorState:
     tensor where bra axis i and ket axis k+i both belong to ``active[i]``.
     A gate step is one ``np.dot`` of its operator (on a density tensor,
     ``linalg.kron(U, conj U)``) with the tensor's gate axes moved in front.
+    Above 2**_STEP_AXES entries it runs block by block into one
+    preallocated output, with the single dot's bits and strides: its peak
+    allocation is one tensor plus one block, not a gathered copy plus the output.
     """
 
     def __init__(self, matrix: np.ndarray, wires: Sequence[int], vector=None):
@@ -297,7 +304,8 @@ class _TensorState:
         self.t = np.multiply.outer(self.t, block)
         if not self.pure:
             # new bra axes sit after the old bras, new kets at the end
-            self.t = np.moveaxis(self.t, range(2 * k, 2 * k + f), range(k, k + f))
+            self.t = self.t.transpose([*range(k), *range(2 * k, 2 * k + f),
+                                       *range(k, 2 * k), *range(2 * k + f, 2 * (k + f))])
         self.active.extend(fresh)
 
     def _axes(self, wires: Sequence[int]) -> list[int]:
@@ -309,32 +317,44 @@ class _TensorState:
             u = kron(u, u.conj())
             axes += [self.k + a for a in axes]
         # np.tensordot's dot on its operands; u keeps its memory order (a copy can move last bits)
-        perm = axes + [i for i in range(self.t.ndim) if i not in axes]
-        flat = self.t.transpose(perm).reshape(len(u), -1)
+        t, n = self.t, len(u)
+        perm = axes + [i for i in range(t.ndim) if i not in axes]
         back = sorted(range(len(perm)), key=perm.__getitem__)  # the inverse of perm
-        self.t = np.dot(u, flat).reshape(self.t.shape).transpose(back)
+        view = t.transpose(perm)
+        if t.ndim <= _STEP_AXES:
+            cols = np.dot(u, view.reshape(n, -1))
+        else:
+            # one cache-sized gathered copy per index of the leading non-gate axes
+            lead = t.ndim - _STEP_AXES
+            cols = np.empty((n, t.size // n), dtype=complex)
+            parts = cols.reshape(n, 2 ** lead, -1)
+            for c, i in enumerate(np.ndindex((2,) * lead)):
+                np.matmul(u, view[(slice(None),) * len(axes) + i].reshape(n, -1), out=parts[:, c])
+        self.t = cols.reshape(t.shape).transpose(back)
 
     def pinch(self, wires: Iterable[int]) -> None:
         wires = list(wires)
         if not wires:
             return
         self.densify()
+        k = self.k
         for w in wires:
             p = self.active.index(w)
-            view = np.moveaxis(self.t, (p, self.k + p), (0, 1))
-            view[0, 1] = 0.0
-            view[1, 0] = 0.0
+            view = self.t.transpose([p, k + p, *(i for i in range(2 * k) if i not in (p, k + p))])
+            view[0, 1] = view[1, 0] = 0.0
 
     def trace_out(self, wires: Iterable[int]) -> None:
         wires = list(wires)
         if not wires:
             return
         if self.pure:
-            # fuse densification with the trace: contract the outer product
-            # over the dropped axes without materializing the full matrix
+            # fuse densification with the trace: np.tensordot's one dot of the
+            # outer product over the dropped axes, without the full matrix
             axes = self._axes(wires)
-            keep = [i for i in range(self.k) if i not in set(axes)]
-            self.t = np.tensordot(self.t, np.conj(self.t), axes=(axes, axes))
+            keep = [i for i in range(self.k) if i not in axes]
+            flat = self.t.transpose(keep + axes).reshape(2 ** len(keep), -1)
+            dual = self.t.conj().transpose(axes + keep).reshape(-1, len(flat))
+            self.t = np.dot(flat, dual).reshape((2,) * (2 * len(keep)))
             self.active = [self.active[i] for i in keep]
             self.pure = False
             return

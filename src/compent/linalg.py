@@ -18,6 +18,7 @@ QUBIT_CAP = 14          # hard limit on dense simulation size
 HERMITIAN_TOL = 1e-10   # entrywise |m - m^dag| tolerance
 PSD_FLOOR = -1e-10      # eigenvalues in [PSD_FLOOR, 0) are treated as 0
 UNITARY_TOL = 1e-9
+HERMITIAN_BAND = 64     # rows per band of hermitian_gap
 
 
 class SizeLimitError(ValueError):
@@ -42,6 +43,8 @@ def as_ints(values, what: str) -> tuple[int, ...]:
 def tensor_product(a, b) -> np.ndarray:
     """Kronecker product with ``a``'s indices most significant."""
     a, b = as_complex(a), as_complex(b)
+    if a.ndim != 2 or b.ndim != 2:
+        raise ValueError(f"tensor product expects matrices, got shapes {a.shape} and {b.shape}")
     cap = 2 ** QUBIT_CAP
     if a.shape[0] * b.shape[0] > cap or a.shape[1] * b.shape[1] > cap:
         raise SizeLimitError(
@@ -87,12 +90,22 @@ def schatten_norm(m, p) -> float:
     return float(np.sum(sv ** p) ** (1.0 / p))
 
 
+def hermitian_gap(m: np.ndarray) -> np.floating:
+    """``np.abs(m - m.conj().T).max()`` of a square matrix, bit for bit.  Above
+    ``HERMITIAN_BAND`` rows, each row band meets its column band over the
+    upper triangle only, in cache: |d_ij| = |d_ji| holds exactly in floating point."""
+    b = HERMITIAN_BAND
+    if len(m) <= b:
+        return np.abs(m - m.conj().T).max()
+    return np.max([np.abs(m[i:i + b, i:] - m[i:, i:i + b].conj().T).max() for i in range(0, len(m), b)])
+
+
 def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
     m = as_complex(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("eig_hermitian expects a square matrix")
-    if np.abs(m - m.conj().T).max() > HERMITIAN_TOL:
+    if hermitian_gap(m) > HERMITIAN_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
     vals, vecs = np.linalg.eigh(m)
     return vals, vecs

@@ -20,6 +20,7 @@ from .linalg import (
     as_complex,
     as_ints,
     haar_unitary,
+    hermitian_gap,
     kron,
     marginal,
     matrix_from_dict,
@@ -54,7 +55,7 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", m)
         if m.shape != (2 ** sum(cut),) * 2:
             raise ValueError(f"matrix shape {m.shape} does not match cut {cut}")
-        if np.abs(m - m.conj().T).max() > HERMITIAN_TOL:
+        if hermitian_gap(m) > HERMITIAN_TOL:
             raise ValueError("density matrix is not Hermitian within tolerance")
         tr = m.trace().real
         if abs(tr - 1.0) > TRACE_TOL:
@@ -236,7 +237,7 @@ def trace_distance(rho, sigma) -> float:
     if r.shape != s.shape or r.shape != r.shape[:1] * 2:
         raise ValueError(f"trace distance needs square inputs of one shape: {r.shape}, {s.shape}")
     for x, m in ((rho, r), (sigma, s)):
-        if not isinstance(x, DensityMatrix) and np.abs(m - m.conj().T).max() > HERMITIAN_TOL:
+        if not isinstance(x, DensityMatrix) and hermitian_gap(m) > HERMITIAN_TOL:
             raise ValueError("trace distance input is not Hermitian within tolerance")
     vals = np.linalg.eigvalsh(r - s)
     return float(0.5 * np.abs(vals).sum())

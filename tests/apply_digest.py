@@ -5,9 +5,11 @@
 Every input is drawn here with plain numpy from fixed seeds, so two source
 trees that simulate bit for bit alike print the same lines.  The cases are
 the stock channel zoo on random mixed states, ``bbpssw_round`` on isotropic
-pairs, the n=2 teleport on a noisy isotropic resource, and a 3+3 Haar local
-circuit on a mixed state.  Each line is ``<case> <sha256 of the output's
-bytes>``.
+pairs, the n=2 teleport on a noisy isotropic resource, a 3+3 Haar local
+circuit on a mixed state, and a 5+5 one on a 1024-dimensional mixed state,
+whose 10-qubit density tensor takes the blocked gate step.  Each line is
+``<case> <sha256 of the output's bytes>``.  New cases go last, so the lines
+of the earlier ones do not change.
 """
 
 import hashlib
@@ -65,6 +67,11 @@ def cases():
                   + [Gate.unitary(haar(2, rng), (a + 2,))] for a in (0, 3))
     local = local_unitary_circuit(alice, bob, 3, 3)
     yield "local-3+3", local, DensityMatrix(ginibre(64, rng), (3, 3))
+    # a Haar gate on each wire, then one on each neighbouring pair
+    alice, bob = ([Gate.unitary(haar(2, rng), (a + i,)) for i in range(5)]
+                  + [Gate.unitary(haar(4, rng), (a + i, a + i + 1)) for i in range(4)] for a in (0, 5))
+    local = local_unitary_circuit(alice, bob, 5, 5)
+    yield "local-5+5", local, DensityMatrix(ginibre(1024, rng), (5, 5))
 
 
 def digests():

@@ -7,7 +7,8 @@ packing oracle is the per-candidate, per-member greedy loop.  The fidelity
 oracle is the fidelity computation with every input check done separately:
 each argument scanned on its own, then rho scanned again by its eigensolve.
 The gate-step oracle is the simulator's step written with ``np.kron``,
-``np.tensordot`` and ``np.moveaxis``.
+``np.tensordot`` and ``np.moveaxis``, and the ancilla, pinch and pure
+partial-trace oracles are the simulator's other moves in that same form.
 """
 
 from itertools import product
@@ -55,6 +56,29 @@ def unitary_step_reference(t, u, axes, k=None):
     n = len(axes)
     contracted = np.tensordot(u.reshape((2,) * (2 * n)), t, axes=(list(range(n, 2 * n)), axes))
     return np.moveaxis(contracted, range(n), axes)
+
+
+def ensure_reference(t, k, f):
+    """A (2,)*2k density tensor with f fresh |0> wires appended: the outer
+    product with the |0..0><0..0| block, new bras moved after the old bras."""
+    block = np.zeros((2,) * (2 * f), dtype=complex)
+    block[(0,) * (2 * f)] = 1.0
+    return np.moveaxis(np.multiply.outer(t, block), range(2 * k, 2 * k + f), range(k, k + f))
+
+
+def pinch_reference(t, k, positions):
+    """A copy of the (2,)*2k density tensor ``t`` dephased on the wire positions."""
+    t = t.copy(order="K")  # keeps the strides of a transposed view
+    for p in positions:
+        view = np.moveaxis(t, (p, k + p), (0, 1))
+        view[0, 1] = 0.0
+        view[1, 0] = 0.0
+    return t
+
+
+def pure_trace_out_reference(t, axes):
+    """The density tensor of amplitude tensor ``t`` with ``axes`` traced out."""
+    return np.tensordot(t, np.conj(t), axes=(list(axes), list(axes)))
 
 
 def permute(m, perm):

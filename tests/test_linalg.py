@@ -6,13 +6,14 @@ from compent.linalg import (
     eig_hermitian,
     embed_operator,
     haar_unitary,
+    hermitian_gap,
     marginal,
     psd_sqrt,
     require_unitary,
     schatten_norm,
     tensor_product,
 )
-from compent.states import DensityMatrix
+from compent.states import DensityMatrix, random_density_matrix, trace_distance
 
 from oracles import BAD_INPUTS, haar_single
 
@@ -56,6 +57,12 @@ def test_tensor_product_cap():
     big = np.eye(2 ** 8)
     with pytest.raises(SizeLimitError):
         tensor_product(big, big)
+
+
+def test_tensor_product_refuses_a_non_matrix_before_the_cap():
+    for a, b in (([1, 0], [0, 1]), (5, [[1]]), ([[1]], np.zeros((2, 2, 2)))):
+        with pytest.raises(ValueError, match="expects matrices"):
+            tensor_product(a, b)
 
 
 def test_layout_validation():
@@ -230,3 +237,52 @@ def test_haar_unitary_block_equals_single_draws():
             singles = [haar_single(d, rng) for _ in range(64)]
             assert block.shape == (64, d, d)
             assert block.tobytes() == np.stack(singles).tobytes()
+
+
+# sizes around the 64-row bands of hermitian_gap: under, at, and one past one
+# and two bands, a band-aligned size, one row into a fifth band, and 16 bands
+GAP_SIZES = (1, 63, 64, 65, 127, 256, 257, 1024)
+
+
+def spoil_positions(n):
+    """An entry in the first row band, one in the last and one on the diagonal."""
+    return {"first": (0, n - 1), "last": (n - 1, max(n - 2, 0)), "diagonal": (n // 2, n // 2)}
+
+
+def spoiled(rho, i, j, size=1e-9):
+    """``rho`` plus the anti-Hermitian ``size * 1j * (E_ij + E_ji)``."""
+    m = rho.copy()
+    m[i, j] += 1j * size
+    if i != j:
+        m[j, i] += 1j * size
+    return m
+
+
+@pytest.mark.parametrize("n", GAP_SIZES)
+def test_hermitian_gap_is_bitwise_the_full_expression(n):
+    rng = np.random.default_rng([77, n])
+    rho = random_density_matrix(n, rng)
+    raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    mats = [rho, raw, np.asfortranarray(raw)]
+    mats += [spoiled(rho, i, j) for i, j in spoil_positions(n).values()]
+    mats += [spoiled(rho, i, j, size=1e-3) for i, j in spoil_positions(n).values()]
+    for m in mats:
+        want = np.abs(m - m.conj().T).max()
+        got = hermitian_gap(m)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", GAP_SIZES)
+def test_checkers_refuse_an_anti_hermitian_spoil_in_any_band(n):
+    rho = random_density_matrix(n, np.random.default_rng([78, n]))
+    assert hermitian_gap(rho) < 1e-12  # the spoil alone breaks the tolerance
+    for where, (i, j) in spoil_positions(n).items():
+        m = spoiled(rho, i, j)
+        assert hermitian_gap(m) > 1e-9, where
+        with pytest.raises(ValueError, match="not Hermitian"):
+            eig_hermitian(m)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            trace_distance(m, rho)
+        if n > 1 and n & (n - 1) == 0:  # a DensityMatrix needs 2**q rows
+            with pytest.raises(ValueError, match="not Hermitian"):
+                DensityMatrix(m, (1, n.bit_length() - 2))

@@ -1,20 +1,25 @@
-"""Bitwise pins of the simulator's gate step and of ``linalg.kron``.
+"""Bitwise pins of the simulator's moves and of ``linalg.kron``.
 
-Both must give the same bits as the ``np.kron`` / ``np.tensordot`` /
-``np.moveaxis`` formulation they replace, signed zeros included, so every
-comparison is on ``tobytes``, not ``==``.
+The gate step (single-dot and blocked), the ancilla, pinch and pure
+partial-trace moves and ``linalg.kron`` must give the same bits and strides
+as the ``np.kron`` / ``np.tensordot`` / ``np.moveaxis`` formulation they
+replace, signed zeros included, so every comparison is on ``tobytes``, not
+``==``.
 """
 
+import tracemalloc
 from itertools import combinations, permutations
 
 import numpy as np
 import pytest
 
-from compent.circuits import Gate, _TensorState
+from compent.circuits import _STEP_AXES, Gate, _TensorState
 from compent.linalg import haar_unitary, kron
 from compent.states import random_density_matrix
 
-from oracles import unitary_step_reference
+from oracles import (
+    ensure_reference, pinch_reference, pure_trace_out_reference, unitary_step_reference,
+)
 
 
 def gate_on(wires, rng, f_ordered):
@@ -65,6 +70,106 @@ def test_gate_step_is_bitwise_the_tensordot_step(k):
                 assert sim.t.strides == ref.strides
 
 
+def assert_same(got, want, *info):
+    assert got.tobytes() == want.tobytes(), info
+    assert got.strides == want.strides, info
+
+
+def payload_gate(kind, where, k, rng, f_ordered):
+    """A Haar gate on the first, middle or last wires of k: a 1-qubit or a
+    2-qubit unitary, or a 1-qubit payload under two controls."""
+    n_wires = {"1q": 1, "2q": 2, "2-control": 3}[kind]
+    start = {"first": 0, "middle": (k - n_wires) // 2, "last": k - n_wires}[where]
+    wires = tuple(range(start + n_wires - 1, start - 1, -1))  # descending, so the order matters
+    u = haar_unitary(2 if kind == "2-control" else 2 ** n_wires, rng)
+    u = u.conj().T if f_ordered else u
+    if kind == "2-control":
+        return Gate.controlled(u, wires[:1], wires[1:])
+    return Gate.unitary(u, wires)
+
+
+@pytest.mark.parametrize("k", (8, 9, 10))
+def test_blocked_gate_step_is_bitwise_the_tensordot_step(k):
+    assert 2 * k > _STEP_AXES  # every case here runs the blocked step
+    rng = np.random.default_rng([910, k])
+    rho = random_density_matrix(2 ** k, rng)
+    for kind in ("1q", "2q", "2-control"):
+        for where in ("first", "middle", "last"):
+            for f_ordered in (False, True):
+                g = payload_gate(kind, where, k, rng, f_ordered)
+                u, touched = g.operator(), g.touched()
+                sim = _TensorState(rho, range(k))
+                ref = unitary_step_reference(sim.t, u, touched, k)
+                sim.unitary(u, touched)
+                assert_same(sim.t, ref, kind, where, f_ordered)
+
+
+def test_blocked_gate_step_allocates_one_tensor():
+    k = 10
+    rng = np.random.default_rng(911)
+    sim = _TensorState(random_density_matrix(2 ** k, rng), range(k))
+    u = haar_unitary(4, rng)
+    tracemalloc.start()
+    try:
+        sim.unitary(u, (3, 7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * sim.t.nbytes
+
+
+def stepped_states(k, rng):
+    """(pure?, _TensorState) pairs over wires 0..k-1: a Haar vector, the sparse
+    vector, a Ginibre mixed state and the sparse projector, each as given and
+    after a 2-qubit gate step (a non-contiguous tensor)."""
+    sparse = sparse_product_vector(k)
+    for pure, state in ((True, haar_unitary(2 ** k, rng)[:, 0]), (True, sparse),
+                        (False, random_density_matrix(2 ** k, rng)),
+                        (False, np.outer(sparse, sparse.conj()))):
+        for stepped in (False, True):
+            sim = _TensorState(None if pure else state, range(k), vector=state if pure else None)
+            if stepped and k > 1:
+                sim.unitary(haar_unitary(4, rng), (k - 1, 0))
+            yield pure, sim
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_ancilla_move_is_bitwise_the_moveaxis_form(k):
+    for pure, sim in stepped_states(k, np.random.default_rng([912, k])):
+        if pure:
+            continue
+        for f in (1, 2, 3):
+            t = sim.t
+            sim.ensure(range(k, k + f))
+            assert_same(sim.t, ensure_reference(t, k, f), k, f)
+            sim.active, sim.t = sim.active[:k], t
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_pinch_is_bitwise_the_moveaxis_form(k):
+    rng = np.random.default_rng([913, k])
+    for pure, sim in stepped_states(k, rng):
+        wires = [int(w) for w in rng.permutation(k)[:rng.integers(1, k + 1)]]
+        sim.densify()
+        ref = pinch_reference(sim.t, k, wires)
+        sim.pinch(wires)
+        assert_same(sim.t, ref, k, pure, wires)
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_pure_trace_out_is_bitwise_the_tensordot_form(k):
+    rng = np.random.default_rng([914, k])
+    for pure, sim in stepped_states(k, rng):
+        if not pure:
+            continue
+        t = sim.t
+        for n in range(1, k + 1):
+            wires = [int(w) for w in rng.permutation(k)[:n]]
+            sim.t, sim.active, sim.pure = t, list(range(k)), True
+            sim.trace_out(wires)
+            assert_same(sim.t, pure_trace_out_reference(t, wires), k, wires)
+
+
 def test_sparse_input_holds_negative_zeros():
     v = sparse_product_vector(4)
     assert np.signbit(v.real).any() and np.signbit(np.outer(v, v.conj()).real).any()
@@ -89,5 +194,5 @@ def test_apply_digest_script_names_each_case_once():
     import apply_digest
 
     lines = apply_digest.digests()
-    assert len(lines) == 26 and len({name for name, _ in lines}) == 26
+    assert len(lines) == 27 and len({name for name, _ in lines}) == 27
     assert all(len(digest) == 64 for _, digest in lines)
