@@ -25,6 +25,7 @@ qubit costs 1 at creation.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
 from itertools import accumulate, chain, zip_longest
 from typing import Callable, Iterable, Sequence
 
@@ -380,17 +381,16 @@ def _as_vector(matrix: np.ndarray) -> np.ndarray | None:
     return vecs[:, -1]
 
 
-def _schedule(circuit: LoccCircuit) -> tuple[list[tuple], dict[int, int]]:
-    """The run order as ``(wires, operator)`` steps, and for each wire the
-    index of the last gate step that touches it.
-
-    A gate gives its operator on ``touched()``, or None for a pinch.  Once C
-    is in use, each half-round ends with a pinch step, the dephasing of C; it
-    pinches the used C wires that a later gate still touches.
+def _program(circuit: LoccCircuit) -> tuple[set[int], list[tuple]]:
+    """The set of non-output inputs that no gate touches, and the run order
+    as ``(wires, operator, done)`` steps, ``done`` the non-output wires whose
+    last use is that step.  A gate gives its operator on ``touched()``, or
+    None for a pinch.  Once C is in use, each half-round ends with a pinch
+    step, the dephasing of C; it pinches the used C wires that a later gate
+    still touches.
     """
     steps: list[tuple[Sequence[int], np.ndarray | None]] = []
     last: dict[int, int] = {}
-    c_wires = circuit.c_wires
     for rnd in circuit.rounds:
         for gates in (rnd.alice, rnd.bob):
             for g in gates:
@@ -398,50 +398,48 @@ def _schedule(circuit: LoccCircuit) -> tuple[list[tuple], dict[int, int]]:
                 for w in wires:
                     last[w] = len(steps)
                 steps.append((wires, g.operator()))
-            used_c = [w for w in c_wires if w in last]
+            used_c = [w for w in circuit.c_wires if w in last]
             if used_c:
                 steps.append((used_c, None))
+    keep = set(circuit.out_a_global + circuit.out_b_global)
+    idle = {w for w in (*circuit.block("n_a"), *circuit.block("n_b")) if w not in last and w not in keep}
     # every wire of a pinch gate has last >= its index j; a dephasing keeps the live ones
-    steps = [(wires, op) if op is not None else ([w for w in wires if last[w] >= j], None)
-             for j, (wires, op) in enumerate(steps)]
-    return steps, last
+    return idle, [(wires if op is not None else [w for w in wires if last[w] >= j], op,
+                   [w for w in wires if last[w] == j and w not in keep])
+                  for j, (wires, op) in enumerate(steps)]
 
 
 def apply(circuit: LoccCircuit, state: BipartiteState) -> BipartiteState:
     """Run the channel on a bipartite input and return the bipartite output.
 
-    One loop runs the ``_schedule`` steps.  Pure inputs ride a state-vector
+    One loop runs the ``_program`` steps.  Pure inputs ride a state-vector
     fast path until the first pinch; wires are activated lazily (ancillas
-    start in |0>) and traced out once no later gate touches them: before a
-    pinch while the state is pure, after every step once it is mixed.  Every
-    move is an exact density-matrix identity, so the result equals the static
-    full-register simulation.
+    start in |0>).  Dead wires (idle inputs, then each step's ``done``) are
+    traced out before the loop if the state is mixed, before a pinch while
+    it is pure, after every step once it is mixed.  Every move is an exact
+    density-matrix identity, so the result equals the static full-register
+    simulation.
     """
     if state.cut != (circuit.n_a, circuit.n_b):
         raise ValueError(
             f"input cut {state.cut} does not match circuit ({circuit.n_a}, {circuit.n_b})"
         )
-    steps, last = _schedule(circuit)
-    keep = set(circuit.out_a_global) | set(circuit.out_b_global)
+    dead, steps = _program(circuit)
     input_wires = [*circuit.block("n_a"), *circuit.block("n_b")]
     sim = _TensorState(state.matrix, input_wires, vector=_as_vector(state.matrix))
-
-    def retire(j: int) -> None:
-        """Trace out every non-output wire that no gate from step j on touches."""
-        sim.trace_out([w for w in sim.active if w not in keep and last.get(w, -1) < j])
-
     if not sim.pure:
-        retire(0)
-    for j, (wires, op) in enumerate(steps):
+        sim.trace_out([w for w in sim.active if w in dead])
+    for wires, op, done in steps:
         sim.ensure(wires)
         if op is not None:
             sim.unitary(op, wires)
         else:
-            if sim.pure:
-                retire(j)  # shed dead wires before the pinch densifies
+            if sim.pure:  # shed dead wires before the pinch densifies
+                sim.trace_out([w for w in sim.active if w in dead])
             sim.pinch(wires)
+        dead.update(done)
         if not sim.pure:
-            retire(j + 1)
+            sim.trace_out([w for w in sim.active if w in dead])
 
     out_wires = circuit.out_a_global + circuit.out_b_global
     sim.ensure(out_wires)  # untouched ancilla outputs are still |0>
@@ -559,8 +557,7 @@ def local_unitary_circuit(
 
 
 def bob_unitary_circuit(u, m: int) -> LoccCircuit:
-    """Bob applies a single unitary on his m qubits."""
-    u = require_unitary(u)
+    """Bob applies a single unitary on his m qubits; the gate checks ``u``."""
     if m > 2:
         raise ValueError("single-gate payloads cover at most 2 qubits")
     wires = tuple(range(m, 2 * m))
@@ -648,24 +645,23 @@ def bbpssw_round() -> LoccCircuit:
     return LoccCircuit(2, 1, 3, 2, 1, (round1, round2), 1, 1)
 
 
+def _pairwise(one: LoccCircuit, n_b: int) -> LoccCircuit:
+    """``n_b`` copies of a one-pair channel side by side, copy i on pair i."""
+    if as_ints((n_b,), "pair count")[0] < 1:
+        raise ValueError(f"pair count must be at least 1, got {n_b}")
+    return reduce(tensor, [one] * n_b)
+
+
 def dephase_bob_circuit(n_b: int = 1) -> LoccCircuit:
     """Fully dephase each of Bob's qubits in the computational basis."""
-    c_off = n_b  # n_a = n_b, t_a = 0
-    gates: list[Gate] = []
-    b_off = n_b + n_b
-    for i in range(n_b):
-        gates.append(Gate.unitary(_CNOT, (b_off + i, c_off + i)))
-        gates.append(Gate.pinch((c_off + i,)))
-    return LoccCircuit(n_b, 0, n_b, n_b, 0, (Round(bob=tuple(gates)),), n_b, n_b)
+    bob = (Gate.unitary(_CNOT, (2, 1)), Gate.pinch((1,)))  # B onto C, then pinch C
+    return _pairwise(LoccCircuit(1, 0, 1, 1, 0, (Round(bob=bob),), 1, 1), n_b)
 
 
 def replace_bob_circuit(n_b: int = 1) -> LoccCircuit:
     """Discard Bob's qubits and hand out fresh |0> ancillas instead."""
-    b_off = n_b
-    gates = tuple(
-        Gate.unitary(_SWAP, (b_off + i, b_off + n_b + i)) for i in range(n_b)
-    )
-    return LoccCircuit(n_b, 0, 0, n_b, n_b, (Round(bob=gates),), n_b, n_b)
+    bob = (Gate.unitary(_SWAP, (1, 2)),)  # B with B'
+    return _pairwise(LoccCircuit(1, 0, 0, 1, 1, (Round(bob=bob),), 1, 1), n_b)
 
 
 def stock_channel_zoo() -> list[tuple[str, LoccCircuit]]:

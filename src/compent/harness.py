@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import product
 from typing import Callable, NamedTuple, Sequence
 
@@ -76,18 +76,9 @@ class CheckRecord:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "lambda": self.lam,
-            "key": self.key,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-            "inconclusive": self.inconclusive,
-            "details": self.details,
-        }
+        d = asdict(self)
+        d["lambda"], d["pass"] = d.pop("lam"), d.pop("passed")
+        return d
 
 
 def _equality(name, lhs, rhs, tol, details) -> CheckRecord:
@@ -112,6 +103,24 @@ def _rng(seed: int, name: str, lam: int, instance: int) -> np.random.Generator:
 # -- one-shot checks -----------------------------------------------------------
 
 
+def _mixture_check(name, p_err, verdict, g, states, p, size, tolerance) -> CheckRecord:
+    """``verdict`` on p_err of the mixture against the weighted individual errors."""
+    eps = p_err(g, mixture(states, p), size)
+    eps_x = [p_err(g, s, size) for s in states]
+    rhs = float(sum(w * e for w, e in zip(p, eps_x)))
+    return verdict(name, eps, rhs, tolerance, {"eps_x": eps_x, "p": [float(w) for w in p]})
+
+
+def _product_check(name, p_err, g1, g2, rho1, rho2, size1, size2, tolerance) -> CheckRecord:
+    """p_err of the tensor product against 1 - (1-eps1)(1-eps2), as an equality."""
+    eps1 = p_err(g1, rho1, size1)
+    eps2 = p_err(g2, rho2, size2)
+    eps12 = p_err(tensor(g1, g2), tensor_states(rho1, rho2), size1 + size2)
+    rhs = 1.0 - (1.0 - eps1) * (1.0 - eps2)
+    return _equality(name, eps12, rhs, tolerance,
+                     {"eps1": eps1, "eps2": eps2, "sum_bound": eps1 + eps2})
+
+
 def check_convexity_distillation(
     g: LoccCircuit,
     states: Sequence[BipartiteState],
@@ -120,11 +129,7 @@ def check_convexity_distillation(
     tolerance: float = EQ_TOL,
 ) -> CheckRecord:
     """Distillation error of a mixture equals the weighted individual errors."""
-    eps = p_err_distill(g, mixture(states, p), m)
-    eps_x = [p_err_distill(g, s, m) for s in states]
-    rhs = float(sum(w * e for w, e in zip(p, eps_x)))
-    return _equality("convexity", eps, rhs, tolerance,
-                     {"eps_x": eps_x, "p": [float(w) for w in p]})
+    return _mixture_check("convexity", p_err_distill, _equality, g, states, p, m, tolerance)
 
 
 def check_concavity_dilution(
@@ -135,11 +140,7 @@ def check_concavity_dilution(
     tolerance: float = EQ_TOL,
 ) -> CheckRecord:
     """Dilution error toward a mixture is at most the weighted individual errors."""
-    eps = p_err_dilute(g, mixture(states, p), n)
-    eps_x = [p_err_dilute(g, s, n) for s in states]
-    rhs = float(sum(w * e for w, e in zip(p, eps_x)))
-    return _upper_bound("concavity", eps, rhs, tolerance,
-                        {"eps_x": eps_x, "p": [float(w) for w in p]})
+    return _mixture_check("concavity", p_err_dilute, _upper_bound, g, states, p, n, tolerance)
 
 
 def check_superadditivity_distillation(
@@ -152,12 +153,7 @@ def check_superadditivity_distillation(
     tolerance: float = EQ_TOL,
 ) -> CheckRecord:
     """Product witnesses obey eps12 = 1 - (1-eps1)(1-eps2) exactly."""
-    eps1 = p_err_distill(g1, rho1, m1)
-    eps2 = p_err_distill(g2, rho2, m2)
-    eps12 = p_err_distill(tensor(g1, g2), tensor_states(rho1, rho2), m1 + m2)
-    rhs = 1.0 - (1.0 - eps1) * (1.0 - eps2)
-    return _equality("superadditivity", eps12, rhs, tolerance,
-                     {"eps1": eps1, "eps2": eps2, "sum_bound": eps1 + eps2})
+    return _product_check("superadditivity", p_err_distill, g1, g2, rho1, rho2, m1, m2, tolerance)
 
 
 def check_subadditivity_cost(
@@ -170,14 +166,7 @@ def check_subadditivity_cost(
     tolerance: float = EQ_TOL,
 ) -> CheckRecord:
     """Fidelity factorization makes product dilution errors multiply."""
-    eps1 = p_err_dilute(g1, rho1, n1)
-    eps2 = p_err_dilute(g2, rho2, n2)
-    eps12 = p_err_dilute(
-        tensor(g1, g2), tensor_states(rho1, rho2), n1 + n2
-    )
-    rhs = 1.0 - (1.0 - eps1) * (1.0 - eps2)
-    return _equality("subadditivity", eps12, rhs, tolerance,
-                     {"eps1": eps1, "eps2": eps2, "sum_bound": eps1 + eps2})
+    return _product_check("subadditivity", p_err_dilute, g1, g2, rho1, rho2, n1, n2, tolerance)
 
 
 def check_lu_invariance_cost(
@@ -523,11 +512,8 @@ def run_suites(
     kappa: int = 1,
 ) -> list[CheckRecord]:
     """Run the requested suites and return records in canonical order."""
-    chosen = []
-    for sel in selectors:
-        chosen.extend(_SELECTORS if sel == "all" else [sel])
-    seen = set()
-    ordered = [s for s in chosen if not (s in seen or seen.add(s))]
+    chosen = (_SELECTORS if sel == "all" else (sel,) for sel in selectors)
+    ordered = list(dict.fromkeys(s for group in chosen for s in group))  # first occurrences
     unknown = [s for s in ordered if s not in _SELECTORS]
     if unknown:
         raise ValueError(f"unknown suite selector {unknown[0]!r}")

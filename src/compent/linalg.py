@@ -91,11 +91,11 @@ def schatten_norm(m, p) -> float:
 
 
 def hermitian_gap(m: np.ndarray) -> np.floating:
-    """``np.abs(m - m.conj().T).max()`` of a square matrix, bit for bit.  Above
-    ``HERMITIAN_BAND`` rows, each row band meets its column band over the
-    upper triangle only, in cache: |d_ij| = |d_ji| holds exactly in floating point."""
+    """``np.abs(m - m.conj().T).max()`` of a square matrix, bit for bit.  From
+    two ``HERMITIAN_BAND`` bands up, each row band meets its column band over
+    the upper triangle only, in cache: |d_ij| = |d_ji| holds exactly in floating point."""
     b = HERMITIAN_BAND
-    if len(m) <= b:
+    if len(m) < 2 * b:  # short of two full bands, the plain expression is faster
         return np.abs(m - m.conj().T).max()
     return np.max([np.abs(m[i:i + b, i:] - m[i:, i:i + b].conj().T).max() for i in range(0, len(m), b)])
 

@@ -346,10 +346,9 @@ def column_unitary(vec: np.ndarray) -> np.ndarray:
     return q * (r[0, 0] / abs(r[0, 0]))
 
 
-def random_density_matrix(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
+def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Random mixed state from the induced (Ginibre) measure."""
-    rank = rank or dim
-    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
 

@@ -538,6 +538,46 @@ def test_replace_bob_outputs_fresh_zero():
     assert np.allclose(out.matrix, expected, atol=1e-12)
 
 
+SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
+
+# n_b pairs of the stock Bob channels, written out: the registers
+# (nA, tA, q, nB, tB, mA, mB) and Bob's one round of (kind, wires) gates
+STOCK_BOB_GATES = {
+    (dephase_bob_circuit, 2): ((2, 0, 2, 2, 0, 2, 2), [
+        ("unitary", [4, 2]), ("pinch", [2]), ("unitary", [5, 3]), ("pinch", [3])]),
+    (dephase_bob_circuit, 3): ((3, 0, 3, 3, 0, 3, 3), [
+        ("unitary", [6, 3]), ("pinch", [3]), ("unitary", [7, 4]), ("pinch", [4]),
+        ("unitary", [8, 5]), ("pinch", [5])]),
+    (replace_bob_circuit, 2): ((2, 0, 0, 2, 2, 2, 2), [("unitary", [2, 4]), ("unitary", [3, 5])]),
+    (replace_bob_circuit, 3): ((3, 0, 0, 3, 3, 3, 3), [
+        ("unitary", [3, 6]), ("unitary", [4, 7]), ("unitary", [5, 8])]),
+}
+
+
+@pytest.mark.parametrize("build, n_b", STOCK_BOB_GATES, ids=lambda x: getattr(x, "__name__", x))
+def test_stock_bob_channels_on_several_pairs_match_their_gate_lists(build, n_b):
+    sizes, gates = STOCK_BOB_GATES[build, n_b]
+    payload = CNOT if build is dephase_bob_circuit else SWAP
+    expected = {
+        "registers": dict(zip(("nA", "tA", "q", "nB", "tB", "mA", "mB"), sizes)),
+        "outA": list(range(n_b)),
+        "outB": list(range(n_b)),
+        "rounds": [{"alice": [], "bob": [
+            {"kind": kind, "wires": wires,
+             **({"re": payload.real.reshape(-1).tolist(), "im": payload.imag.reshape(-1).tolist()}
+                if kind == "unitary" else {})}
+            for kind, wires in gates]}],
+    }
+    assert circuit_to_dict(build(n_b)) == expected
+
+
+@pytest.mark.parametrize("build", [dephase_bob_circuit, replace_bob_circuit])
+@pytest.mark.parametrize("n_b", [0, -1, 1.5])
+def test_stock_bob_channels_refuse_a_bad_pair_count(build, n_b):
+    with pytest.raises(ValueError):
+        build(n_b)
+
+
 def test_local_unitaries_on_either_side_of_the_purity_threshold():
     # 256 amplitudes take the state-vector path, 512 the dense density path;
     # both must equal U rho U^dag with U built densely from the same gates

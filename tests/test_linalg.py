@@ -240,8 +240,9 @@ def test_haar_unitary_block_equals_single_draws():
 
 
 # sizes around the 64-row bands of hermitian_gap: under, at, and one past one
-# and two bands, a band-aligned size, one row into a fifth band, and 16 bands
-GAP_SIZES = (1, 63, 64, 65, 127, 256, 257, 1024)
+# band, either side of 128 rows where the bands start, a band-aligned size,
+# one row into a fifth band, and 16 bands
+GAP_SIZES = (1, 63, 64, 65, 127, 128, 129, 256, 257, 1024)
 
 
 def spoil_positions(n):

@@ -106,6 +106,13 @@ def test_fidelity_pure_pair_matches_inner_product():
         assert abs(fidelity(pure_dm(psi), pure_dm(chi)) - expected) < 1e-10
 
 
+def ginibre(d, rng, rank):
+    """A rank-``rank`` density matrix from a d x rank Ginibre draw."""
+    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
 def test_fidelity_is_bitwise_the_reference_at_every_rank():
     # every rank 1..d of rho, rank-deficient sigma included; a state object
     # wherever d is a power of two
@@ -113,8 +120,8 @@ def test_fidelity_is_bitwise_the_reference_at_every_rank():
     for d in range(2, 33):
         n = d.bit_length() - 1
         for rank in range(1, d + 1):
-            rho = random_density_matrix(d, rng, rank)
-            sigma = random_density_matrix(d, rng, int(rng.integers(1, d + 1)))
+            rho = ginibre(d, rng, rank)
+            sigma = ginibre(d, rng, int(rng.integers(1, d + 1)))
             pairs = [(rho, sigma), (sigma, rho), (rho, rho)]
             if d == 2 ** n:
                 cut = (n - n // 2, n // 2) if n > 1 else (1,)
