@@ -44,8 +44,8 @@ from .linalg import (
 )
 from .states import (
     BipartiteState,
+    DensityMatrix,
     all_keys,
-    bipartite_from_matrix,
     epr_vector,
     pauli_shift,
     rotated_epr,
@@ -418,7 +418,8 @@ def apply(circuit: LoccCircuit, state: BipartiteState) -> BipartiteState:
     traced out before the loop if the state is mixed, before a pinch while
     it is pure, after every step once it is mixed.  Every move is an exact
     density-matrix identity, so the result equals the static full-register
-    simulation.
+    simulation, and the output skips ``DensityMatrix``'s checks.  The purity
+    probe ``_as_vector`` runs once per state object and is kept on it.
     """
     if state.cut != (circuit.n_a, circuit.n_b):
         raise ValueError(
@@ -426,7 +427,9 @@ def apply(circuit: LoccCircuit, state: BipartiteState) -> BipartiteState:
         )
     dead, steps = _program(circuit)
     input_wires = [*circuit.block("n_a"), *circuit.block("n_b")]
-    sim = _TensorState(state.matrix, input_wires, vector=_as_vector(state.matrix))
+    if "_vector" not in vars(state):  # deterministic; nothing writes into a state's matrix
+        object.__setattr__(state, "_vector", _as_vector(state.matrix))
+    sim = _TensorState(state.matrix, input_wires, vector=state._vector)
     if not sim.pure:
         sim.trace_out([w for w in sim.active if w in dead])
     for wires, op, done in steps:
@@ -444,7 +447,7 @@ def apply(circuit: LoccCircuit, state: BipartiteState) -> BipartiteState:
     out_wires = circuit.out_a_global + circuit.out_b_global
     sim.ensure(out_wires)  # untouched ancilla outputs are still |0>
     out = sim.extract(out_wires)
-    return bipartite_from_matrix(out, (circuit.m_a, circuit.m_b))
+    return DensityMatrix._trusted(out, (circuit.m_a, circuit.m_b))
 
 
 # -- combinators ---------------------------------------------------------------

@@ -14,7 +14,7 @@ import io
 import json
 import os
 import sys
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -207,6 +207,7 @@ def cmd_demo(args) -> int:
     raise ConfigError(f"unknown protocol {args.protocol!r}")
 
 
+@cache  # one parser per process: parsing leaves no state on it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="compent",
@@ -253,8 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, ValueError) as exc:  # SizeLimitError is a ValueError

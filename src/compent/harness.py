@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import Callable, NamedTuple, Sequence
 
@@ -76,7 +76,7 @@ class CheckRecord:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        d = asdict(self)
+        d = dict(vars(self))  # shallow: details holds only numbers, strings and lists
         d["lambda"], d["pass"] = d.pop("lam"), d.pop("passed")
         return d
 

@@ -31,9 +31,9 @@ from .linalg import (
 
 TRACE_TOL = 1e-9
 NORM_TOL = 1e-10
-# Full spectrum validation is skipped above this dimension; large states are
-# only produced internally by the circuit simulator, which is trace preserving
-# and completely positive by construction.
+# The public constructor checks the full spectrum only up to this dimension;
+# above it an eigensolve costs more than the rest of a typical call, so a
+# larger input is checked for finiteness, shape, Hermiticity and trace only.
 PSD_CHECK_DIM = 256
 
 
@@ -65,6 +65,14 @@ class DensityMatrix:
             if low < PSD_FLOOR:
                 raise ValueError(f"density matrix has negative eigenvalue {low}")
 
+    @classmethod
+    def _trusted(cls, matrix: np.ndarray, cut: tuple[int, ...]) -> "DensityMatrix":
+        """A state built from checked inputs by a map that keeps states states; no checks."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "matrix", matrix)
+        object.__setattr__(s, "cut", tuple(map(int, cut)))  # plain ints, as checked cuts hold
+        return s
+
     @property
     def n_a(self) -> int:
         return self.cut[0]
@@ -83,8 +91,8 @@ class DensityMatrix:
         if any(not 0 <= r < len(self.cut) for r in keep):
             raise ValueError(f"register indices {keep} out of range for cut {self.cut}")
         wires = _register_wires(self.cut, keep)
-        return DensityMatrix(marginal(self.matrix, sum(self.cut), wires),
-                             tuple(self.cut[r] for r in keep))
+        return DensityMatrix._trusted(marginal(self.matrix, sum(self.cut), wires),
+                                      tuple(self.cut[r] for r in keep))
 
     def reduced_a(self) -> "DensityMatrix":
         return self.reduce((0,))
@@ -141,10 +149,13 @@ def all_keys(kappa: int) -> list[tuple[int, ...]]:
 
 def bipartite_pure(amplitudes, cut: tuple[int, int]) -> BipartiteState:
     """The pure state with the given unit-norm amplitudes."""
-    v = np.asarray(amplitudes, dtype=complex).reshape(-1)
+    return bipartite_from_matrix(_projector(np.asarray(amplitudes, dtype=complex).reshape(-1)), cut)
+
+
+def _projector(v: np.ndarray) -> np.ndarray:  # |v><v|, exactly Hermitian
     if abs(np.linalg.norm(v) - 1.0) > NORM_TOL:
         raise ValueError("state vector is not normalized")
-    return bipartite_from_matrix(np.outer(v, v.conj()), cut)
+    return np.outer(v, v.conj())
 
 
 def bipartite_from_matrix(matrix, cut: tuple[int, int]) -> BipartiteState:
@@ -162,11 +173,19 @@ def epr_vector(n: int) -> np.ndarray:
     return v / math.sqrt(d)
 
 
+_EPR: dict[int, BipartiteState] = {}  # n <= 3 only: epr_pairs(7) is a 4 GiB matrix
+
+
 def epr_pairs(n: int) -> BipartiteState:
-    """n EPR pairs on cut (n, n); pair i spans A-qubit i and B-qubit i."""
+    """n EPR pairs on cut (n, n); pair i spans A-qubit i and B-qubit i.  The
+    matrix is read-only; up to three pairs, every call returns one shared state."""
     if not 1 <= n <= 7:
         raise SizeLimitError(f"epr_pairs supports 1..7 pairs, got {n}")
-    return bipartite_pure(epr_vector(n), (n, n))
+    s = _EPR.get(n) or DensityMatrix._trusted(_projector(epr_vector(n)), (n, n))
+    s.matrix.flags.writeable = False
+    if n <= 3:
+        _EPR[n] = s
+    return s
 
 
 def rotated_epr(u, m: int) -> BipartiteState:
@@ -176,7 +195,7 @@ def rotated_epr(u, m: int) -> BipartiteState:
     if u.shape != (d, d):
         raise ValueError(f"unitary shape {u.shape} does not match {m} qubits")
     v = (u.T.reshape(-1)) / math.sqrt(d)  # v[x*d + y] = u[y, x] / sqrt(d)
-    return bipartite_pure(v, (m, m))
+    return DensityMatrix._trusted(_projector(v), (m, m))
 
 
 def pauli_shift(a, b) -> np.ndarray:
@@ -311,25 +330,25 @@ def mixture(states: Sequence[BipartiteState], p: Sequence[float]) -> BipartiteSt
     if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
         raise ValueError(f"weights {p} are not a probability vector")
     cut = states[0].cut
-    if any(s.cut != cut for s in states):
-        raise ValueError("all states must share the same cut")
+    if len(cut) != 2 or any(s.cut != cut for s in states):
+        raise ValueError("all states must share one bipartite cut")
     acc = np.zeros_like(states[0].matrix)
     for w, s in zip(weights, states):
         acc = acc + w * s.matrix
-    return bipartite_from_matrix(acc, cut)
+    return DensityMatrix._trusted(acc, cut)
 
 
 def tensor_states(s1: BipartiteState, s2: BipartiteState) -> BipartiteState:
     """Bipartite tensor product: A parts concatenate, B parts concatenate."""
     cut = s1.cut + s2.cut  # qubit order A1 B1 A2 B2
     m = marginal(kron(s1.matrix, s2.matrix), sum(cut), _register_wires(cut, (0, 2, 1, 3)))
-    return bipartite_from_matrix(m, (s1.n_a + s2.n_a, s1.n_b + s2.n_b))
+    return DensityMatrix._trusted(m, (s1.n_a + s2.n_a, s1.n_b + s2.n_b))
 
 
 def conjugate_local(s: BipartiteState, u_a, u_b) -> BipartiteState:
     """Apply a local unitary U_A (x) U_B to a bipartite state."""
     u = kron(require_unitary(u_a, "U_A"), require_unitary(u_b, "U_B"))
-    return bipartite_from_matrix(u @ s.matrix @ u.conj().T, s.cut)
+    return DensityMatrix._trusted(u @ s.matrix @ u.conj().T, s.cut)
 
 
 def random_pure_state(n_qubits: int, rng: np.random.Generator) -> np.ndarray:

@@ -237,3 +237,26 @@ def test_inconclusive_record_reports_no_value(tmp_path):
             assert values == [None] * 4 and cells == [""] * 4
         else:
             assert None not in values and "" not in cells
+
+
+def test_the_shared_parser_carries_nothing_from_one_call_to_the_next(monkeypatch, capsys):
+    seen = []
+    monkeypatch.setattr(cli, "run_suites", lambda *a, **k: seen.append((a, k)) or [])
+    assert run(["verify", "--suite", "convexity", "--suite", "keyed-concavity", "--lambda", "2..3",
+                "--seed", "5", "--tolerance", "1e-3", "--kappa", "2"]) == 0
+    assert run(["verify", "--suite", "subadditivity"]) == 0
+    assert seen == [
+        ((["convexity", "keyed-concavity"], [2, 3], 5), {"tolerance": 1e-3, "kappa": 2}),
+        ((["subadditivity"], [1, 2], 0), {"tolerance": 1e-9, "kappa": 1}),
+    ]
+    assert cli.build_parser() is cli.build_parser()
+    capsys.readouterr()
+
+
+def test_record_rows_have_the_report_fields_and_leave_the_record_alone():
+    record = CheckRecord("stub", 2, "01", 1.0, 2.0, 1.0, 1e-9, True, details={"p": [0.5, 0.5]})
+    assert list(record.to_dict()) == ["name", "key", "lhs", "rhs", "slack", "tolerance",
+                                      "inconclusive", "details", "lambda", "pass"]
+    assert set(record.to_dict()) == set(cli.REPORT_FIELDS)
+    assert cli.records_to_csv([record]).splitlines()[1].startswith("stub,2,01,")
+    assert record.details == {"p": [0.5, 0.5]}

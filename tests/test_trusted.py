@@ -1,0 +1,154 @@
+"""The states the package builds itself skip ``DensityMatrix``'s checks.
+
+Each such producer is pinned here: its output passes the full public check
+and is, bit for bit, the state that check builds from the same matrix and
+cut.  The public constructors and loaders keep refusing every bad input.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from compent.circuits import apply, stock_channel_zoo, teleport_dilution
+from compent.linalg import haar_unitary, matrix_to_dict
+from compent.states import (
+    DensityMatrix,
+    bipartite_from_matrix,
+    bipartite_pure,
+    conjugate_local,
+    epr_pairs,
+    epr_vector,
+    mixture,
+    random_density_matrix,
+    random_pure_state,
+    rotated_epr,
+    state_from_dict,
+    tensor_states,
+)
+
+from oracles import apply_reference
+
+RNG = np.random.default_rng(13)
+
+
+def _small_zoo():
+    """Fresh stock channels, minus the 9-qubit purification round, whose
+    static oracle takes seconds."""
+    return [(name, c) for name, c in stock_channel_zoo() if c.total_qubits <= 6]
+
+
+def _mixed(cut):
+    return bipartite_from_matrix(random_density_matrix(2 ** sum(cut), RNG), cut)
+
+
+def _products():
+    """(name, state) for each trusted producer on seeded inputs."""
+    rho, sigma = _mixed((1, 1)), _mixed((1, 1))
+    u2 = haar_unitary(4, RNG)
+    yield from ((f"epr_pairs({n})", epr_pairs(n)) for n in (1, 2, 3, 4))
+    yield from ((f"rotated_epr(m={m})", rotated_epr(haar_unitary(2 ** m, RNG), m)) for m in (1, 2))
+    yield "tensor_states", tensor_states(rho, _mixed((2, 1)))
+    yield "conjugate_local", conjugate_local(rho, haar_unitary(2, RNG), haar_unitary(2, RNG))
+    yield "mixture", mixture([rho, sigma, rotated_epr(haar_unitary(2, RNG), 1)], [0.2, 0.3, 0.5])
+    yield "reduce", _mixed((1, 2)).reduce((1,))
+    yield "reduce-pure", rotated_epr(u2, 2).reduce((1, 0))
+    for name, circuit in stock_channel_zoo():
+        yield f"apply({name})", apply(circuit, _mixed((circuit.n_a, circuit.n_b)))
+    yield "apply(teleport)", apply(teleport_dilution([], 1), epr_pairs(1))
+
+
+@pytest.mark.parametrize("state", [pytest.param(s, id=name) for name, s in _products()])
+def test_trusted_output_passes_the_public_check_bit_for_bit(state):
+    checked = DensityMatrix(state.matrix.copy(), state.cut)
+    assert type(state) is DensityMatrix
+    assert checked.cut == state.cut and all(type(c) is int for c in state.cut)
+    assert checked.matrix.dtype == state.matrix.dtype == np.complex128
+    assert checked.matrix.tobytes() == state.matrix.tobytes()
+
+
+def test_pure_producers_equal_bipartite_pure_bit_for_bit():
+    for n in (1, 2, 3):
+        assert epr_pairs(n).matrix.tobytes() == bipartite_pure(epr_vector(n), (n, n)).matrix.tobytes()
+    for m in (1, 2):
+        u = haar_unitary(2 ** m, RNG)
+        v = u.T.reshape(-1) / math.sqrt(2 ** m)
+        assert rotated_epr(u, m).matrix.tobytes() == bipartite_pure(v, (m, m)).matrix.tobytes()
+
+
+def test_apply_output_matches_the_static_oracle():
+    for name, circuit in _small_zoo():
+        state = _mixed((circuit.n_a, circuit.n_b))
+        assert np.allclose(apply(circuit, state).matrix,
+                           apply_reference(circuit, state).matrix, atol=1e-12), name
+
+
+def test_epr_pairs_is_one_read_only_state_per_small_n():
+    assert epr_pairs(2) is epr_pairs(2)
+    assert epr_pairs(1) is not epr_pairs(2)
+    with pytest.raises(ValueError):
+        epr_pairs(2).matrix[0, 0] = 0.0
+    # above three pairs each call builds its own state, read-only as well
+    big = epr_pairs(4)
+    assert big is not epr_pairs(4)
+    with pytest.raises(ValueError):
+        big.matrix[0, 0] = 0.0
+
+
+def test_a_reused_input_gives_the_same_output_as_a_fresh_one():
+    # apply probes a state for purity once and keeps the answer on it
+    circuit = teleport_dilution([], 2)
+    shared = epr_pairs(2)
+    fresh = bipartite_pure(epr_vector(2), (2, 2))
+    first, second = apply(circuit, shared), apply(circuit, shared)
+    assert first.matrix.tobytes() == second.matrix.tobytes() == apply(circuit, fresh).matrix.tobytes()
+    for name, circuit in _small_zoo():
+        cut = (circuit.n_a, circuit.n_b)
+        pure = bipartite_pure(random_pure_state(sum(cut), RNG), cut)
+        for rho in (pure, _mixed(cut), pure):
+            out = apply(circuit, rho)
+            assert np.allclose(out.matrix, apply_reference(circuit, rho).matrix, atol=1e-12), name
+            assert apply(circuit, rho).matrix.tobytes() == out.matrix.tobytes(), name
+            again = DensityMatrix(rho.matrix, rho.cut)
+            assert apply(circuit, again).matrix.tobytes() == out.matrix.tobytes(), name
+
+
+_ZERO = np.diag([1.0, 0.0]).astype(complex)
+BAD_MATRICES = {
+    "non-hermitian": np.kron(np.array([[0.5, 0.5], [-0.5, 0.5]]), _ZERO),
+    "trace-2": np.eye(4, dtype=complex) / 2,
+    "negative-eigenvalue": np.kron(np.diag([1.0 + 1e-6, -1e-6]), _ZERO),
+    "nan": np.kron(np.array([[np.nan, 0.0], [0.0, 1.0]]), _ZERO),
+}
+PUBLIC_LOADERS = {
+    "DensityMatrix": lambda m: DensityMatrix(m, (1, 1)),
+    "bipartite_from_matrix": lambda m: bipartite_from_matrix(m, (1, 1)),
+    "state_from_dict": lambda m: state_from_dict({"dims": [4, 4], "cut": [1, 1], **matrix_to_dict(m)}),
+}
+
+
+@pytest.mark.parametrize("loader", sorted(PUBLIC_LOADERS))
+@pytest.mark.parametrize("bad", sorted(BAD_MATRICES))
+def test_public_loaders_refuse_bad_matrices(loader, bad):
+    with pytest.raises(ValueError):
+        PUBLIC_LOADERS[loader](BAD_MATRICES[bad])
+
+
+@pytest.mark.parametrize("amplitudes", [[1.0, 0.0, 0.0, 1.0], [np.nan, 0.0, 0.0, 1.0], [0.5, 0.5, 0.5, 0.0]])
+def test_bipartite_pure_refuses_bad_amplitudes(amplitudes):
+    with pytest.raises(ValueError):
+        bipartite_pure(amplitudes, (1, 1))
+
+
+@pytest.mark.parametrize("u", [np.ones((2, 2)), np.eye(2) / 2, np.diag([1.0, np.nan]), np.eye(2) * (1 + 1e-8)])
+def test_rotated_epr_refuses_a_non_unitary(u):
+    with pytest.raises(ValueError):
+        rotated_epr(u, 1)
+
+
+def test_mixture_and_conjugate_local_refuse_a_tripartite_state():
+    tri = DensityMatrix(random_density_matrix(8, RNG), (1, 1, 1))
+    with pytest.raises(ValueError):
+        mixture([tri, tri], [0.5, 0.5])
+    with pytest.raises(ValueError):
+        conjugate_local(tri, np.eye(2), np.eye(2))
