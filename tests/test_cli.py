@@ -255,8 +255,6 @@ def test_the_shared_parser_carries_nothing_from_one_call_to_the_next(monkeypatch
 
 def test_record_rows_have_the_report_fields_and_leave_the_record_alone():
     record = CheckRecord("stub", 2, "01", 1.0, 2.0, 1.0, 1e-9, True, details={"p": [0.5, 0.5]})
-    assert list(record.to_dict()) == ["name", "key", "lhs", "rhs", "slack", "tolerance",
-                                      "inconclusive", "details", "lambda", "pass"]
     assert set(record.to_dict()) == set(cli.REPORT_FIELDS)
     assert cli.records_to_csv([record]).splitlines()[1].startswith("stub,2,01,")
     assert record.details == {"p": [0.5, 0.5]}
