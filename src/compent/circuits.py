@@ -533,10 +533,8 @@ def conjugate_by_local_unitary(
     Layer gate wires are indices into the output blocks (0..m_a-1 and
     0..m_b-1).  The gate count grows by exactly the number of supplied gates.
     """
-    a_map = {i: circuit_pos for i, circuit_pos in enumerate(g.out_a_global)}
-    b_map = {i: circuit_pos for i, circuit_pos in enumerate(g.out_b_global)}
-    alice = tuple(gate.remap(a_map) for gate in alice_layer)
-    bob = tuple(gate.remap(b_map) for gate in bob_layer)
+    alice, bob = (tuple(gate.remap(dict(enumerate(out))) for gate in layer)
+                  for layer, out in ((alice_layer, g.out_a_global), (bob_layer, g.out_b_global)))
     for gate in alice + bob:
         if gate.kind != UNITARY:
             raise ValueError("conjugation layers may contain only unitary gates")
@@ -574,45 +572,37 @@ def unrotate_distillation(u, m: int) -> LoccCircuit:
     return bob_unitary_circuit(u.conj().T, m)
 
 
-def teleport_dilution(prep: Sequence[Gate], n: int, m_a: int | None = None) -> LoccCircuit:
+def teleport_dilution(prep: Sequence[Gate], n: int) -> LoccCircuit:
     """Standard teleportation consuming n EPR pairs.
 
-    ``prep`` acts on Alice's ancilla block of m_a + n qubits (wires indexed
-    0..m_a+n-1 within that block) and prepares the target's purification:
-    the first m_a qubits are Alice's share, the last n are teleported to Bob.
+    ``prep`` acts on Alice's ancilla block A' of 2n qubits (wires indexed
+    0..2n-1 within that block) and prepares the target's purification:
+    the first n qubits are Alice's share, the last n are teleported to Bob.
     Per teleported qubit: entangling CNOT, Hadamard, two outcome-copy CNOTs
     into C, a two-wire measure-pinch, and Bob's classically controlled X and
-    Z corrections.
+    Z corrections.  Wires: Alice's EPR halves 0..n-1, A' from n, C from 3n,
+    Bob's EPR halves from 5n.
     """
-    if m_a is None:
-        m_a = n
-    t_a = m_a + n
-    circ_q = 2 * n
-    anc = n  # A' offset
-    c_off = n + t_a
-    b_off = c_off + circ_q
-
-    prep_map = {i: anc + i for i in range(t_a)}
-    alice: list[Gate] = [g.remap(prep_map) for g in prep]
+    alice: list[Gate] = [g.remap({i: n + i for i in range(2 * n)}) for g in prep]
     bob: list[Gate] = []
     measures: list[Gate] = []
     for i in range(n):
-        source = anc + m_a + i   # purification qubit headed to Bob
+        source = 2 * n + i       # purification qubit headed to Bob
         epr_a = i                # Alice's half of pair i
-        c_x, c_z = c_off + 2 * i, c_off + 2 * i + 1
+        c_x, c_z = 3 * n + 2 * i, 3 * n + 2 * i + 1
         alice.append(Gate.unitary(_CNOT, (source, epr_a)))
         alice.append(Gate.unitary(_H, (source,)))
         alice.append(Gate.unitary(_CNOT, (epr_a, c_x)))
         alice.append(Gate.unitary(_CNOT, (source, c_z)))
         measures.append(Gate.pinch((c_x, c_z)))
-        bob.append(Gate.controlled(_X, (b_off + i,), (c_x,)))
-        bob.append(Gate.controlled(_Z, (b_off + i,), (c_z,)))
+        bob.append(Gate.controlled(_X, (5 * n + i,), (c_x,)))
+        bob.append(Gate.controlled(_Z, (5 * n + i,), (c_z,)))
     alice.extend(measures)  # pinches commute past the disjoint-wire unitaries
     return LoccCircuit(
-        n, t_a, circ_q, n, 0,
+        n, 2 * n, 2 * n, n, 0,
         (Round(tuple(alice), tuple(bob)),),
-        m_a, n,
-        out_a=tuple(n + j for j in range(m_a)),  # Alice keeps her purification share
+        n, n,
+        out_a=tuple(range(n, 2 * n)),  # Alice keeps her purification share
         out_b=tuple(range(n)),
     )
 

@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from functools import cache, reduce
 
@@ -32,8 +31,6 @@ from .states import (
     rotated_epr,
     tensor_states,
 )
-
-SEED_ENV = "COMPENT_SEED"
 
 REPORT_FIELDS = (
     "name", "lambda", "key", "lhs", "rhs", "slack", "tolerance",
@@ -88,16 +85,6 @@ def write_report(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def resolve_seed(args) -> int:
-    env = os.environ.get(SEED_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"{SEED_ENV} must be an integer, got {env!r}") from exc
-    return args.seed
-
-
 def cmd_verify(args) -> int:
     lambdas = parse_lambdas(args.lambdas)
     if not args.suite:
@@ -105,7 +92,7 @@ def cmd_verify(args) -> int:
     if not 0.0 <= args.tolerance < float("inf"):
         raise ConfigError(f"tolerance must be finite and nonnegative, got {args.tolerance}")
     records = run_suites(
-        args.suite, lambdas, resolve_seed(args),
+        args.suite, lambdas, args.seed,
         tolerance=args.tolerance, kappa=args.kappa,
     )
     text = records_to_json(records) if args.format == "json" else records_to_csv(records)
@@ -128,9 +115,7 @@ def _require_size(flag: str, value: int) -> int:
 
 def cmd_net(args) -> int:
     _require_size("--m", args.m)
-    if not 0.0 < args.eta < 1.0:
-        raise ConfigError(f"eta must lie in (0, 1), got {args.eta}")
-    packing = greedy_packing(args.m, args.eta, seed=resolve_seed(args),
+    packing = greedy_packing(args.m, args.eta, seed=args.seed,
                              max_candidates=args.max_candidates)
     if not separation_check(packing):
         sys.stderr.write("separation check failed\n")
@@ -145,8 +130,7 @@ def cmd_counterexample(args) -> int:
     if not 0.0 <= args.eps < 1.0:
         raise ConfigError(f"eps must lie in [0, 1), got {args.eps}")
     _require_size("--m", args.m)
-    seed = resolve_seed(args)
-    record = run_noninvariance_counterexample(args.m, args.eps, seed)
+    record = run_noninvariance_counterexample(args.m, args.eps, args.seed)
     if args.out:
         write_report(records_to_json([record]), args.out)
     if record.inconclusive:
@@ -166,8 +150,7 @@ def _demo_budget_line(count: int, budget: float) -> str:
 
 
 def cmd_demo(args) -> int:
-    seed = resolve_seed(args)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     if args.protocol == "teleport":
         n = _require_size("--n", args.n)
         # one random two-qubit pure target per teleported qubit; the prep gate
@@ -190,21 +173,20 @@ def cmd_demo(args) -> int:
         print(f"p_err: {err:.3e}")
         print(_demo_budget_line(gate_count(circuit), 4.0))
         return 0
-    if args.protocol == "bbpssw":
-        f = args.fidelity
-        if not 0.0 <= f <= 1.0:
-            raise ConfigError("input fidelity must lie in [0, 1]")
-        phi = epr_pairs(1).matrix
-        pair_matrix = f * phi + (1 - f) * (np.eye(4) - phi) / 3.0
-        pair = bipartite_from_matrix(pair_matrix, (1, 1))
-        circuit = bbpssw_round()
-        out = apply(circuit, tensor_states(pair, pair))
-        channel_fidelity = float(np.real(np.trace(out.matrix @ phi)))
-        print(f"purification round on two isotropic pairs with F={f}")
-        print(f"channel-output fidelity with the EPR pair: {channel_fidelity:.6f}")
-        print(_demo_budget_line(gate_count(circuit), 20.0))
-        return 0
-    raise ConfigError(f"unknown protocol {args.protocol!r}")
+    # bbpssw: the parser's choices admit no other protocol
+    f = args.fidelity
+    if not 0.0 <= f <= 1.0:
+        raise ConfigError("input fidelity must lie in [0, 1]")
+    phi = epr_pairs(1).matrix
+    pair_matrix = f * phi + (1 - f) * (np.eye(4) - phi) / 3.0
+    pair = bipartite_from_matrix(pair_matrix, (1, 1))
+    circuit = bbpssw_round()
+    out = apply(circuit, tensor_states(pair, pair))
+    channel_fidelity = float(np.real(np.trace(out.matrix @ phi)))
+    print(f"purification round on two isotropic pairs with F={f}")
+    print(f"channel-output fidelity with the EPR pair: {channel_fidelity:.6f}")
+    print(_demo_budget_line(gate_count(circuit), 20.0))
+    return 0
 
 
 @cache  # one parser per process: parsing leaves no state on it

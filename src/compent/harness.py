@@ -61,6 +61,7 @@ from .states import (
 
 EQ_TOL = 1e-9          # default tolerance for equality checks
 STRICT_MARGIN = 1e-6   # margin demanded of strict inequalities
+INSTANCES = 2          # randomized instances of each one-shot suite per lambda
 
 @dataclass(frozen=True)
 class CheckRecord:
@@ -193,12 +194,10 @@ def _inverse_layer_circuit(
     alice_layer: Sequence[Gate], bob_layer: Sequence[Gate], n_a: int, n_b: int
 ) -> LoccCircuit:
     """Local circuit applying the inverse of a (U_A, U_B) layer on the input."""
-    alice = tuple(
-        Gate.unitary(g.matrix.conj().T, g.wires) for g in reversed(alice_layer)
-    )
-    bob = tuple(
-        Gate.unitary(g.matrix.conj().T, tuple(w + n_a for w in g.wires))
-        for g in reversed(bob_layer)
+    alice, bob = (
+        tuple(Gate.unitary(g.matrix.conj().T, tuple(w + shift for w in g.wires))
+              for g in reversed(layer))
+        for layer, shift in ((alice_layer, 0), (bob_layer, n_a))
     )
     return local_unitary_circuit(alice, bob, n_a, n_b)
 
@@ -298,12 +297,10 @@ def _random_local_layer(width: int, rng, two_qubit: bool = False) -> list[Gate]:
 
 
 def _random_local_circuit(s: int, rng) -> LoccCircuit:
-    alice = [Gate.unitary(haar_unitary(2, rng), (w,)) for w in range(s)]
-    bob = [Gate.unitary(haar_unitary(2, rng), (s + w,)) for w in range(s)]
-    if s == 2:
-        alice.append(Gate.unitary(haar_unitary(4, rng), (0, 1)))
-        bob.append(Gate.unitary(haar_unitary(4, rng), (2, 3)))
-    return local_unitary_circuit(alice, bob, s, s)
+    # draw order: Alice's single-qubit gates, Bob's, then one pair per party at s = 2
+    singles = [Gate.unitary(haar_unitary(2, rng), (w,)) for w in range(2 * s)]
+    pairs = [Gate.unitary(haar_unitary(4, rng), (w, w + 1)) for w in (0, 2)] if s == 2 else []
+    return local_unitary_circuit(singles[:s] + pairs[:1], singles[s:] + pairs[1:], s, s)
 
 
 def _teleport_for_random_pure(rng) -> tuple[LoccCircuit, BipartiteState]:
@@ -508,7 +505,6 @@ def run_suites(
     lambdas: Sequence[int],
     seed: int,
     tolerance: float = EQ_TOL,
-    instances: int = 2,
     kappa: int = 1,
 ) -> list[CheckRecord]:
     """Run the requested suites and return records in canonical order."""
@@ -527,7 +523,7 @@ def run_suites(
             records.extend(run_keyed_suite(sel[len("keyed-"):], kappa, lambdas, seed, tolerance))
         else:
             for lam in lambdas:
-                for instance in range(instances):
+                for instance in range(INSTANCES):
                     records.append(run_one_shot_check(sel, lam, instance, seed, tolerance))
     records.sort(key=lambda r: (r.name, r.lam if r.lam is not None else -1, r.key or ""))
     return records

@@ -21,6 +21,7 @@ from .linalg import (
 from .states import pauli_shift
 
 _BLOCK = 64  # candidates per Haar draw, and members per overlap product
+SEPARATION_TOL = 1e-9  # slack on separation_check's root-fidelity bound
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,7 +156,7 @@ def greedy_packing(
     return UnitaryPacking(m, eta, tuple(members), seed, candidates, stop)
 
 
-def separation_check(p: UnitaryPacking, tol: float = 1e-9) -> bool:
+def separation_check(p: UnitaryPacking) -> bool:
     """True iff every cross-orbit pair satisfies the fidelity separation.
 
     Each block of ``_BLOCK`` members is tested against each later block of
@@ -170,7 +171,7 @@ def separation_check(p: UnitaryPacking, tol: float = 1e-9) -> bool:
         members.append(require_unitary(u, f"packing member {i}"))
     k = d * d
     flat = np.array(members).reshape(n, k)
-    bound = (1.0 - p.eta + tol) * d
+    bound = (1.0 - p.eta + SEPARATION_TOL) * d
     for s in range(0, n, _BLOCK):
         rows = _orbit_rows(flat[s:s + _BLOCK].reshape(-1, d, d), p.m)
         for t in range(s, n, _BLOCK):

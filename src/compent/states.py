@@ -158,10 +158,14 @@ def _projector(v: np.ndarray) -> np.ndarray:  # |v><v|, exactly Hermitian
     return np.outer(v, v.conj())
 
 
-def bipartite_from_matrix(matrix, cut: tuple[int, int]) -> BipartiteState:
+def _bipartite_cut(cut: tuple[int, ...]) -> tuple[int, ...]:
     if len(cut) != 2:
         raise ValueError(f"a bipartite cut has two registers, got {cut}")
-    return DensityMatrix(matrix, cut)
+    return cut
+
+
+def bipartite_from_matrix(matrix, cut: tuple[int, int]) -> BipartiteState:
+    return DensityMatrix(matrix, _bipartite_cut(cut))
 
 
 def epr_vector(n: int) -> np.ndarray:
@@ -286,6 +290,7 @@ def conditional_mutual_information(rho: DensityMatrix) -> float:
 def squashed_trivial_upper(rho: BipartiteState) -> float:
     """Half the mutual information I(A;B); the trivial-extension upper bound
     on squashed entanglement."""
+    _bipartite_cut(rho.cut)
     h_a = von_neumann_entropy(rho.reduced_a())
     h_b = von_neumann_entropy(rho.reduced_b())
     h_ab = von_neumann_entropy(rho)
@@ -340,7 +345,7 @@ def mixture(states: Sequence[BipartiteState], p: Sequence[float]) -> BipartiteSt
 
 def tensor_states(s1: BipartiteState, s2: BipartiteState) -> BipartiteState:
     """Bipartite tensor product: A parts concatenate, B parts concatenate."""
-    cut = s1.cut + s2.cut  # qubit order A1 B1 A2 B2
+    cut = _bipartite_cut(s1.cut) + _bipartite_cut(s2.cut)  # qubit order A1 B1 A2 B2
     m = marginal(kron(s1.matrix, s2.matrix), sum(cut), _register_wires(cut, (0, 2, 1, 3)))
     return DensityMatrix._trusted(m, (s1.n_a + s2.n_a, s1.n_b + s2.n_b))
 

@@ -279,6 +279,32 @@ def test_teleport_two_pairs_product_target():
     assert 1.0 - fidelity(out, target) <= 1e-9
 
 
+# Register sizes, outputs and gate wires of teleport_dilution with a prep
+# gate per purification pair: A spans n wires, A' 2n, C 3n..5n-1, B from 5n.
+TELEPORT_LAYOUT = {
+    1: ({"nA": 1, "tA": 2, "q": 2, "nB": 1, "tB": 0, "mA": 1, "mB": 1}, [1], [0],
+        [("unitary", [1, 2], []), ("unitary", [2, 0], []), ("unitary", [2], []),
+         ("unitary", [0, 3], []), ("unitary", [2, 4], []), ("pinch", [3, 4], [])],
+        [("controlled", [5], [3]), ("controlled", [5], [4])]),
+    2: ({"nA": 2, "tA": 4, "q": 4, "nB": 2, "tB": 0, "mA": 2, "mB": 2}, [2, 3], [0, 1],
+        [("unitary", [2, 4], []), ("unitary", [3, 5], []), ("unitary", [4, 0], []),
+         ("unitary", [4], []), ("unitary", [0, 6], []), ("unitary", [4, 7], []),
+         ("unitary", [5, 1], []), ("unitary", [5], []), ("unitary", [1, 8], []),
+         ("unitary", [5, 9], []), ("pinch", [6, 7], []), ("pinch", [8, 9], [])],
+        [("controlled", [10], [6]), ("controlled", [10], [7]),
+         ("controlled", [11], [8]), ("controlled", [11], [9])]),
+}
+
+
+@pytest.mark.parametrize("n", sorted(TELEPORT_LAYOUT))
+def test_teleport_dilution_layout(n):
+    d = circuit_to_dict(teleport_dilution([Gate.unitary(CNOT, (i, n + i)) for i in range(n)], n))
+    [rnd] = d["rounds"]
+    gates = {party: [(g["kind"], g["wires"], g.get("controls", [])) for g in rnd[party]]
+             for party in ("alice", "bob")}
+    assert (d["registers"], d["outA"], d["outB"], gates["alice"], gates["bob"]) == TELEPORT_LAYOUT[n]
+
+
 def test_local_preparation_of_product_target_without_epr():
     # |00> needs no entanglement: both parties output fresh ancillas and the
     # EPR input is discarded untouched.

@@ -89,14 +89,16 @@ def test_verify_failure_exits_1(monkeypatch, tmp_path):
 
 
 def test_seed_env_override(tmp_path, monkeypatch):
+    # --seed is the one way to set a seed: COMPENT_SEED in the environment
+    # overrides nothing
     a, b, c = (tmp_path / n for n in ("a.json", "b.json", "c.json"))
+    monkeypatch.delenv("COMPENT_SEED", raising=False)
     run(["verify", "--suite", "convexity", "--lambda", "1", "--seed", "1", "--out", str(a)])
-    monkeypatch.setenv(cli.SEED_ENV, "2")
+    monkeypatch.setenv("COMPENT_SEED", "2")
     run(["verify", "--suite", "convexity", "--lambda", "1", "--seed", "1", "--out", str(b)])
-    monkeypatch.delenv(cli.SEED_ENV)
     run(["verify", "--suite", "convexity", "--lambda", "1", "--seed", "2", "--out", str(c)])
-    assert a.read_bytes() != b.read_bytes()
-    assert b.read_bytes() == c.read_bytes()
+    assert a.read_bytes() == b.read_bytes()
+    assert b.read_bytes() != c.read_bytes()
 
 
 def test_net_command(tmp_path, capsys):
@@ -197,6 +199,10 @@ def test_suite_choices_come_from_the_table(capsys):
     capsys.readouterr()
 
 
+# net's out-of-range etas, each with the value as its error line shows it
+BAD_ETAS = {"0": "0.0", "1": "1.0", "-0.5": "-0.5", "nan": "nan"}
+
+
 @pytest.mark.parametrize("argv", [
     ["demo", "teleport", "--n", "0"],
     ["demo", "teleport", "--n", "3"],
@@ -207,12 +213,15 @@ def test_suite_choices_come_from_the_table(capsys):
     ["net", "--eta", "0.5", "--max-candidates", "0"],
     ["counterexample", "--m", "0"],
     ["counterexample", "--m", "3"],
+    *(["net", "--m", "2", "--eta", eta] for eta in BAD_ETAS),
 ])
 def test_out_of_range_sizes_exit_2(argv, capsys):
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+    if argv[-2] == "--eta" and argv[-1] in BAD_ETAS:
+        assert captured.err == f"error: eta must lie in (0, 1), got {BAD_ETAS[argv[-1]]}\n"
 
 
 def test_counterexample_writes_out_when_inconclusive(capsys, tmp_path):

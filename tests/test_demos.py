@@ -20,7 +20,6 @@ def test_demo_runs(script):
     src = str(ROOT / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
-    env.pop("COMPENT_SEED", None)
     done = subprocess.run(
         [sys.executable, str(script)], cwd=ROOT, env=env,
         capture_output=True, text=True, timeout=120,

@@ -259,7 +259,7 @@ def test_run_suites_deterministic():
 
 
 def test_run_suites_all_selector():
-    records = run_suites(["all"], [1], seed=7, instances=1)
+    records = run_suites(["all"], [1], seed=7)
     assert len(records) >= 20
     assert all(r.passed for r in records)
     with pytest.raises(ValueError):

@@ -31,6 +31,7 @@ from compent.measures import (
     verify_distillation_certificate,
 )
 from compent.states import (
+    DensityMatrix,
     KeyedStateFamily,
     StateFamily,
     bipartite_from_matrix,
@@ -275,6 +276,13 @@ def test_distillable_upper_via_squashed():
     assert distillable_upper_via_squashed(product, 0.0) < 1e-9
     with pytest.raises(ValueError):
         distillable_upper_via_squashed(epr_pairs(1), 1.0)
+
+
+def test_distillable_upper_refuses_a_tripartite_state():
+    # I(A;B)/2 read off a (1, 1, 1) cut bounds nothing: this state gave -0.239
+    tri = DensityMatrix(random_density_matrix(8, np.random.default_rng(5)), (1, 1, 1))
+    with pytest.raises(ValueError, match="a bipartite cut has two registers"):
+        distillable_upper_via_squashed(tri, 0.0)
 
 
 def test_distillable_upper_monotone_in_eps():

@@ -20,7 +20,6 @@ def test_readme_has_a_python_tour():
 def test_readme_tour_runs():
     src = str(ROOT / "src")
     env = dict(os.environ, PYTHONPATH=src)
-    env.pop("COMPENT_SEED", None)
     done = subprocess.run(
         [sys.executable, "-c", python_blocks()[0]], cwd=ROOT, env=env,
         capture_output=True, text=True, timeout=120,

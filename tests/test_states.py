@@ -305,6 +305,21 @@ def test_tensor_states_ordering():
     assert joint.cut == (2, 2)
 
 
+def test_bipartite_maps_refuse_a_tripartite_state():
+    # one cut check serves the constructor, the tensor product and the
+    # mutual-information bound; mixture keeps its own message
+    tri = DensityMatrix(random_density_matrix(8, np.random.default_rng(5)), (1, 1, 1))
+    pair = epr_pairs(1)
+    refused = "a bipartite cut has two registers"
+    for call in (lambda: bipartite_from_matrix(tri.matrix, (1, 1, 1)),
+                 lambda: tensor_states(tri, pair), lambda: tensor_states(pair, tri),
+                 lambda: squashed_trivial_upper(tri)):
+        with pytest.raises(ValueError, match=refused):
+            call()
+    with pytest.raises(ValueError, match="all states must share one bipartite cut"):
+        mixture([tri, tri], [0.5, 0.5])
+
+
 def test_conjugate_local_preserves_fidelity():
     for _ in range(10):
         rho = bipartite_from_matrix(random_density_matrix(4, RNG), (1, 1))
