@@ -25,7 +25,7 @@ qubit costs 1 at creation.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import reduce, wraps
 from itertools import accumulate, chain, zip_longest
 from typing import Callable, Iterable, Sequence
 
@@ -45,6 +45,7 @@ from .linalg import (
 from .states import (
     BipartiteState,
     DensityMatrix,
+    _bits,
     all_keys,
     epr_vector,
     pauli_shift,
@@ -70,6 +71,8 @@ _CNOT = np.array(
 _SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
 )
+for _m in (_H, _X, _Z, _CNOT, _SWAP):  # gate payloads, shared by every circuit built on them
+    _m.flags.writeable = False
 
 
 def _wires(w) -> tuple[int, ...]:
@@ -152,9 +155,14 @@ class Gate:
 
     def remap(self, wire_map: dict[int, int]) -> "Gate":
         """The gate on the mapped wires; a map cannot break the checked payload."""
+        try:
+            wires, controls = ([wire_map[w] for w in ws] for ws in (self.wires, self.controls))
+        except KeyError as e:
+            raise ValueError(
+                f"gate wire {e.args[0]} is not among the mapped wires {sorted(wire_map)}") from None
         g = object.__new__(Gate)
         g.__dict__.update(self.__dict__)
-        _set_wires(g, [wire_map[w] for w in self.wires], [wire_map[w] for w in self.controls])
+        _set_wires(g, wires, controls)
         return g
 
 
@@ -419,13 +427,17 @@ def apply(circuit: LoccCircuit, state: BipartiteState) -> BipartiteState:
     it is pure, after every step once it is mixed.  Every move is an exact
     density-matrix identity, so the result equals the static full-register
     simulation, and the output skips ``DensityMatrix``'s checks.  The purity
-    probe ``_as_vector`` runs once per state object and is kept on it.
+    probe ``_as_vector`` runs once per state object and is kept on it; the
+    ``_program`` runs once per circuit object and is kept on it.
     """
     if state.cut != (circuit.n_a, circuit.n_b):
         raise ValueError(
             f"input cut {state.cut} does not match circuit ({circuit.n_a}, {circuit.n_b})"
         )
-    dead, steps = _program(circuit)
+    if "_plan" not in vars(circuit):  # deterministic; a frozen circuit's gates never change
+        object.__setattr__(circuit, "_plan", _program(circuit))
+    idle, steps = circuit._plan
+    dead = set(idle)
     input_wires = [*circuit.block("n_a"), *circuit.block("n_b")]
     if "_vector" not in vars(state):  # deterministic; nothing writes into a state's matrix
         object.__setattr__(state, "_vector", _as_vector(state.matrix))
@@ -544,6 +556,37 @@ def conjugate_by_local_unitary(
 # -- stock protocols ------------------------------------------------------------
 
 
+def _read_only(built: LoccCircuit | BipartiteState):
+    """``built`` with a state's matrix or a circuit's gate payloads made read-only."""
+    arrays = ([built.matrix] if isinstance(built, DensityMatrix) else
+              [g.matrix for rnd in built.rounds for g in (*rnd.alice, *rnd.bob)
+               if g.matrix is not None])
+    for a in arrays:
+        a.flags.writeable = False
+    return built
+
+
+def _shared(build):
+    """``build`` run once per distinct arguments, told apart by type too (``1.0``
+    is not ``1``): every later call returns that one object, read-only like
+    ``epr_pairs``'s states.  Unhashable arguments are built afresh, so
+    ``build`` refuses them as it always did; its errors are never kept."""
+    built: dict = {}
+
+    @wraps(build)
+    def shared(*args, **kwargs):
+        key = (*((type(a), a) for a in args), *((k, type(v), v) for k, v in kwargs.items()))
+        try:
+            out = built.get(key)
+        except TypeError:
+            return build(*args, **kwargs)
+        if out is None:  # setdefault: a racing thread's build is dropped, not returned
+            out = built.setdefault(key, _read_only(build(*args, **kwargs)))
+        return out
+    return shared
+
+
+@_shared
 def identity_circuit(n_a: int, n_b: int) -> LoccCircuit:
     return LoccCircuit(n_a, 0, 0, n_b, 0, (Round(),), n_a, n_b)
 
@@ -645,12 +688,14 @@ def _pairwise(one: LoccCircuit, n_b: int) -> LoccCircuit:
     return reduce(tensor, [one] * n_b)
 
 
+@_shared
 def dephase_bob_circuit(n_b: int = 1) -> LoccCircuit:
     """Fully dephase each of Bob's qubits in the computational basis."""
     bob = (Gate.unitary(_CNOT, (2, 1)), Gate.pinch((1,)))  # B onto C, then pinch C
     return _pairwise(LoccCircuit(1, 0, 1, 1, 0, (Round(bob=bob),), 1, 1), n_b)
 
 
+@_shared
 def replace_bob_circuit(n_b: int = 1) -> LoccCircuit:
     """Discard Bob's qubits and hand out fresh |0> ancillas instead."""
     bob = (Gate.unitary(_SWAP, (1, 2)),)  # B with B'
@@ -766,28 +811,38 @@ def is_efficient(family, lambdas: Sequence[int]) -> EfficiencyReport:
     return EfficiencyReport(not violations, tuple(lambdas), tuple(violations))
 
 
-def _key_shift(key: tuple[int, ...], m: int) -> np.ndarray:
-    """Pauli shift of a key zero-padded to 2m bits: the first m bits choose
-    X factors and the last m choose Z factors."""
+def _on_shift(build, bits: tuple[int, ...], m: int):
+    return build(pauli_shift(bits[:m], bits[m:]), m)
+
+
+_shared_on_shift = _shared(_on_shift)
+
+
+def _keyed(build, key: tuple[int, ...], m: int):
+    """``build(shift, m)`` on the Pauli shift of ``key`` zero-padded to 2m bits:
+    the first m bits choose X factors and the last m choose Z factors.  The
+    key is checked on every call; up to m = 3, as with ``epr_pairs``, each
+    padded key's object is built once and shared."""
     bits = tuple(key) + (0,) * (2 * m - len(key))
     if len(bits) != 2 * m:
         raise ValueError(f"key {key} longer than 2m = {2 * m}")
-    return pauli_shift(bits[:m], bits[m:])
+    bits = _bits(bits[:m]) + _bits(bits[m:])
+    return (_shared_on_shift if m <= 3 else _on_shift)(build, bits, m)
 
 
 def keyed_pauli_state(key: tuple[int, ...], m: int) -> BipartiteState:
     """Stock keyed family: EPR pairs rotated by the key's Pauli shift."""
-    return rotated_epr(_key_shift(key, m), m)
+    return _keyed(rotated_epr, key, m)
 
 
 def keyed_pauli_unrotate(key: tuple[int, ...], m: int) -> LoccCircuit:
     """Witness circuit distilling the stock keyed family exactly."""
-    return unrotate_distillation(_key_shift(key, m), m)
+    return _keyed(unrotate_distillation, key, m)
 
 
 def keyed_pauli_rotate(key: tuple[int, ...], m: int) -> LoccCircuit:
     """Witness circuit preparing the stock keyed family from EPR pairs."""
-    return bob_unitary_circuit(_key_shift(key, m), m)
+    return _keyed(bob_unitary_circuit, key, m)
 
 
 # -- serialization ---------------------------------------------------------------

@@ -290,7 +290,7 @@ def _random_states(cut, count, rng):
 
 
 def _random_local_layer(width: int, rng, two_qubit: bool = False) -> list[Gate]:
-    gates = [Gate.unitary(haar_unitary(2, rng), (w,)) for w in range(width)]
+    gates = [Gate.unitary(u, (w,)) for w, u in enumerate(haar_unitary(2, rng, width))]
     if two_qubit and width >= 2:
         gates.append(Gate.unitary(haar_unitary(4, rng), (0, 1)))
     return gates
@@ -298,8 +298,9 @@ def _random_local_layer(width: int, rng, two_qubit: bool = False) -> list[Gate]:
 
 def _random_local_circuit(s: int, rng) -> LoccCircuit:
     # draw order: Alice's single-qubit gates, Bob's, then one pair per party at s = 2
-    singles = [Gate.unitary(haar_unitary(2, rng), (w,)) for w in range(2 * s)]
-    pairs = [Gate.unitary(haar_unitary(4, rng), (w, w + 1)) for w in (0, 2)] if s == 2 else []
+    singles = [Gate.unitary(u, (w,)) for w, u in enumerate(haar_unitary(2, rng, 2 * s))]
+    pairs = ([Gate.unitary(u, (w, w + 1)) for w, u in zip((0, 2), haar_unitary(4, rng, 2))]
+             if s == 2 else [])
     return local_unitary_circuit(singles[:s] + pairs[:1], singles[s:] + pairs[1:], s, s)
 
 
@@ -488,7 +489,7 @@ def run_keyed_suite(
     for lam in lambdas:
         rng = _rng(seed, name, lam, 0)
         # draw order: the two fixed rotations, then Alice's and Bob's layers
-        setting = KeyedSetting(m, [haar_unitary(2 ** m, rng) for _ in range(2)],
+        setting = KeyedSetting(m, list(haar_unitary(2 ** m, rng, 2)),
                                _random_local_layer(m, rng), _random_local_layer(m, rng))
         for keys in product(all_keys(kappa), repeat=suite.arity):
             args = suite.keyed(setting, *keys)

@@ -142,10 +142,14 @@ def greedy_packing(
             overlaps = rows[s:min(s + _BLOCK * k, n * k)] @ draws[j].reshape(-1, k).T
             live[j] = np.abs(overlaps).max(axis=0) <= bound
         tested = n * k
-        candidates += 1
-        if not live[i]:
-            rejections += 1
+        # the candidates before the next live one are rejected in one step, up to a cap
+        dead = next(iter(np.flatnonzero(live[i:])), _BLOCK - i)
+        skip = math.ceil(min(dead, max_rejections - rejections, candidate_cap - candidates))
+        candidates, rejections = candidates + skip, rejections + skip
+        if i + dead == _BLOCK or rejections >= max_rejections or candidates >= candidate_cap:
             continue
+        i += dead
+        candidates += 1
         if (n + 1) * k > len(rows):
             rows = np.concatenate((rows, np.empty_like(rows)))
         rows[n * k:(n + 1) * k] = _orbit_rows(draws[i], m)

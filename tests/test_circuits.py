@@ -103,6 +103,17 @@ def test_remap_keeps_the_checked_payload():
         g.remap({0: 1.5, 1: 2})
 
 
+def test_remap_names_a_wire_missing_from_the_map():
+    with pytest.raises(ValueError, match=r"gate wire 2 is not among the mapped wires \[0, 1\]"):
+        Gate.controlled(X, (0,), (2,)).remap({0: 3, 1: 4})
+    # prep acts on A' of 2n = 2 wires, so wire 2 lies outside it
+    with pytest.raises(ValueError, match="gate wire 2 "):
+        teleport_dilution([Gate.unitary(CNOT, (0, 2))], 1)
+    # a layer's wires index the output block, here of one wire
+    with pytest.raises(ValueError, match="gate wire 1 "):
+        conjugate_by_local_unitary(identity_circuit(1, 1), [Gate.unitary(H, (1,))], [])
+
+
 def test_tensor_checks_no_payload_again(monkeypatch):
     first, second = identity_circuit(1, 1), bbpssw_round()
     calls = []

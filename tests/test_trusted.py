@@ -10,7 +10,22 @@ import math
 import numpy as np
 import pytest
 
-from compent.circuits import apply, stock_channel_zoo, teleport_dilution
+from compent.circuits import (
+    Gate,
+    apply,
+    circuit_from_dict,
+    circuit_to_dict,
+    conjugate_by_local_unitary,
+    dephase_bob_circuit,
+    identity_circuit,
+    keyed_pauli_rotate,
+    keyed_pauli_state,
+    keyed_pauli_unrotate,
+    replace_bob_circuit,
+    stock_channel_zoo,
+    teleport_dilution,
+)
+from compent.harness import run_suites
 from compent.linalg import haar_unitary, matrix_to_dict
 from compent.states import (
     DensityMatrix,
@@ -27,7 +42,7 @@ from compent.states import (
     tensor_states,
 )
 
-from oracles import apply_reference
+from oracles import H, apply_reference
 
 RNG = np.random.default_rng(13)
 
@@ -93,6 +108,94 @@ def test_epr_pairs_is_one_read_only_state_per_small_n():
     assert big is not epr_pairs(4)
     with pytest.raises(ValueError):
         big.matrix[0, 0] = 0.0
+
+
+SHARED_BUILDS = {
+    "identity_circuit(1, 1)": lambda: identity_circuit(1, 1),
+    "identity_circuit(2, 1)": lambda: identity_circuit(2, 1),
+    "dephase_bob_circuit(2)": lambda: dephase_bob_circuit(2),
+    "replace_bob_circuit(1)": lambda: replace_bob_circuit(1),
+    "keyed_pauli_state": lambda: keyed_pauli_state((0, 1), 1),
+    "keyed_pauli_state(m=3)": lambda: keyed_pauli_state((1, 0, 1), 3),
+    "keyed_pauli_rotate": lambda: keyed_pauli_rotate((1, 1, 0), 2),
+    "keyed_pauli_unrotate": lambda: keyed_pauli_unrotate((1, 0), 1),
+}
+
+
+def _arrays(built):
+    if isinstance(built, DensityMatrix):
+        return [built.matrix]
+    return [g.matrix for rnd in built.rounds for g in (*rnd.alice, *rnd.bob) if g.matrix is not None]
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_BUILDS))
+def test_stock_builders_return_one_read_only_object(name):
+    built = SHARED_BUILDS[name]()
+    assert SHARED_BUILDS[name]() is built
+    arrays = _arrays(built)
+    assert arrays or name.startswith("identity")
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0, 0] = 0.0
+
+
+def test_keyed_builders_share_one_object_per_padded_key():
+    for build in (keyed_pauli_state, keyed_pauli_rotate, keyed_pauli_unrotate):
+        assert build([1, 0], 1) is build((1, 0), 1) is build((1,), 1)
+        assert build((0, 1), 1) is not build((1, 0), 1)
+    # above three pairs, as with epr_pairs, each call builds its own state
+    big = keyed_pauli_state((1,), 4)
+    assert big is not keyed_pauli_state((1,), 4)
+    assert big.matrix.tobytes() == keyed_pauli_state((1,), 4).matrix.tobytes()
+
+
+def test_shared_builders_refuse_bad_arguments_as_before():
+    # each valid twin is built and shared first: a bad argument equal to it
+    # (1.0 == 1) or not hashable must still be refused
+    for build in (keyed_pauli_state, keyed_pauli_rotate, keyed_pauli_unrotate):
+        build((1,), 1)
+        for bad in ((1.0,), [1.0], (2,), (0, 1, 1)):
+            with pytest.raises(ValueError):
+                build(bad, 1)
+        with pytest.raises(TypeError):
+            build(1, 1)
+    identity_circuit(1, 1)
+    for bad in ((1.0, 1), ([1], 1), (1, -1)):
+        with pytest.raises(ValueError):
+            identity_circuit(*bad)
+    dephase_bob_circuit(1)
+    for build in (dephase_bob_circuit, replace_bob_circuit):
+        for bad in (1.0, [1], 0):
+            with pytest.raises(ValueError):
+                build(bad)
+
+
+def test_applies_of_one_circuit_reuse_its_plan_bit_for_bit():
+    zoo = [(name, c) for name, c in stock_channel_zoo() if c.total_qubits <= 6]
+    for name, circuit in [*zoo, ("dephase_bob_circuit(2)", dephase_bob_circuit(2))]:
+        cut = (circuit.n_a, circuit.n_b)
+        for rho in (_mixed(cut), bipartite_pure(random_pure_state(sum(cut), RNG), cut)):
+            first, second = apply(circuit, rho), apply(circuit, rho)
+            fresh = apply(circuit_from_dict(circuit_to_dict(circuit)), rho)
+            assert first.matrix.tobytes() == second.matrix.tobytes() == fresh.matrix.tobytes(), name
+            assert np.allclose(first.matrix, apply_reference(circuit, rho).matrix, atol=1e-12), name
+    # a circuit derived from a planned one runs its own plan
+    base = identity_circuit(1, 1)
+    rho = _mixed((1, 1))
+    apply(base, rho)
+    turned = conjugate_by_local_unitary(base, [], [Gate.unitary(H, (0,))])
+    assert np.allclose(apply(turned, rho).matrix, apply_reference(turned, rho).matrix, atol=1e-12)
+    assert apply(base, rho).matrix.tobytes() == rho.matrix.tobytes()
+
+
+def test_run_suites_repeats_in_one_process():
+    # the shared objects live as long as the process; a run at another seed
+    # between two seed-7 runs must leave the second unchanged
+    first = run_suites(["all"], [1, 2, 3], 7)
+    other = run_suites(["all"], [1, 2, 3], 0)
+    second = run_suites(["all"], [1, 2, 3], 7)
+    assert first == second != other
+    assert [r.to_dict() for r in first] == [r.to_dict() for r in second]
 
 
 def test_a_reused_input_gives_the_same_output_as_a_fresh_one():
