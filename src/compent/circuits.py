@@ -25,7 +25,7 @@ qubit costs 1 at creation.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import reduce, wraps
+from functools import reduce
 from itertools import accumulate, chain, zip_longest
 from typing import Callable, Iterable, Sequence
 
@@ -46,10 +46,13 @@ from .states import (
     BipartiteState,
     DensityMatrix,
     _bits,
+    _pair_count,
     all_keys,
     epr_vector,
+    key_label,
     pauli_shift,
     rotated_epr,
+    shared,
 )
 
 UNITARY = "unitary"
@@ -428,7 +431,9 @@ def apply(circuit: LoccCircuit, state: BipartiteState) -> BipartiteState:
     density-matrix identity, so the result equals the static full-register
     simulation, and the output skips ``DensityMatrix``'s checks.  The purity
     probe ``_as_vector`` runs once per state object and is kept on it; the
-    ``_program`` runs once per circuit object and is kept on it.
+    ``_program`` runs once per circuit object and is kept on it.  The stock
+    states and circuits up to ``SHARED_ENTRIES`` entries per array are
+    ``shared``, so a verify pass probes and plans each of them once.
     """
     if state.cut != (circuit.n_a, circuit.n_b):
         raise ValueError(
@@ -556,37 +561,7 @@ def conjugate_by_local_unitary(
 # -- stock protocols ------------------------------------------------------------
 
 
-def _read_only(built: LoccCircuit | BipartiteState):
-    """``built`` with a state's matrix or a circuit's gate payloads made read-only."""
-    arrays = ([built.matrix] if isinstance(built, DensityMatrix) else
-              [g.matrix for rnd in built.rounds for g in (*rnd.alice, *rnd.bob)
-               if g.matrix is not None])
-    for a in arrays:
-        a.flags.writeable = False
-    return built
-
-
-def _shared(build):
-    """``build`` run once per distinct arguments, told apart by type too (``1.0``
-    is not ``1``): every later call returns that one object, read-only like
-    ``epr_pairs``'s states.  Unhashable arguments are built afresh, so
-    ``build`` refuses them as it always did; its errors are never kept."""
-    built: dict = {}
-
-    @wraps(build)
-    def shared(*args, **kwargs):
-        key = (*((type(a), a) for a in args), *((k, type(v), v) for k, v in kwargs.items()))
-        try:
-            out = built.get(key)
-        except TypeError:
-            return build(*args, **kwargs)
-        if out is None:  # setdefault: a racing thread's build is dropped, not returned
-            out = built.setdefault(key, _read_only(build(*args, **kwargs)))
-        return out
-    return shared
-
-
-@_shared
+@shared
 def identity_circuit(n_a: int, n_b: int) -> LoccCircuit:
     return LoccCircuit(n_a, 0, 0, n_b, 0, (Round(),), n_a, n_b)
 
@@ -601,9 +576,7 @@ def local_unitary_circuit(
 
 
 def bob_unitary_circuit(u, m: int) -> LoccCircuit:
-    """Bob applies a single unitary on his m qubits; the gate checks ``u``."""
-    if m > 2:
-        raise ValueError("single-gate payloads cover at most 2 qubits")
+    """Bob applies a single unitary on his m qubits; the gate checks ``u`` and m <= 2."""
     wires = tuple(range(m, 2 * m))
     return local_unitary_circuit((), (Gate.unitary(u, wires),), m, m)
 
@@ -683,20 +656,18 @@ def bbpssw_round() -> LoccCircuit:
 
 def _pairwise(one: LoccCircuit, n_b: int) -> LoccCircuit:
     """``n_b`` copies of a one-pair channel side by side, copy i on pair i."""
-    if as_ints((n_b,), "pair count")[0] < 1:
-        raise ValueError(f"pair count must be at least 1, got {n_b}")
-    return reduce(tensor, [one] * n_b)
+    return reduce(tensor, [one] * _pair_count(n_b))
 
 
-@_shared
-def dephase_bob_circuit(n_b: int = 1) -> LoccCircuit:
+@shared
+def dephase_bob_circuit(n_b: int) -> LoccCircuit:
     """Fully dephase each of Bob's qubits in the computational basis."""
     bob = (Gate.unitary(_CNOT, (2, 1)), Gate.pinch((1,)))  # B onto C, then pinch C
     return _pairwise(LoccCircuit(1, 0, 1, 1, 0, (Round(bob=bob),), 1, 1), n_b)
 
 
-@_shared
-def replace_bob_circuit(n_b: int = 1) -> LoccCircuit:
+@shared
+def replace_bob_circuit(n_b: int) -> LoccCircuit:
     """Discard Bob's qubits and hand out fresh |0> ancillas instead."""
     bob = (Gate.unitary(_SWAP, (1, 2)),)  # B with B'
     return _pairwise(LoccCircuit(1, 0, 0, 1, 1, (Round(bob=bob),), 1, 1), n_b)
@@ -777,7 +748,7 @@ class EfficiencyReport:
             "violations": [
                 {
                     "lambda": lam,
-                    "key": None if key is None else "".join(map(str, key)),
+                    "key": None if key is None else key_label(key),
                     "gate_count": count,
                     "budget": budget,
                 }
@@ -811,23 +782,20 @@ def is_efficient(family, lambdas: Sequence[int]) -> EfficiencyReport:
     return EfficiencyReport(not violations, tuple(lambdas), tuple(violations))
 
 
+@shared
 def _on_shift(build, bits: tuple[int, ...], m: int):
     return build(pauli_shift(bits[:m], bits[m:]), m)
 
 
-_shared_on_shift = _shared(_on_shift)
-
-
 def _keyed(build, key: tuple[int, ...], m: int):
     """``build(shift, m)`` on the Pauli shift of ``key`` zero-padded to 2m bits:
-    the first m bits choose X factors and the last m choose Z factors.  The
-    key is checked on every call; up to m = 3, as with ``epr_pairs``, each
-    padded key's object is built once and shared."""
+    the first m bits choose X factors and the last m choose Z factors."""
+    m = _pair_count(m)
     bits = tuple(key) + (0,) * (2 * m - len(key))
     if len(bits) != 2 * m:
         raise ValueError(f"key {key} longer than 2m = {2 * m}")
     bits = _bits(bits[:m]) + _bits(bits[m:])
-    return (_shared_on_shift if m <= 3 else _on_shift)(build, bits, m)
+    return _on_shift(build, bits, m)
 
 
 def keyed_pauli_state(key: tuple[int, ...], m: int) -> BipartiteState:

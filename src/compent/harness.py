@@ -52,6 +52,7 @@ from .states import (
     bipartite_pure,
     column_unitary,
     conjugate_local,
+    key_label,
     mixture,
     random_density_matrix,
     random_pure_state,
@@ -463,10 +464,6 @@ def run_one_shot_check(selector: str, lam: int, instance: int, seed: int,
     return replace(suite.check(*args, tolerance), name=f"{selector}#{instance}", lam=lam)
 
 
-def _key_label(*keys: tuple[int, ...]) -> str:
-    return "|".join("".join(map(str, k)) for k in keys)
-
-
 def run_keyed_suite(
     selector: str,
     kappa: int,
@@ -494,7 +491,7 @@ def run_keyed_suite(
         for keys in product(all_keys(kappa), repeat=suite.arity):
             args = suite.keyed(setting, *keys)
             record = suite.check(*args, tolerance)
-            records.append(replace(record, name=name, lam=lam, key=_key_label(*keys)))
+            records.append(replace(record, name=name, lam=lam, key=key_label(*keys)))
     return records
 
 

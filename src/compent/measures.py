@@ -30,6 +30,7 @@ from .states import (
     fidelity,
     g2,
     h_star,
+    key_label,
     squashed_trivial_upper,
 )
 
@@ -93,7 +94,7 @@ class CertificateEntry:
     def to_dict(self) -> dict:
         return {
             "lambda": self.lam,
-            "key": None if self.key is None else "".join(map(str, self.key)),
+            "key": None if self.key is None else key_label(self.key),
             "p_err": self.p_err,
             "epsilon": self.epsilon,
             "pass": self.passed,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 from itertools import product
 
 import numpy as np
@@ -18,10 +17,11 @@ import numpy as np
 from .linalg import (
     as_ints, haar_unitary, matrix_from_dict, matrix_to_dict, require_unitary, schatten_norm,
 )
-from .states import pauli_shift
+from .states import pauli_shift, shared
 
 _BLOCK = 64  # candidates per Haar draw, and members per overlap product
 SEPARATION_TOL = 1e-9  # slack on separation_check's root-fidelity bound
+MAX_REJECTIONS = 500  # consecutive rejected candidates that end a greedy packing
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,13 +80,11 @@ def pauli_orbit(v, m: int) -> list[np.ndarray]:
     return list(_paulis(m) @ require_unitary(v))
 
 
-@cache
+@shared
 def _paulis(m: int) -> np.ndarray:
     """The 4^m shifts sigma_X(a) sigma_Z(b) stacked in ``product`` order of (a, b)."""
     bits = list(product((0, 1), repeat=m))
-    table = np.stack([pauli_shift(a, b) for a in bits for b in bits])
-    table.flags.writeable = False
-    return table
+    return np.stack([pauli_shift(a, b) for a in bits for b in bits])
 
 
 def _orbit_rows(u: np.ndarray, m: int) -> np.ndarray:
@@ -98,7 +96,6 @@ def _orbit_rows(u: np.ndarray, m: int) -> np.ndarray:
 def greedy_packing(
     m: int,
     eta: float,
-    max_rejections: int = 500,
     seed: int = 0,
     max_size: int | None = None,
     max_candidates: int | None = None,
@@ -108,7 +105,7 @@ def greedy_packing(
     Haar candidates are accepted when every existing member's orbit keeps
     root-fidelity at most 1 - eta from the candidate's rotated EPR state.
     The first candidate is always accepted; ``stop`` names the rule that ended
-    the run: ``max_rejections`` consecutive rejections, ``max_size`` members
+    the run: ``MAX_REJECTIONS`` consecutive rejections, ``max_size`` members
     or ``max_candidates`` candidates. Deterministic for a fixed seed.
 
     Candidates come in blocks of ``_BLOCK`` Haar draws; the members' orbit
@@ -120,8 +117,7 @@ def greedy_packing(
         raise ValueError(f"packings are built for 1 <= m <= 2 (orbit scans stay cheap), got m={m}")
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
-    for name, cap in (("max_rejections", max_rejections), ("max_size", max_size),
-                      ("max_candidates", max_candidates)):
+    for name, cap in (("max_size", max_size), ("max_candidates", max_candidates)):
         if cap is not None and cap < 1:
             raise ValueError(f"{name} must be at least 1, got {cap}")
     rng = np.random.default_rng(seed)
@@ -132,7 +128,7 @@ def greedy_packing(
     rows = np.empty((_BLOCK * k, k), dtype=complex)
     members: list[np.ndarray] = []
     candidates = rejections = 0
-    while rejections < max_rejections and len(members) < size_cap and candidates < candidate_cap:
+    while rejections < MAX_REJECTIONS and len(members) < size_cap and candidates < candidate_cap:
         i, n = candidates % _BLOCK, len(members)
         if i == 0:
             draws = haar_unitary(2 ** m, rng, _BLOCK)
@@ -144,9 +140,9 @@ def greedy_packing(
         tested = n * k
         # the candidates before the next live one are rejected in one step, up to a cap
         dead = next(iter(np.flatnonzero(live[i:])), _BLOCK - i)
-        skip = math.ceil(min(dead, max_rejections - rejections, candidate_cap - candidates))
+        skip = math.ceil(min(dead, MAX_REJECTIONS - rejections, candidate_cap - candidates))
         candidates, rejections = candidates + skip, rejections + skip
-        if i + dead == _BLOCK or rejections >= max_rejections or candidates >= candidate_cap:
+        if i + dead == _BLOCK or rejections >= MAX_REJECTIONS or candidates >= candidate_cap:
             continue
         i += dead
         candidates += 1
@@ -155,7 +151,7 @@ def greedy_packing(
         rows[n * k:(n + 1) * k] = _orbit_rows(draws[i], m)
         members.append(draws[i].copy())
         rejections = 0
-    stop = ("max_rejections reached" if rejections >= max_rejections
+    stop = ("max_rejections reached" if rejections >= MAX_REJECTIONS
             else "max_size" if len(members) >= size_cap else "max_candidates")
     return UnitaryPacking(m, eta, tuple(members), seed, candidates, stop)
 
@@ -202,15 +198,15 @@ def net_cardinality_bounds(d: int, eta: float, c: float, big_c: float) -> NetBou
     return NetBoundEstimate(d, eta, c, big_c, lo, hi)
 
 
-def counting_ratio_log(poly, lam: int, m: int, eta: float, omega_constant: float = 1.0) -> float:
+def counting_ratio_log(poly, lam: int, m: int, eta: float) -> float:
     """log2 of the efficient-circuit count over the packing size.
 
-    Evaluates poly(lam) - omega_constant * 2^(2m) * log2(1/eta); a negative
+    Evaluates poly(lam) - 2^(2m) * log2(1/eta); a negative
     value certifies that efficient channels are outnumbered at this point.
     """
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
-    return float(poly(lam) - omega_constant * (2 ** (2 * m)) * math.log2(1.0 / eta))
+    return float(poly(lam) - (2 ** (2 * m)) * math.log2(1.0 / eta))
 
 
 def packing_to_dict(p: UnitaryPacking) -> dict:

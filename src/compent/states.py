@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import wraps
 from itertools import accumulate
 from typing import Callable, Sequence
 
@@ -35,6 +36,7 @@ NORM_TOL = 1e-10
 # above it an eigensolve costs more than the rest of a typical call, so a
 # larger input is checked for finiteness, shape, Hermiticity and trace only.
 PSD_CHECK_DIM = 256
+SHARED_ENTRIES = 64 * 64  # per array of a kept ``shared`` result: 3 EPR pairs, not 7 (4 GiB)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,6 +149,43 @@ def all_keys(kappa: int) -> list[tuple[int, ...]]:
     return [tuple((i >> (kappa - 1 - j)) & 1 for j in range(kappa)) for i in range(2 ** kappa)]
 
 
+def key_label(*keys: tuple[int, ...]) -> str:
+    """The report form of one or more keys: their bits, keys split by ``|``."""
+    return "|".join("".join(map(str, k)) for k in keys)
+
+
+def _arrays(built) -> list[np.ndarray]:  # a state's matrix, a circuit's payloads, or itself
+    if isinstance(built, (np.ndarray, DensityMatrix)):
+        return [getattr(built, "matrix", built)]
+    return [g.matrix for rnd in built.rounds for g in (*rnd.alice, *rnd.bob) if g.matrix is not None]
+
+
+def shared(build):
+    """``build`` run once per distinct arguments, told apart by type too (``1.0``
+    is not ``1``): every later call returns that one object, unless an array
+    of it has more than ``SHARED_ENTRIES`` entries.  Every array of a result
+    is made read-only.  Unhashable arguments are built afresh, so ``build``
+    refuses them as it always did; its errors are never kept."""
+    built: dict = {}
+
+    @wraps(build)
+    def memo(*args, **kwargs):
+        key = (*((type(a), a) for a in args), *((k, type(v), v) for k, v in kwargs.items()))
+        try:
+            out = built.get(key)
+        except TypeError:
+            return build(*args, **kwargs)
+        if out is None:
+            out = build(*args, **kwargs)
+            arrays = _arrays(out)
+            for a in arrays:
+                a.flags.writeable = False
+            if all(a.size <= SHARED_ENTRIES for a in arrays):  # a racing thread's build is dropped
+                out = built.setdefault(key, out)
+        return out
+    return memo
+
+
 def bipartite_pure(amplitudes, cut: tuple[int, int]) -> BipartiteState:
     """The pure state with the given unit-norm amplitudes."""
     return bipartite_from_matrix(_projector(np.asarray(amplitudes, dtype=complex).reshape(-1)), cut)
@@ -171,29 +210,27 @@ def bipartite_from_matrix(matrix, cut: tuple[int, int]) -> BipartiteState:
 def epr_vector(n: int) -> np.ndarray:
     """Amplitudes of n EPR pairs, all A qubits before all B qubits."""
     d = 2 ** n
-    v = np.zeros(d * d, dtype=complex)
-    for x in range(d):
-        v[x * d + x] = 1.0
-    return v / math.sqrt(d)
+    return np.eye(d, dtype=complex).reshape(-1) / math.sqrt(d)  # 1 / sqrt(d) at x*d + x
 
 
-_EPR: dict[int, BipartiteState] = {}  # n <= 3 only: epr_pairs(7) is a 4 GiB matrix
-
-
-def epr_pairs(n: int) -> BipartiteState:
-    """n EPR pairs on cut (n, n); pair i spans A-qubit i and B-qubit i.  The
-    matrix is read-only; up to three pairs, every call returns one shared state."""
+def _pair_count(n) -> int:
+    """``n`` as a number of EPR pairs, 1 to 7; checked before anything is built."""
+    (n,) = as_ints((n,), "pair count")
     if not 1 <= n <= 7:
-        raise SizeLimitError(f"epr_pairs supports 1..7 pairs, got {n}")
-    s = _EPR.get(n) or DensityMatrix._trusted(_projector(epr_vector(n)), (n, n))
-    s.matrix.flags.writeable = False
-    if n <= 3:
-        _EPR[n] = s
-    return s
+        raise SizeLimitError(f"pair count must lie in 1..7, got {n}")
+    return n
+
+
+@shared
+def epr_pairs(n: int) -> BipartiteState:
+    """n EPR pairs on cut (n, n); pair i spans A-qubit i and B-qubit i."""
+    n = _pair_count(n)
+    return DensityMatrix._trusted(_projector(epr_vector(n)), (n, n))
 
 
 def rotated_epr(u, m: int) -> BipartiteState:
     """EPR pairs with a unitary applied to Bob's half: (I (x) U) |phi^(x)m>."""
+    m = _pair_count(m)
     u = require_unitary(u, "rotation")
     d = 2 ** m
     if u.shape != (d, d):

@@ -167,15 +167,14 @@ def test_max_candidates_must_be_positive():
             greedy_packing(1, 0.3, max_candidates=cap)
 
 
-@pytest.mark.parametrize("name", ["max_size", "max_rejections"])
-def test_size_and_rejection_caps_must_be_positive(name):
+def test_size_cap_must_be_positive():
     for cap in (0, -1):
-        with pytest.raises(ValueError, match=name):
-            greedy_packing(1, 0.3, **{name: cap})
+        with pytest.raises(ValueError, match="max_size"):
+            greedy_packing(1, 0.3, max_size=cap)
     # the smallest legal cap still accepts the first candidate
-    p = greedy_packing(1, 0.3, seed=7, **{name: 1})
+    p = greedy_packing(1, 0.3, seed=7, max_size=1)
     assert len(p) == 1 and separation_check(p)
-    assert p.stop == ("max_size" if name == "max_size" else "max_rejections reached")
+    assert p.stop == "max_size"
 
 
 def test_greedy_packing_high_eta_single_member():
@@ -195,7 +194,7 @@ def test_packing_size_nonincreasing_in_eta():
     sizes = []
     for i in range(1, 10):
         eta = i / 10
-        p = greedy_packing(1, eta, max_rejections=500, seed=7)
+        p = greedy_packing(1, eta, seed=7)
         assert separation_check(p)
         sizes.append(len(p))
     assert all(b <= a for a, b in zip(sizes, sizes[1:]))

@@ -5,11 +5,18 @@ and is, bit for bit, the state that check builds from the same matrix and
 cut.  The public constructors and loaders keep refusing every bad input.
 """
 
+import inspect
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import compent
+from compent import circuits
 from compent.circuits import (
     Gate,
     apply,
@@ -26,7 +33,8 @@ from compent.circuits import (
     teleport_dilution,
 )
 from compent.harness import run_suites
-from compent.linalg import haar_unitary, matrix_to_dict
+from compent.linalg import SizeLimitError, haar_unitary, matrix_to_dict
+from compent.packing import _paulis
 from compent.states import (
     DensityMatrix,
     bipartite_from_matrix,
@@ -38,6 +46,7 @@ from compent.states import (
     random_density_matrix,
     random_pure_state,
     rotated_epr,
+    shared,
     state_from_dict,
     tensor_states,
 )
@@ -98,19 +107,12 @@ def test_apply_output_matches_the_static_oracle():
                            apply_reference(circuit, state).matrix, atol=1e-12), name
 
 
-def test_epr_pairs_is_one_read_only_state_per_small_n():
-    assert epr_pairs(2) is epr_pairs(2)
-    assert epr_pairs(1) is not epr_pairs(2)
-    with pytest.raises(ValueError):
-        epr_pairs(2).matrix[0, 0] = 0.0
-    # above three pairs each call builds its own state, read-only as well
-    big = epr_pairs(4)
-    assert big is not epr_pairs(4)
-    with pytest.raises(ValueError):
-        big.matrix[0, 0] = 0.0
-
-
 SHARED_BUILDS = {
+    "epr_pairs(1)": lambda: epr_pairs(1),
+    "epr_pairs(2)": lambda: epr_pairs(2),
+    "epr_pairs(3)": lambda: epr_pairs(3),
+    "_paulis(1)": lambda: _paulis(1),
+    "_paulis(2)": lambda: _paulis(2),
     "identity_circuit(1, 1)": lambda: identity_circuit(1, 1),
     "identity_circuit(2, 1)": lambda: identity_circuit(2, 1),
     "dephase_bob_circuit(2)": lambda: dephase_bob_circuit(2),
@@ -123,6 +125,8 @@ SHARED_BUILDS = {
 
 
 def _arrays(built):
+    if isinstance(built, np.ndarray):
+        return [built]
     if isinstance(built, DensityMatrix):
         return [built.matrix]
     return [g.matrix for rnd in built.rounds for g in (*rnd.alice, *rnd.bob) if g.matrix is not None]
@@ -132,6 +136,7 @@ def _arrays(built):
 def test_stock_builders_return_one_read_only_object(name):
     built = SHARED_BUILDS[name]()
     assert SHARED_BUILDS[name]() is built
+    assert all(build() is not built for other, build in SHARED_BUILDS.items() if other != name)
     arrays = _arrays(built)
     assert arrays or name.startswith("identity")
     for a in arrays:
@@ -139,14 +144,46 @@ def test_stock_builders_return_one_read_only_object(name):
             a[0, 0] = 0.0
 
 
+def test_shared_keeps_a_result_of_up_to_4096_entries_per_array():
+    zeros = shared(lambda n: np.zeros(n))
+    kept, big = zeros(4096), zeros(4097)
+    assert zeros(4096) is kept
+    assert zeros(4097) is not big
+    for a in (kept, big):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+    # three EPR pairs are a 64 x 64 matrix; above them each call builds its
+    # own state, read-only as well
+    assert epr_pairs(3).matrix.size == 4096
+    big = epr_pairs(4)
+    assert big is not epr_pairs(4)
+    with pytest.raises(ValueError):
+        big.matrix[0, 0] = 0.0
+
+
+def test_only_shared_and_the_gate_constants_make_arrays_read_only():
+    src = Path(compent.__file__).parent
+    hits = [(path.name, i) for path in sorted(src.glob("*.py"))
+            for i, line in enumerate(path.read_text().splitlines(), 1)
+            if "flags.writeable = False" in line]
+    lines = (src / "circuits.py").read_text().splitlines()
+    loop = next(i for i, line in enumerate(lines, 1) if line.startswith("for _m in (_H, _X, _Z, _CNOT, _SWAP)"))
+    body, first = inspect.getsourcelines(shared)
+    assert [hit for hit in hits if hit[0] == "circuits.py"] == [("circuits.py", loop + 1)]
+    inside = [hit for hit in hits if hit[0] == "states.py" and first <= hit[1] < first + len(body)]
+    assert len(inside) == 1 and len(hits) == 2
+
+
 def test_keyed_builders_share_one_object_per_padded_key():
     for build in (keyed_pauli_state, keyed_pauli_rotate, keyed_pauli_unrotate):
         assert build([1, 0], 1) is build((1, 0), 1) is build((1,), 1)
         assert build((0, 1), 1) is not build((1, 0), 1)
-    # above three pairs, as with epr_pairs, each call builds its own state
+    # above three pairs, as with epr_pairs, each call builds its own state,
+    # read-only as well
     big = keyed_pauli_state((1,), 4)
     assert big is not keyed_pauli_state((1,), 4)
     assert big.matrix.tobytes() == keyed_pauli_state((1,), 4).matrix.tobytes()
+    assert not big.matrix.flags.writeable
 
 
 def test_shared_builders_refuse_bad_arguments_as_before():
@@ -168,6 +205,42 @@ def test_shared_builders_refuse_bad_arguments_as_before():
         for bad in (1.0, [1], 0):
             with pytest.raises(ValueError):
                 build(bad)
+    epr_pairs(2)
+    for bad in (2.0, [2], 0):
+        with pytest.raises(ValueError):
+            epr_pairs(bad)
+
+
+def test_epr_pairs_refuses_a_float_count_in_a_fresh_process_too():
+    # 2.0 == 2: refused before the shared 2-pair state exists and after it
+    code = ("from compent.states import epr_pairs\n"
+            "for n in (2.0, 2, 2.0):\n"
+            "    try:\n"
+            "        print(epr_pairs(n).cut)\n"
+            "    except ValueError as e:\n"
+            "        print(type(e).__name__)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(compent.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert (done.returncode, done.stdout) == (0, "ValueError\n(2, 2)\nValueError\n"), done.stderr
+
+
+def test_pair_counts_are_refused_before_anything_is_built(monkeypatch):
+    # not unitary: a check that came after the unitarity check would report that
+    with pytest.raises(SizeLimitError):
+        rotated_epr(np.zeros((256, 256)), 8)
+    for m in (0, -1):
+        with pytest.raises(SizeLimitError):
+            rotated_epr(np.eye(1), m)
+
+    def built(a, b):
+        raise AssertionError(f"a Pauli shift on {len(a)} qubits was built")
+
+    monkeypatch.setattr(circuits, "pauli_shift", built)
+    for build in (keyed_pauli_state, keyed_pauli_rotate, keyed_pauli_unrotate):
+        for key, m in (((), 0), ((), -1), ((1,), 8)):
+            with pytest.raises(SizeLimitError):
+                build(key, m)
 
 
 def test_applies_of_one_circuit_reuse_its_plan_bit_for_bit():
