@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import product
 from typing import Callable, NamedTuple, Sequence
 
@@ -396,10 +397,14 @@ class KeyedSetting:
     def unrotate(self, key) -> LoccCircuit:
         return keyed_pauli_unrotate(key, self.m)
 
+    @cached_property
+    def bob_rotations(self) -> list[LoccCircuit]:
+        return [bob_unitary_circuit(u, self.m) for u in self.fixed]
+
     def rotated(self, key) -> list[BipartiteState]:
         """The keyed state with each fixed rotation applied on Bob's side."""
         base = self.state(key)
-        return [apply(bob_unitary_circuit(u, self.m), base) for u in self.fixed]
+        return [apply(c, base) for c in self.bob_rotations]
 
 
 class Suite(NamedTuple):
@@ -415,6 +420,7 @@ class Suite(NamedTuple):
     one_shot: Callable[..., tuple]
     keyed: Callable[..., tuple]
     arity: int = 1
+    per_lambda: bool = True  # False: the keyed builder reads no per-lambda draw
 
 
 SUITES: dict[str, Suite] = {
@@ -427,11 +433,11 @@ SUITES: dict[str, Suite] = {
     "superadditivity": Suite(
         check_superadditivity_distillation, _superadditivity_one_shot,
         lambda k, k1, k2: (k.unrotate(k1), k.unrotate(k2), k.state(k1), k.state(k2), k.m, k.m),
-        arity=2),
+        arity=2, per_lambda=False),
     "subadditivity": Suite(
         check_subadditivity_cost, _subadditivity_one_shot,
         lambda k, k1, k2: (k.rotate(k1), k.rotate(k2), k.state(k1), k.state(k2), k.m, k.m),
-        arity=2),
+        arity=2, per_lambda=False),
     "lu-cost": Suite(
         check_lu_invariance_cost, _lu_cost_one_shot,
         lambda k, key: (k.rotate(key), k.state(key), k.alice, k.bob, k.m)),
@@ -440,10 +446,12 @@ SUITES: dict[str, Suite] = {
         lambda k, key: (k.unrotate(key), k.state(key), k.alice, k.bob, k.m)),
     "monotonicity-cost": Suite(
         check_locc_monotonicity_cost, _monotonicity_cost_one_shot,
-        lambda k, key: (k.rotate(key), dephase_bob_circuit(k.m), k.state(key), k.m)),
+        lambda k, key: (k.rotate(key), dephase_bob_circuit(k.m), k.state(key), k.m),
+        per_lambda=False),
     "monotonicity-distillation": Suite(
         check_locc_monotonicity_distillation, _monotonicity_distillation_one_shot,
-        lambda k, key: (identity_circuit(k.m, k.m), k.unrotate(key), k.state(key), k.m)),
+        lambda k, key: (identity_circuit(k.m, k.m), k.unrotate(key), k.state(key), k.m),
+        per_lambda=False),
 }
 ONE_SHOT_SUITES = tuple(SUITES)
 _SELECTORS = (*SUITES, *(f"keyed-{s}" for s in SUITES), "counterexample")
@@ -483,15 +491,16 @@ def run_keyed_suite(
     m = max(1, math.ceil(kappa / 2))
     name = f"keyed-{selector}"
     records: list[CheckRecord] = []
-    for lam in lambdas:
+    for lam in lambdas if suite.per_lambda else lambdas[:1]:
         rng = _rng(seed, name, lam, 0)
         # draw order: the two fixed rotations, then Alice's and Bob's layers
         setting = KeyedSetting(m, list(haar_unitary(2 ** m, rng, 2)),
                                _random_local_layer(m, rng), _random_local_layer(m, rng))
         for keys in product(all_keys(kappa), repeat=suite.arity):
-            args = suite.keyed(setting, *keys)
-            record = suite.check(*args, tolerance)
+            record = suite.check(*suite.keyed(setting, *keys), tolerance)
             records.append(replace(record, name=name, lam=lam, key=key_label(*keys)))
+    if not suite.per_lambda:  # the same checks at every lambda: relabel, one details dict each
+        records += [replace(r, lam=lam, details=dict(r.details)) for lam in lambdas[1:] for r in records]
     return records
 
 

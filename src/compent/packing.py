@@ -75,8 +75,16 @@ def epr_overlap(u, v, m: int) -> complex:
     return complex(np.trace(u.conj().T @ v) / d)
 
 
+def _check_orbit_size(m: int) -> None:
+    if not 1 <= m <= 2:
+        raise ValueError(f"packings are built for 1 <= m <= 2 (orbit scans stay cheap), got m={m}")
+
+
 def pauli_orbit(v, m: int) -> list[np.ndarray]:
     """All 4^m 'sigma_X(a) sigma_Z(b) V' shifts of a unitary."""
+    _check_orbit_size(m)
+    if np.shape(v) != (2 ** m, 2 ** m):
+        raise ValueError(f"pauli_orbit needs shape {(2 ** m, 2 ** m)} at m={m}, got shape {np.shape(v)}")
     return list(_paulis(m) @ require_unitary(v))
 
 
@@ -113,8 +121,7 @@ def greedy_packing(
     block's live candidates against ``_BLOCK`` members or against a member
     accepted from the block, and the candidates it rejects leave the next.
     """
-    if not 1 <= m <= 2:
-        raise ValueError(f"packings are built for 1 <= m <= 2 (orbit scans stay cheap), got m={m}")
+    _check_orbit_size(m)
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
     for name, cap in (("max_size", max_size), ("max_candidates", max_candidates)):

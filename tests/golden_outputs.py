@@ -5,8 +5,8 @@
 Runs the package of the source tree TREE (``PYTHONPATH=TREE/src``, working
 directory TREE) and writes each pinned output into OUTDIR under a fixed name:
 
-- the ``verify`` reports for seeds 7 and 0, the seed-7 CSV, ``--kappa 2``
-  and ``--kappa 3 --lambda 1..2 --seed 3``;
+- the ``verify`` reports for seeds 7 and 0, the seed-7 CSV, ``--kappa 2``,
+  ``--kappa 3 --lambda 1..2 --seed 3`` and ``--kappa 3 --lambda 1..3 --seed 7``;
 - the ``apply`` digests of this script's ``apply_digest.py``, which runs
   against TREE's ``src`` like everything else;
 - both ``net`` packings and their stderr lines;
@@ -38,6 +38,9 @@ RUNS = {
     "verify-kappa2.json": [*VERIFY, "--lambda", "1..3", "--kappa", "2", "--seed", "7", "--out", "{out}"],
     # m = 2 keyed setting: two-wire local layers and the keyed builders
     "verify-kappa3.json": [*VERIFY, "--lambda", "1..2", "--kappa", "3", "--seed", "3", "--out", "{out}"],
+    # 579 checks, 432 of them in the four lambda-free keyed suites (each computed once per key tuple)
+    "verify-kappa3-full.json": [*VERIFY, "--lambda", "1..3", "--kappa", "3", "--seed", "7",
+                                "--out", "{out}"],
     # the 5+5 local circuit runs the blocked gate step on a 10-qubit density tensor
     "apply-digests.txt": [str(HERE / "apply_digest.py")],
     "net-eta05.json": [*CLI, "net", "--m", "2", "--eta", "0.5", "--seed", "0", "--out", "{out}"],

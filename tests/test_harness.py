@@ -11,8 +11,11 @@ from compent.circuits import (
     teleport_dilution,
     unrotate_distillation,
 )
+from compent import harness
 from compent.harness import (
     ONE_SHOT_SUITES,
+    SUITES,
+    KeyedSetting,
     check_concavity_dilution,
     check_convexity_distillation,
     check_locc_monotonicity_cost,
@@ -29,6 +32,7 @@ from compent.harness import (
 from compent.linalg import haar_unitary
 from compent.measures import p_err_distill
 from compent.states import (
+    all_keys,
     binary_mixture_entropy,
     bipartite_pure,
     epr_pairs,
@@ -39,6 +43,8 @@ from compent.states import (
 from test_circuits import prep_gates_for_state
 
 RNG = np.random.default_rng(4242)
+# the keyed laws whose inputs hold no per-lambda draw at a fixed kappa
+LAMBDA_FREE = {"superadditivity", "subadditivity", "monotonicity-cost", "monotonicity-distillation"}
 
 
 def zero_state():
@@ -264,3 +270,75 @@ def test_run_suites_all_selector():
     assert all(r.passed for r in records)
     with pytest.raises(ValueError):
         run_suites(["bogus"], [1], seed=7)
+
+
+def test_lambda_free_keyed_checks_run_once_per_key_tuple(monkeypatch):
+    assert {name for name, suite in SUITES.items() if not suite.per_lambda} == LAMBDA_FREE
+    for name, suite in SUITES.items():
+        calls = []
+
+        def counting(*args, check=suite.check):
+            calls.append(1)
+            return check(*args)
+
+        monkeypatch.setitem(SUITES, name, suite._replace(check=counting))
+        for kappa in (1, 2):
+            calls.clear()
+            records = run_keyed_suite(name, kappa, [1, 2, 3], seed=5)
+            per_lambda = len(all_keys(kappa)) ** suite.arity  # key tuples
+            assert len(records) == 3 * per_lambda, name
+            assert len(calls) == per_lambda * (1 if name in LAMBDA_FREE else 3), (name, kappa)
+
+
+class _Untouchable:
+    """Stands in for a per-lambda draw; any use of it fails the test."""
+
+    def _used(self, *args):
+        raise AssertionError("a lambda-free keyed builder read a per-lambda draw")
+
+    __getattr__ = __iter__ = __len__ = __getitem__ = __bool__ = __array__ = _used
+
+
+def _touches_a_draw(suite, setting, keys):
+    try:
+        args = suite.keyed(setting, *keys)
+    except AssertionError:
+        return True
+    return any(isinstance(a, _Untouchable) for a in args)
+
+
+@pytest.mark.parametrize("kappa", [1, 3])
+def test_lambda_free_keyed_builders_read_no_per_lambda_draw(kappa):
+    setting = KeyedSetting(max(1, math.ceil(kappa / 2)), _Untouchable(), _Untouchable(), _Untouchable())
+    for name, suite in SUITES.items():
+        keys = (all_keys(kappa)[-1],) * suite.arity
+        if name not in LAMBDA_FREE:  # the guard sees the draws these builders do read
+            assert _touches_a_draw(suite, setting, keys), name
+            continue
+        args = suite.keyed(setting, *keys)
+        assert not any(isinstance(a, _Untouchable) for a in args), name
+        if kappa == 1:
+            assert suite.check(*args).passed, name
+
+
+def test_keyed_suite_over_lambdas_equals_one_lambda_at_a_time():
+    for name in SUITES:
+        together = run_keyed_suite(name, 2, [1, 2, 3], seed=11)
+        apart = [r for lam in (1, 2, 3) for r in run_keyed_suite(name, 2, [lam], seed=11)]
+        assert together == apart, name
+        assert len({id(r.details) for r in together}) == len(together), name
+
+
+def test_keyed_setting_builds_each_bob_rotation_once(monkeypatch):
+    built = []
+
+    def counting(u, m):
+        built.append(m)
+        return bob_unitary_circuit(u, m)
+
+    monkeypatch.setattr(harness, "bob_unitary_circuit", counting)
+    for name in ("convexity", "concavity"):
+        built.clear()
+        records = run_keyed_suite(name, 2, [1, 2, 3], seed=5)
+        assert len(records) == 12 and all(r.passed for r in records), name
+        assert built == [1] * 6, name  # two fixed rotations for each lambda's setting

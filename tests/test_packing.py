@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from compent import packing
 from compent.circuits import GateBudget
 from compent.linalg import haar_unitary
 from compent.packing import (
@@ -75,6 +76,25 @@ def test_pauli_orbit():
         for i in range(len(orbit)):
             for j in range(i + 1, len(orbit)):
                 assert frobenius_distance(orbit[i], orbit[j]) > 1e-9
+
+
+def test_pauli_orbit_names_both_shapes_of_a_wrong_size_unitary():
+    with pytest.raises(ValueError, match=r"shape \(4, 4\) at m=2, got shape \(2, 2\)"):
+        pauli_orbit(np.eye(2), 2)
+
+
+@pytest.mark.parametrize("m", [0, 8])
+def test_pauli_orbit_refuses_m_outside_one_to_two_before_building(monkeypatch, m):
+    def built(m):
+        raise AssertionError(f"the Pauli shifts for m={m} were built")
+
+    monkeypatch.setattr(packing, "_paulis", built)
+    with pytest.raises(ValueError) as orbit:
+        pauli_orbit(np.eye(2 ** m), m)
+    with pytest.raises(ValueError) as packed:
+        greedy_packing(m, 0.5)
+    assert str(orbit.value) == str(packed.value) == (
+        f"packings are built for 1 <= m <= 2 (orbit scans stay cheap), got m={m}")
 
 
 def test_orbit_overlap_lower_bound():
