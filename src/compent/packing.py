@@ -22,6 +22,9 @@ from .states import pauli_shift, shared
 _BLOCK = 64  # candidates per Haar draw, and members per overlap product
 SEPARATION_TOL = 1e-9  # slack on separation_check's root-fidelity bound
 MAX_REJECTIONS = 500  # consecutive rejected candidates that end a greedy packing
+# Margin of the complex64 screen: on rows and columns of Frobenius norm 2^(m/2), the two casts
+# (2u each, u = 2^-24) and a gamma_16 inner product move an overlap by about 5e-6 at m = 2.
+DELTA = 1e-4
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,6 +104,22 @@ def _orbit_rows(u: np.ndarray, m: int) -> np.ndarray:
     return (_paulis(m) @ u[..., None, :, :]).conj().reshape(-1, 4 ** m)
 
 
+def _orbit_max(rows, cols, groups: int) -> np.ndarray:
+    """``max |rows @ cols.T|`` over each of ``groups`` equal runs of rows, per column."""
+    return np.abs(rows @ cols.T).reshape(groups, len(rows) // groups, -1).max(axis=1)
+
+
+def _within(rows, rows32, cols, cols32, bound: float, groups: int) -> np.ndarray:
+    """``_orbit_max(rows, cols, groups) <= bound`` from the complex64 copies; only the
+    columns with a maximum within ``DELTA`` of the bound are recomputed in complex128."""
+    top = _orbit_max(rows32, cols32, groups)
+    within, gap = top <= bound, np.abs(top - bound)
+    if gap.min(initial=DELTA + 1) <= DELTA:
+        near = np.flatnonzero((gap <= DELTA).any(axis=0))
+        within[:, near] = _orbit_max(rows, cols[near], groups) <= bound
+    return within
+
+
 def greedy_packing(
     m: int,
     eta: float,
@@ -120,6 +139,7 @@ def greedy_packing(
     rows live in one buffer that doubles when full. One product tests a
     block's live candidates against ``_BLOCK`` members or against a member
     accepted from the block, and the candidates it rejects leave the next.
+    ``_within`` screens each product in complex64 and keeps its complex128 decision.
     """
     _check_orbit_size(m)
     if not 0.0 < eta < 1.0:
@@ -133,17 +153,18 @@ def greedy_packing(
     size_cap = math.inf if max_size is None else max_size
     candidate_cap = math.inf if max_candidates is None else max_candidates
     rows = np.empty((_BLOCK * k, k), dtype=complex)
+    rows32 = np.empty_like(rows, dtype=np.complex64)  # the screen's copy of ``rows``
     members: list[np.ndarray] = []
     candidates = rejections = 0
     while rejections < MAX_REJECTIONS and len(members) < size_cap and candidates < candidate_cap:
         i, n = candidates % _BLOCK, len(members)
         if i == 0:
             draws = haar_unitary(2 ** m, rng, _BLOCK)
+            flat32 = draws.reshape(_BLOCK, k).astype(np.complex64)
             live, tested = np.ones(_BLOCK, dtype=bool), 0
         for s in range(tested, n * k, _BLOCK * k):  # rows the block has not met
-            j = i + np.flatnonzero(live[i:])
-            overlaps = rows[s:min(s + _BLOCK * k, n * k)] @ draws[j].reshape(-1, k).T
-            live[j] = np.abs(overlaps).max(axis=0) <= bound
+            j, e = i + np.flatnonzero(live[i:]), min(s + _BLOCK * k, n * k)
+            live[j] = _within(rows[s:e], rows32[s:e], draws[j].reshape(-1, k), flat32[j], bound, 1)[0]
         tested = n * k
         # the candidates before the next live one are rejected in one step, up to a cap
         dead = next(iter(np.flatnonzero(live[i:])), _BLOCK - i)
@@ -154,8 +175,8 @@ def greedy_packing(
         i += dead
         candidates += 1
         if (n + 1) * k > len(rows):
-            rows = np.concatenate((rows, np.empty_like(rows)))
-        rows[n * k:(n + 1) * k] = _orbit_rows(draws[i], m)
+            rows, rows32 = (np.concatenate((b, np.empty_like(b))) for b in (rows, rows32))
+        rows[n * k:(n + 1) * k] = rows32[n * k:(n + 1) * k] = _orbit_rows(draws[i], m)
         members.append(draws[i].copy())
         rejections = 0
     stop = ("max_rejections reached" if rejections >= MAX_REJECTIONS
@@ -167,9 +188,10 @@ def separation_check(p: UnitaryPacking) -> bool:
     """True iff every cross-orbit pair satisfies the fidelity separation.
 
     Each block of ``_BLOCK`` members is tested against each later block of
-    ``_BLOCK`` members in one matrix product, up to the first product with a
-    violating pair.
+    ``_BLOCK`` members in one product screened by ``_within``, up to the first
+    product with a violating pair.
     """
+    _check_orbit_size(p.m)
     d, n = p.d, len(p.members)
     members = []
     for i, u in enumerate(p.members):
@@ -178,16 +200,17 @@ def separation_check(p: UnitaryPacking) -> bool:
         members.append(require_unitary(u, f"packing member {i}"))
     k = d * d
     flat = np.array(members).reshape(n, k)
+    flat32 = flat.astype(np.complex64)
     bound = (1.0 - p.eta + SEPARATION_TOL) * d
     for s in range(0, n, _BLOCK):
         rows = _orbit_rows(flat[s:s + _BLOCK].reshape(-1, d, d), p.m)
+        rows32 = rows.astype(np.complex64)
         for t in range(s, n, _BLOCK):
-            cols = flat[t:t + _BLOCK]
-            # orbit maximum of member s + i against member t + j
-            traces = np.abs(rows @ cols.T).reshape(-1, k, len(cols)).max(axis=1)
+            # member s + i's orbit against member t + j
+            within = _within(rows, rows32, flat[t:t + _BLOCK], flat32[t:t + _BLOCK], bound, len(rows) // k)
             if t == s:
-                traces = np.triu(traces, 1)  # keep the pairs j > i
-            if traces.max() > bound:
+                within |= np.tri(len(within), dtype=bool)  # keep the pairs j > i
+            if not within.all():
                 return False
     return True
 
@@ -227,6 +250,7 @@ def packing_to_dict(p: UnitaryPacking) -> dict:
 
 def packing_from_dict(d: dict) -> UnitaryPacking:
     m, seed = as_ints((d["m"], d["seed"]), "m and seed")
+    _check_orbit_size(m)
     members = tuple(require_unitary(matrix_from_dict(e, (2 ** m, 2 ** m)), "packing member")
                     for e in d["members"])
     return UnitaryPacking(m, float(d["eta"]), members, seed)

@@ -9,7 +9,7 @@ directory TREE) and writes each pinned output into OUTDIR under a fixed name:
   ``--kappa 3 --lambda 1..2 --seed 3`` and ``--kappa 3 --lambda 1..3 --seed 7``;
 - the ``apply`` digests of this script's ``apply_digest.py``, which runs
   against TREE's ``src`` like everything else;
-- both ``net`` packings and their stderr lines;
+- the three ``net`` packings and their stderr lines;
 - the stdout of ``counterexample``, of every ``demos/`` script and of the
   three ``compent demo`` commands;
 - seeds 7, 0 and 7 run in one process, which must reproduce the seed-7 and
@@ -46,13 +46,16 @@ RUNS = {
     "net-eta05.json": [*CLI, "net", "--m", "2", "--eta", "0.5", "--seed", "0", "--out", "{out}"],
     # 636 members: ten 64-member chunks and several buffer doublings
     "net-eta03.json": [*CLI, "net", "--m", "2", "--eta", "0.3", "--seed", "0", "--out", "{out}"],
+    # 2,454 members; the complex64 overlap screen sends dozens of columns to its exact path
+    "net-eta025.json": [*CLI, "net", "--m", "2", "--eta", "0.25", "--seed", "0", "--out", "{out}"],
     "counterexample.txt": [*CLI, "counterexample", "--m", "1", "--eps", "1e-4", "--seed", "7"],
     "demo-cli-teleport.txt": [*CLI, "demo", "teleport", "--n", "2"],
     "demo-cli-unrotate.txt": [*CLI, "demo", "unrotate", "--m", "2"],
     "demo-cli-bbpssw.txt": [*CLI, "demo", "bbpssw"],
 }
 # the stderr line of each run named here is pinned too
-STDERR = {"net-eta05.json": "net-eta05.err", "net-eta03.json": "net-eta03.err"}
+STDERR = {"net-eta05.json": "net-eta05.err", "net-eta03.json": "net-eta03.err",
+          "net-eta025.json": "net-eta025.err"}
 # seeds 7, 0 and 7 in one process, each against the fresh-process report it must equal
 REPEAT = [("7", "repeat-1-seed7.json", "verify-seed7.json"),
           ("0", "repeat-2-seed0.json", "verify-seed0.json"),

@@ -6,8 +6,10 @@ import pytest
 
 from compent import packing
 from compent.circuits import GateBudget
-from compent.linalg import haar_unitary
+from compent.linalg import haar_unitary, matrix_to_dict
 from compent.packing import (
+    DELTA,
+    SEPARATION_TOL,
     NetBoundEstimate,
     UnitaryPacking,
     counting_ratio_log,
@@ -95,6 +97,31 @@ def test_pauli_orbit_refuses_m_outside_one_to_two_before_building(monkeypatch, m
         greedy_packing(m, 0.5)
     assert str(orbit.value) == str(packed.value) == (
         f"packings are built for 1 <= m <= 2 (orbit scans stay cheap), got m={m}")
+
+
+def _refuse_building(monkeypatch):
+    def built(*args):
+        raise AssertionError(f"built something from {args!r}")
+
+    monkeypatch.setattr(packing, "_paulis", built)
+    monkeypatch.setattr(packing, "matrix_from_dict", built)
+
+
+@pytest.mark.parametrize("m", [0, 3])
+def test_separation_check_and_the_loader_refuse_m_outside_one_to_two_before_building(monkeypatch, m):
+    p = UnitaryPacking(m, 0.3, tuple(haar_unitary(2 ** m, RNG, 2)), 0)
+    d = packing_to_dict(p)
+    _refuse_building(monkeypatch)
+    for call, arg in ((separation_check, p), (packing_from_dict, d)):
+        with pytest.raises(ValueError, match=f"1 <= m <= 2 .*got m={m}"):
+            call(arg)
+
+
+def test_a_loaded_m7_packing_is_refused_before_building(monkeypatch):
+    d = {"m": 7, "eta": 0.3, "seed": 0, "members": [matrix_to_dict(np.eye(128))] * 2}
+    _refuse_building(monkeypatch)
+    with pytest.raises(ValueError, match="got m=7"):
+        packing_from_dict(d)
 
 
 def test_orbit_overlap_lower_bound():
@@ -325,3 +352,76 @@ def test_packing_from_dict_refuses_a_non_unitary_member():
     d["members"][0] = {"re": [2.0, 0.0, 0.0, 1.0], "im": [0.0] * 4}
     with pytest.raises(ValueError, match="not unitary"):
         packing_from_dict(d)
+
+
+def _spy_exact_path(monkeypatch) -> list[int]:
+    """The column count of every complex128 ``_orbit_max`` call: the screen's exact path."""
+    columns, orbit_max = [], packing._orbit_max
+
+    def spy(rows, cols, groups):
+        if rows.dtype == np.complex128:
+            columns.append(len(cols))
+        return orbit_max(rows, cols, groups)
+
+    monkeypatch.setattr(packing, "_orbit_max", spy)
+    return columns
+
+
+def _at_overlap(u, target):
+    """u diag(e^it, e^-it, 1, 1) (m = 2), whose orbit maximum against u is
+    2 + 2 cos t = ``target``, from the identity shift: every other shift P has
+    |tr((P u)^dag v)| <= 4 sin(t / 2) < ``target`` for targets near 2.8."""
+    t = math.acos(target / 2 - 1)
+    v = u @ np.diag(np.exp(1j * np.array([t, -t, 0.0, 0.0])))
+    assert abs(np.abs(packing._orbit_rows(u, 2) @ v.ravel()).max() - target) < 1e-12
+    return v
+
+
+def test_candidates_at_the_bound_take_the_exact_path_and_its_decision(monkeypatch, packing_m2_eta03):
+    eta, k = 0.3, 16
+    bound = (1 - eta) * 4
+    members = packing_m2_eta03.members[:64]
+    rows = packing._orbit_rows(np.array(members), 2)
+    tuned = [_at_overlap(members[i], bound + offset) for i in (5, 40) for offset in (-1e-6, 1e-6)]
+    cols = np.concatenate([np.array(tuned), haar_unitary(4, np.random.default_rng(2), 60)]).reshape(-1, k)
+    exact = packing._orbit_max(rows, cols, 1)[0] <= bound
+    assert list(exact[:4]) == [True, False, True, False]
+    for groups in (1, 64):  # the packing's test, and separation_check's per-pair test
+        columns = _spy_exact_path(monkeypatch)
+        within = packing._within(rows, rows.astype(np.complex64), cols, cols.astype(np.complex64),
+                                 bound, groups)
+        assert columns == [4]
+        assert within.shape == (groups, 64)
+        assert np.array_equal(within.all(axis=0), exact)
+        monkeypatch.undo()
+
+
+def test_the_eta_03_packing_enters_the_exact_path(monkeypatch, packing_m2_eta03):
+    columns = _spy_exact_path(monkeypatch)
+    p = greedy_packing(2, 0.3, seed=0)
+    assert len(columns) >= 1
+    assert [u.tobytes() for u in p.members] == [u.tobytes() for u in packing_m2_eta03.members]
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_the_screen_stays_within_a_tenth_of_delta_of_complex128(m):
+    rng = np.random.default_rng(17 + m)
+    gap = 0.0
+    for _ in range(20):
+        rows = packing._orbit_rows(haar_unitary(2 ** m, rng, 64), m)
+        cols = haar_unitary(2 ** m, rng, 64).reshape(64, -1)
+        # one group per row: every overlap of the block, not only the orbit maxima
+        exact = packing._orbit_max(rows, cols, len(rows))
+        screened = packing._orbit_max(rows.astype(np.complex64), cols.astype(np.complex64), len(rows))
+        gap = max(gap, float(np.abs(screened - exact).max()))
+    assert gap < DELTA / 10
+
+
+@pytest.mark.parametrize("offset, separated", [(-1e-7, True), (1e-7, False)])
+def test_separation_check_decides_a_planted_member_at_its_bound(monkeypatch, offset, separated):
+    eta = 0.3
+    u = haar_unitary(4, np.random.default_rng(3))
+    v = _at_overlap(u, (1 - eta + SEPARATION_TOL) * 4 + offset)
+    columns = _spy_exact_path(monkeypatch)
+    assert separation_check(UnitaryPacking(2, eta, (u, v), 0)) is separated
+    assert columns == [2]
