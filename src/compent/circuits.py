@@ -40,12 +40,14 @@ from .linalg import (
     marginal,
     matrix_from_dict,
     matrix_to_dict,
+    read_only,
     require_unitary,
 )
 from .states import (
     BipartiteState,
     DensityMatrix,
     _bits,
+    _check_key,
     _pair_count,
     all_keys,
     epr_vector,
@@ -74,8 +76,6 @@ _CNOT = np.array(
 _SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
 )
-for _m in (_H, _X, _Z, _CNOT, _SWAP):  # gate payloads, shared by every circuit built on them
-    _m.flags.writeable = False
 
 
 def _wires(w) -> tuple[int, ...]:
@@ -111,7 +111,6 @@ class Gate:
                 raise ValueError(
                     f"payload shape {m.shape} does not match wires {self.wires}"
                 )
-            object.__setattr__(self, "matrix", m)
             if self.kind == CONTROLLED and not self.controls:
                 raise ValueError("controlled gate needs at least one control wire")
             if len(self.controls) > MAX_CONTROLS:
@@ -119,6 +118,7 @@ class Gate:
                     f"{len(self.controls)} controls exceed the cap of {MAX_CONTROLS}")
             if self.kind == UNITARY and self.controls:
                 raise ValueError("plain unitary gate cannot carry controls")
+            object.__setattr__(self, "matrix", read_only(m))
         elif self.kind == PINCH:
             if not self.wires:
                 raise ValueError("measure-pinch needs at least one wire")
@@ -701,26 +701,17 @@ def stock_channel_zoo() -> list[tuple[str, LoccCircuit]]:
 
 @dataclass(frozen=True)
 class GateBudget:
-    """Polynomial gate budget with nonnegative coefficients c0..cd."""
+    """Polynomial gate budget with finite nonnegative coefficients c0..cd."""
 
     coeffs: tuple[float, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
-        if not self.coeffs or any(c < 0 for c in self.coeffs):
-            raise ValueError("budget coefficients must be nonnegative")
+        if not self.coeffs or not all(0 <= c < np.inf for c in self.coeffs):  # refuses NaN too
+            raise ValueError("budget coefficients must be finite and nonnegative")
 
     def __call__(self, lam: int) -> float:
         return float(sum(c * lam ** i for i, c in enumerate(self.coeffs)))
-
-
-@dataclass(frozen=True)
-class ChannelFamily:
-    generator: Callable[[int], LoccCircuit]
-    budget: GateBudget
-
-    def circuit(self, lam: int) -> LoccCircuit:
-        return self.generator(lam)
 
 
 @dataclass(frozen=True)
@@ -729,10 +720,15 @@ class KeyedChannelFamily:
     generator: Callable[[int, tuple[int, ...]], LoccCircuit]
     budget: GateBudget
 
-    def circuit(self, lam: int, key: tuple[int, ...]) -> LoccCircuit:
-        if len(key) != self.kappa(lam):
-            raise ValueError(f"key {key} has wrong length for lambda={lam}")
-        return self.generator(lam, key)
+    def circuit(self, lam: int, key: tuple[int, ...] = ()) -> LoccCircuit:
+        return self.generator(lam, _check_key(key, self.kappa(lam)))
+
+
+class ChannelFamily(KeyedChannelFamily):
+    """Growth-parameter indexed circuit family: the kappa = 0 keyed family."""
+
+    def __init__(self, generator: Callable[[int], LoccCircuit], budget: GateBudget):
+        super().__init__(lambda lam: 0, lambda lam, key: generator(lam), budget)
 
 
 @dataclass(frozen=True)
@@ -760,25 +756,19 @@ class EfficiencyReport:
 def is_efficient(family, lambdas: Sequence[int]) -> EfficiencyReport:
     """Check every generated circuit against the declared polynomial budget.
 
-    Keyed families are checked for every key; unequal gate counts across keys
-    of one lambda make every key of it a violation.  Each (lambda, key) is
-    listed at most once.
+    Every key is checked; unequal gate counts across keys of one lambda make
+    every key of it a violation.  Each (lambda, key) is listed at most once,
+    the empty key of a one-shot family as None.
     """
     if not lambdas:
         raise ValueError("need at least one lambda to check")
     violations: list[tuple] = []
     for lam in lambdas:
         cap = family.budget(lam)
-        if isinstance(family, KeyedChannelFamily):
-            counts = {key: gate_count(family.circuit(lam, key))
-                      for key in all_keys(family.kappa(lam))}
-            uneven = len(set(counts.values())) > 1
-            violations += [(lam, key, count, cap) for key, count in counts.items()
-                           if uneven or count > cap]
-        else:
-            count = gate_count(family.circuit(lam))
-            if count > cap:
-                violations.append((lam, None, count, cap))
+        counts = {key: gate_count(family.circuit(lam, key)) for key in all_keys(family.kappa(lam))}
+        uneven = len(set(counts.values())) > 1
+        violations += [(lam, key or None, count, cap) for key, count in counts.items()
+                       if uneven or count > cap]
     return EfficiencyReport(not violations, tuple(lambdas), tuple(violations))
 
 

@@ -32,6 +32,15 @@ def as_complex(m) -> np.ndarray:
     return m
 
 
+def read_only(m: np.ndarray) -> np.ndarray:
+    """``m`` made read-only: in place when it owns its data, else as a copy in
+    its memory order, since a view's base stays writable."""
+    if not m.flags.owndata:
+        m = np.array(m)
+    m.flags.writeable = False
+    return m
+
+
 def as_ints(values, what: str) -> tuple[int, ...]:
     """``values`` as a tuple of ints; a non-integer entry raises ValueError."""
     try:
@@ -146,8 +155,10 @@ def matrix_to_dict(m: np.ndarray) -> dict:
 
 
 def matrix_from_dict(d: dict, shape: tuple[int, ...]) -> np.ndarray:
-    """Inverse of ``matrix_to_dict`` for a matrix of the given shape."""
-    return (np.asarray(d["re"], dtype=float) + 1j * np.asarray(d["im"], dtype=float)).reshape(shape)
+    """Inverse of ``matrix_to_dict`` for a matrix of the given shape; the result
+    owns its data, so ``read_only`` freezes it without a copy."""
+    re, im = (np.asarray(d[k], dtype=float).reshape(shape) for k in ("re", "im"))
+    return re + 1j * im
 
 
 def haar_unitary(dim: int, rng: np.random.Generator, count: int | None = None) -> np.ndarray:

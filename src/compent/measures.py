@@ -13,7 +13,6 @@ from typing import Callable, Sequence
 
 
 from .circuits import (
-    ChannelFamily,
     EfficiencyReport,
     KeyedChannelFamily,
     LoccCircuit,
@@ -24,7 +23,6 @@ from .circuits import (
 from .states import (
     BipartiteState,
     KeyedStateFamily,
-    StateFamily,
     all_keys,
     epr_pairs,
     fidelity,
@@ -64,10 +62,10 @@ class DistillationCertificate:
     """Claim: m(lam) EPR pairs are extractable from the family with error
     at most epsilon(lam), witnessed by an efficient channel family."""
 
-    family: StateFamily | KeyedStateFamily
+    family: KeyedStateFamily
     m: Callable[[int], int]
     epsilon: Callable[[int], float]
-    witness: ChannelFamily | KeyedChannelFamily
+    witness: KeyedChannelFamily
     name: str = "distillation"
 
 
@@ -76,10 +74,10 @@ class DilutionCertificate:
     """Claim: the family is preparable from n(lam) EPR pairs with error at
     most epsilon(lam), witnessed by an efficient channel family."""
 
-    family: StateFamily | KeyedStateFamily
+    family: KeyedStateFamily
     n: Callable[[int], int]
     epsilon: Callable[[int], float]
-    witness: ChannelFamily | KeyedChannelFamily
+    witness: KeyedChannelFamily
     name: str = "dilution"
 
 
@@ -121,19 +119,16 @@ class CertificateReport:
 
 
 def _verify_certificate(cert, lambdas, size, p_err) -> CertificateReport:
-    """Evaluate ``p_err(witness, state, size(lam))`` for every lambda (and
-    every key of a keyed family) against epsilon(lam), plus the gate budget."""
+    """Evaluate ``p_err(witness, state, size(lam))`` for every lambda and
+    every key against epsilon(lam), plus the gate budget."""
     if not lambdas:
         raise ValueError("need at least one lambda")
-    keyed = isinstance(cert.family, KeyedStateFamily)
     entries = []
     for lam in lambdas:
         eps = float(cert.epsilon(lam))
-        for key in all_keys(cert.family.kappa(lam)) if keyed else [None]:
-            args = (lam,) if key is None else (lam, key)
-            n = size(lam)
-            err = p_err(cert.witness.circuit(*args), cert.family.state(*args), n)
-            entries.append(CertificateEntry(lam, key, err, eps, err <= eps + VERIFY_TOL))
+        for key in all_keys(cert.family.kappa(lam)):
+            err = p_err(cert.witness.circuit(lam, key), cert.family.state(lam, key), size(lam))
+            entries.append(CertificateEntry(lam, key or None, err, eps, err <= eps + VERIFY_TOL))
     return CertificateReport(cert.name, tuple(entries), is_efficient(cert.witness, lambdas))
 
 

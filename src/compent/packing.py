@@ -83,6 +83,11 @@ def _check_orbit_size(m: int) -> None:
         raise ValueError(f"packings are built for 1 <= m <= 2 (orbit scans stay cheap), got m={m}")
 
 
+def _check_eta(eta: float) -> None:
+    if not 0.0 < eta < 1.0:
+        raise ValueError(f"eta must lie in (0, 1), got {eta}")
+
+
 def pauli_orbit(v, m: int) -> list[np.ndarray]:
     """All 4^m 'sigma_X(a) sigma_Z(b) V' shifts of a unitary."""
     _check_orbit_size(m)
@@ -142,8 +147,7 @@ def greedy_packing(
     ``_within`` screens each product in complex64 and keeps its complex128 decision.
     """
     _check_orbit_size(m)
-    if not 0.0 < eta < 1.0:
-        raise ValueError(f"eta must lie in (0, 1), got {eta}")
+    _check_eta(eta)
     for name, cap in (("max_size", max_size), ("max_candidates", max_candidates)):
         if cap is not None and cap < 1:
             raise ValueError(f"{name} must be at least 1, got {cap}")
@@ -218,7 +222,7 @@ def separation_check(p: UnitaryPacking) -> bool:
 def net_cardinality_bounds(d: int, eta: float, c: float, big_c: float) -> NetBoundEstimate:
     """Minimal eta-net cardinality bounds (2cd^(1/2)/eta)^(d^2) <= N <=
     (2Cd^(1/2)/eta)^(d^2), reported in log2 to avoid overflow."""
-    if d < 1 or eta <= 0 or c <= 0 or big_c <= 0:
+    if not (d >= 1 and eta > 0 and c > 0 and big_c > 0):  # refuses NaN too
         raise ValueError("d, eta, c, C must be positive")
     if c > big_c:
         raise ValueError(f"lower constant {c} exceeds upper constant {big_c}")
@@ -234,8 +238,7 @@ def counting_ratio_log(poly, lam: int, m: int, eta: float) -> float:
     Evaluates poly(lam) - 2^(2m) * log2(1/eta); a negative
     value certifies that efficient channels are outnumbered at this point.
     """
-    if not 0.0 < eta < 1.0:
-        raise ValueError(f"eta must lie in (0, 1), got {eta}")
+    _check_eta(eta)
     return float(poly(lam) - (2 ** (2 * m)) * math.log2(1.0 / eta))
 
 
@@ -251,6 +254,8 @@ def packing_to_dict(p: UnitaryPacking) -> dict:
 def packing_from_dict(d: dict) -> UnitaryPacking:
     m, seed = as_ints((d["m"], d["seed"]), "m and seed")
     _check_orbit_size(m)
+    eta = float(d["eta"])
+    _check_eta(eta)
     members = tuple(require_unitary(matrix_from_dict(e, (2 ** m, 2 ** m)), "packing member")
                     for e in d["members"])
-    return UnitaryPacking(m, float(d["eta"]), members, seed)
+    return UnitaryPacking(m, eta, members, seed)

@@ -27,6 +27,7 @@ from .linalg import (
     matrix_from_dict,
     matrix_to_dict,
     psd_sqrt,
+    read_only,
     require_unitary,
 )
 
@@ -54,7 +55,6 @@ class DensityMatrix:
             raise ValueError(f"every register of cut {cut} must hold at least one qubit")
         object.__setattr__(self, "cut", cut)
         m = as_complex(self.matrix)
-        object.__setattr__(self, "matrix", m)
         if m.shape != (2 ** sum(cut),) * 2:
             raise ValueError(f"matrix shape {m.shape} does not match cut {cut}")
         if hermitian_gap(m) > HERMITIAN_TOL:
@@ -66,11 +66,13 @@ class DensityMatrix:
             low = np.linalg.eigvalsh(m).min()
             if low < PSD_FLOOR:
                 raise ValueError(f"density matrix has negative eigenvalue {low}")
+        object.__setattr__(self, "matrix", read_only(m))
 
     @classmethod
     def _trusted(cls, matrix: np.ndarray, cut: tuple[int, ...]) -> "DensityMatrix":
         """A state built from checked inputs by a map that keeps states states; no checks."""
         s = object.__new__(cls)
+        matrix.flags.writeable = False
         object.__setattr__(s, "matrix", matrix)
         object.__setattr__(s, "cut", tuple(map(int, cut)))  # plain ints, as checked cuts hold
         return s
@@ -114,34 +116,28 @@ def _register_wires(cut: tuple[int, ...], keep: Sequence[int]) -> list[int]:
 
 
 @dataclass(frozen=True)
-class StateFamily:
-    """Growth-parameter indexed family of bipartite states."""
-
-    generator: Callable[[int], BipartiteState]
-    n_a: Callable[[int], int]
-    n_b: Callable[[int], int]
-
-    def state(self, lam: int) -> BipartiteState:
-        s = self.generator(lam)
-        if s.cut != (self.n_a(lam), self.n_b(lam)):
-            raise ValueError(
-                f"family produced cut {s.cut} at lambda={lam}, "
-                f"declared ({self.n_a(lam)}, {self.n_b(lam)})"
-            )
-        return s
-
-
-@dataclass(frozen=True)
 class KeyedStateFamily:
     """Key-indexed family; keys are bit tuples of length kappa(lam)."""
 
     kappa: Callable[[int], int]
     generator: Callable[[int, tuple[int, ...]], BipartiteState]
 
-    def state(self, lam: int, key: tuple[int, ...]) -> BipartiteState:
-        if len(key) != self.kappa(lam) or any(b not in (0, 1) for b in key):
-            raise ValueError(f"key {key} is not a bit string of length {self.kappa(lam)}")
-        return self.generator(lam, key)
+    def state(self, lam: int, key: tuple[int, ...] = ()) -> BipartiteState:
+        return self.generator(lam, _check_key(key, self.kappa(lam)))
+
+
+class StateFamily(KeyedStateFamily):
+    """The one-shot family: the kappa = 0 keyed family, whose one key is the empty key."""
+
+    def __init__(self, generator: Callable[[int], BipartiteState]):
+        super().__init__(lambda lam: 0, lambda lam, key: generator(lam))
+
+
+def _check_key(key: tuple[int, ...], kappa: int) -> tuple[int, ...]:
+    """``key``, refused unless it is a bit string of length ``kappa``."""
+    if len(key) != kappa or any(b not in (0, 1) for b in key):
+        raise ValueError(f"key {key} is not a bit string of length {kappa}")
+    return key
 
 
 def all_keys(kappa: int) -> list[tuple[int, ...]]:
@@ -154,18 +150,13 @@ def key_label(*keys: tuple[int, ...]) -> str:
     return "|".join("".join(map(str, k)) for k in keys)
 
 
-def _arrays(built) -> list[np.ndarray]:  # a state's matrix, a circuit's payloads, or itself
-    if isinstance(built, (np.ndarray, DensityMatrix)):
-        return [getattr(built, "matrix", built)]
-    return [g.matrix for rnd in built.rounds for g in (*rnd.alice, *rnd.bob) if g.matrix is not None]
-
-
 def shared(build):
     """``build`` run once per distinct arguments, told apart by type too (``1.0``
     is not ``1``): every later call returns that one object, unless an array
-    of it has more than ``SHARED_ENTRIES`` entries.  Every array of a result
-    is made read-only.  Unhashable arguments are built afresh, so ``build``
-    refuses them as it always did; its errors are never kept."""
+    of it has more than ``SHARED_ENTRIES`` entries (a circuit's gate payloads
+    hold at most 16).  Every array of a result is read-only.  Unhashable
+    arguments are built afresh, so ``build`` refuses them as it always did;
+    its errors are never kept."""
     built: dict = {}
 
     @wraps(build)
@@ -177,10 +168,10 @@ def shared(build):
             return build(*args, **kwargs)
         if out is None:
             out = build(*args, **kwargs)
-            arrays = _arrays(out)
-            for a in arrays:
+            a = getattr(out, "matrix", out)  # a state's matrix, an array, or a circuit
+            if isinstance(a, np.ndarray):
                 a.flags.writeable = False
-            if all(a.size <= SHARED_ENTRIES for a in arrays):  # a racing thread's build is dropped
+            if getattr(a, "size", 0) <= SHARED_ENTRIES:  # a racing thread's build is dropped
                 out = built.setdefault(key, out)
         return out
     return memo
@@ -357,7 +348,7 @@ def h_star(eta: float) -> float:
 
 def g2(delta: float) -> float:
     """(delta+1) log2(delta+1) - delta log2(delta), continuous at 0."""
-    if delta < 0.0:
+    if not delta >= 0.0:  # refuses NaN too
         raise ValueError(f"delta must be nonnegative, got {delta}")
     if delta == 0.0:
         return 0.0
@@ -369,7 +360,7 @@ def mixture(states: Sequence[BipartiteState], p: Sequence[float]) -> BipartiteSt
     if len(states) != len(p) or not states:
         raise ValueError("need one weight per state")
     weights = np.asarray(p, dtype=float)
-    if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
+    if not (np.all(weights >= 0) and abs(weights.sum() - 1.0) <= 1e-12):  # refuses NaN too
         raise ValueError(f"weights {p} are not a probability vector")
     cut = states[0].cut
     if len(cut) != 2 or any(s.cut != cut for s in states):

@@ -37,6 +37,8 @@ from compent.circuits import (
 )
 from compent.linalg import SizeLimitError, embed_operator, haar_unitary, require_unitary
 from compent.states import (
+    KeyedStateFamily,
+    StateFamily,
     all_keys,
     bipartite_from_matrix,
     bipartite_pure,
@@ -508,6 +510,13 @@ def test_gate_budget():
         GateBudget((1.0, -2.0))
 
 
+def test_gate_budget_refuses_nan_and_infinite_coefficients():
+    # a NaN budget would pass every count: count > nan is False
+    for bad in ((math.nan,), (1.0, math.nan), (math.inf,)):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            GateBudget(bad)
+
+
 def test_is_efficient():
     fam = ChannelFamily(lambda lam: identity_circuit(1, 1), GateBudget((10.0, 1.0)))
     report = is_efficient(fam, [1, 2, 3])
@@ -537,6 +546,22 @@ def test_keyed_family_unequal_counts_flagged():
     # key (1,) is also over budget: still each key is listed once
     fam = KeyedChannelFamily(lambda lam: 1, lopsided, GateBudget((1.0,)))
     assert is_efficient(fam, [1]).violations == ((1, (0,), 1, 1.0), (1, (1,), 2, 1.0))
+
+
+def test_families_refuse_a_key_that_is_not_a_bit_string_of_length_kappa():
+    budget = GateBudget((1.0,))
+    keyed = KeyedChannelFamily(lambda lam: 2, lambda lam, key: identity_circuit(1, 1), budget)
+    keyed_states = KeyedStateFamily(lambda lam: 2, lambda lam, key: epr_pairs(1))
+    one_shot = ChannelFamily(lambda lam: identity_circuit(1, 1), budget)
+    one_shot_states = StateFamily(lambda lam: epr_pairs(1))
+    for make, good in ((keyed.circuit, (0, 1)), (keyed_states.state, (0, 1)),
+                       (one_shot.circuit, ()), (one_shot_states.state, ())):
+        make(1, good)
+        for bad in ((0, 2), (0,), (0, 1, 1)):
+            with pytest.raises(ValueError, match="not a bit string"):
+                make(1, bad)
+    assert one_shot.circuit(1) is identity_circuit(1, 1)
+    assert one_shot_states.state(1) is epr_pairs(1)
 
 
 def test_keyed_family_counts_and_behavior():

@@ -114,7 +114,7 @@ def test_p_err_dilute_mixture_bound():
 
 
 def epr_family():
-    return StateFamily(lambda lam: epr_pairs(lam), lambda lam: lam, lambda lam: lam)
+    return StateFamily(lambda lam: epr_pairs(lam))
 
 
 def test_verify_distillation_identity_witness():
@@ -134,8 +134,7 @@ def test_verify_distillation_rotated_family():
         return haar_unitary(2, np.random.default_rng(1000 + lam))
 
     cert = DistillationCertificate(
-        family=StateFamily(lambda lam: rotated_epr(unitary_for(lam), 1),
-                           lambda lam: 1, lambda lam: 1),
+        family=StateFamily(lambda lam: rotated_epr(unitary_for(lam), 1)),
         m=lambda lam: 1,
         epsilon=lambda lam: 0.0,
         witness=ChannelFamily(lambda lam: unrotate_distillation(unitary_for(lam), 1),
@@ -174,7 +173,7 @@ def test_verify_distillation_budget_violation():
 def test_verify_distillation_epsilon_relaxation_monotone():
     # a passing certificate keeps passing when epsilon is relaxed upward
     u = haar_unitary(2, np.random.default_rng(3))
-    family = StateFamily(lambda lam: rotated_epr(u, 1), lambda lam: 1, lambda lam: 1)
+    family = StateFamily(lambda lam: rotated_epr(u, 1))
     witness = ChannelFamily(lambda lam: unrotate_distillation(u, 1), GateBudget((4.0,)))
     for eps in (0.0, 0.2, 0.9):
         cert = DistillationCertificate(family, lambda lam: 1, lambda lam, e=eps: e, witness)
@@ -265,6 +264,66 @@ def test_certificate_report_schema():
     import json
 
     json.dumps(report)  # JSON-serializable end to end
+
+
+def test_certificate_and_efficiency_reports_pinned():
+    # X-rotated pairs against a wrong rotation: every overlap is exactly 0
+    one_shot = DistillationCertificate(
+        family=StateFamily(lambda lam: rotated_epr(X_GATE, 1)),
+        m=lambda lam: 1,
+        epsilon=lambda lam: 0.5,
+        witness=ChannelFamily(lambda lam: bob_unitary_circuit(np.eye(2), 1), GateBudget((0.0,))),
+        name="one-shot",
+    )
+    report = verify_distillation_certificate(one_shot, [1, 2])
+    assert report.efficiency.violations == ((1, None, 1, 0.0), (2, None, 1, 0.0))
+    assert report.to_dict() == {
+        "certificate": "one-shot",
+        "lambdas": [
+            {"lambda": 1, "key": None, "p_err": 1.0, "epsilon": 0.5, "pass": False},
+            {"lambda": 2, "key": None, "p_err": 1.0, "epsilon": 0.5, "pass": False},
+        ],
+        "efficiency": {"pass": False, "checked": [1, 2], "violations": [
+            {"lambda": 1, "key": None, "gate_count": 1, "budget": 0.0},
+            {"lambda": 2, "key": None, "gate_count": 1, "budget": 0.0},
+        ]},
+        "pass": False,
+    }
+    keyed = DistillationCertificate(
+        family=KeyedStateFamily(lambda lam: 1, lambda lam, key: keyed_pauli_state(key, 1)),
+        m=lambda lam: 1,
+        epsilon=lambda lam: 0.5,
+        witness=KeyedChannelFamily(lambda lam: 1,
+                                   lambda lam, key: keyed_pauli_unrotate((1 - key[0],), 1),
+                                   GateBudget((0.0,))),
+        name="keyed",
+    )
+    report = verify_distillation_certificate(keyed, [1])
+    assert report.efficiency.violations == ((1, (0,), 1, 0.0), (1, (1,), 1, 0.0))
+    assert report.to_dict() == {
+        "certificate": "keyed",
+        "lambdas": [
+            {"lambda": 1, "key": "0", "p_err": 1.0, "epsilon": 0.5, "pass": False},
+            {"lambda": 1, "key": "1", "p_err": 1.0, "epsilon": 0.5, "pass": False},
+        ],
+        "efficiency": {"pass": False, "checked": [1], "violations": [
+            {"lambda": 1, "key": "0", "gate_count": 1, "budget": 0.0},
+            {"lambda": 1, "key": "1", "gate_count": 1, "budget": 0.0},
+        ]},
+        "pass": False,
+    }
+
+
+def test_certificate_refuses_a_family_with_the_wrong_cut():
+    # the family yields (2, 2) states for a witness on (1, 1)
+    family = StateFamily(lambda lam: epr_pairs(2))
+    witness = ChannelFamily(lambda lam: identity_circuit(1, 1), GateBudget((4.0,)))
+    with pytest.raises(ValueError, match="input cut"):
+        verify_distillation_certificate(
+            DistillationCertificate(family, lambda lam: 1, lambda lam: 0.0, witness), [1])
+    with pytest.raises(ValueError, match="target cut"):
+        verify_dilution_certificate(
+            DilutionCertificate(family, lambda lam: 1, lambda lam: 0.0, witness), [1])
 
 
 def test_distillable_upper_via_squashed():

@@ -319,6 +319,12 @@ def test_net_cardinality_bounds():
         net_cardinality_bounds(2, 0.5, 2.0, 1.0)
 
 
+def test_net_cardinality_bounds_refuses_nan():
+    for args in ((2, math.nan, 1.0, 1.0), (2, 0.5, math.nan, 1.0), (2, 0.5, 1.0, math.nan)):
+        with pytest.raises(ValueError):
+            net_cardinality_bounds(*args)
+
+
 def test_counting_ratio_log():
     poly = GateBudget((0.0, 0.0, 1.0))  # lam^2
     assert abs(counting_ratio_log(poly, 4, 3, 0.5) - (16 - 64)) < 1e-12
@@ -352,6 +358,16 @@ def test_packing_from_dict_refuses_a_non_unitary_member():
     d["members"][0] = {"re": [2.0, 0.0, 0.0, 1.0], "im": [0.0] * 4}
     with pytest.raises(ValueError, match="not unitary"):
         packing_from_dict(d)
+
+
+def test_packing_from_dict_refuses_eta_outside_the_open_unit_interval():
+    # every member twice: the copies are not separated at any eta in (0, 1)
+    d = packing_to_dict(greedy_packing(1, 0.3, seed=9))
+    d["members"] += d["members"]
+    assert not separation_check(packing_from_dict(dict(d, eta=0.5)))
+    for eta in (-1.0, 0.0, 1.0, math.nan):
+        with pytest.raises(ValueError, match="eta must lie in"):
+            packing_from_dict(dict(d, eta=eta))
 
 
 def _spy_exact_path(monkeypatch) -> list[int]:

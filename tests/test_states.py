@@ -282,6 +282,11 @@ def test_g2():
         g2(-0.1)
 
 
+def test_g2_refuses_nan():
+    with pytest.raises(ValueError):
+        g2(math.nan)
+
+
 def test_mixture():
     s = epr_pairs(1)
     assert np.allclose(mixture([s], [1.0]).matrix, s.matrix)
@@ -296,6 +301,13 @@ def test_mixture():
         assert abs(np.trace(out.matrix) - 1.0) < 1e-10
     with pytest.raises(ValueError):
         mixture([zero, three], [0.7, 0.2])
+
+
+def test_mixture_refuses_nan_weights():
+    # [nan, 1.0] passes a "< 0" test and a "> tol" sum test
+    s = epr_pairs(1)
+    with pytest.raises(ValueError, match="probability vector"):
+        mixture([s, s], [math.nan, 1.0])
 
 
 def test_tensor_states_ordering():

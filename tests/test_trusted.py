@@ -5,7 +5,6 @@ and is, bit for bit, the state that check builds from the same matrix and
 cut.  The public constructors and loaders keep refusing every bad input.
 """
 
-import inspect
 import math
 import os
 import subprocess
@@ -48,6 +47,7 @@ from compent.states import (
     rotated_epr,
     shared,
     state_from_dict,
+    state_to_dict,
     tensor_states,
 )
 
@@ -161,17 +161,56 @@ def test_shared_keeps_a_result_of_up_to_4096_entries_per_array():
         big.matrix[0, 0] = 0.0
 
 
-def test_only_shared_and_the_gate_constants_make_arrays_read_only():
-    src = Path(compent.__file__).parent
-    hits = [(path.name, i) for path in sorted(src.glob("*.py"))
-            for i, line in enumerate(path.read_text().splitlines(), 1)
-            if "flags.writeable = False" in line]
-    lines = (src / "circuits.py").read_text().splitlines()
-    loop = next(i for i, line in enumerate(lines, 1) if line.startswith("for _m in (_H, _X, _Z, _CNOT, _SWAP)"))
-    body, first = inspect.getsourcelines(shared)
-    assert [hit for hit in hits if hit[0] == "circuits.py"] == [("circuits.py", loop + 1)]
-    inside = [hit for hit in hits if hit[0] == "states.py" and first <= hit[1] < first + len(body)]
-    assert len(inside) == 1 and len(hits) == 2
+def _gates():
+    """Public gates, and the remapped gates of every stock circuit."""
+    yield Gate.unitary(haar_unitary(4, RNG), (0, 1))
+    yield Gate.controlled(H, (1,), (0,))
+    yield Gate.unitary(H, (0,)).remap({0: 3})
+    stock = [c for _, c in stock_channel_zoo()] + [teleport_dilution([Gate.unitary(H, (0,))], 1)]
+    yield from (g for c in stock for rnd in c.rounds for g in (*rnd.alice, *rnd.bob) if g.matrix is not None)
+
+
+def test_states_gates_and_shared_results_hold_only_read_only_arrays():
+    m = random_density_matrix(4, RNG)
+    public = [DensityMatrix(m.copy(), (1, 1)), bipartite_from_matrix(m.copy(), (1, 1)),
+              bipartite_pure(random_pure_state(2, RNG), (1, 1)),
+              state_from_dict({"dims": [4, 4], "cut": [1, 1], **matrix_to_dict(m)})]
+    arrays = [s.matrix for s in (*public, *(state for _, state in _products()))]
+    arrays += [g.matrix for g in _gates()]
+    arrays += [a for build in SHARED_BUILDS.values() for a in _arrays(build())]
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 0.0
+
+
+def test_a_write_to_the_callers_array_cannot_change_a_state_or_a_gate():
+    m = np.outer(epr_vector(1), epr_vector(1))
+    rho = DensityMatrix(m, (1, 1))
+    assert rho.matrix is m  # an array that owns its data is frozen in place, not copied
+    first = apply(identity_circuit(1, 1), rho)
+    with pytest.raises(ValueError):
+        m[:] = np.eye(4) / 4
+    assert apply(identity_circuit(1, 1), rho).matrix.tobytes() == first.matrix.tobytes()
+    u = np.array([[0, 1], [1, 0]], dtype=complex)
+    gate = Gate.unitary(u, (0,))
+    with pytest.raises(ValueError):
+        u[:] = [[2, 0], [0, 0]]
+    assert abs(apply(circuits.local_unitary_circuit([gate], [], 1, 1), rho).matrix.trace() - 1.0) < 1e-12
+    # a view is copied, in its memory order: its base stays writable
+    base = np.asfortranarray(np.kron(np.eye(2), random_density_matrix(2, RNG)) / 2)
+    view = base[:, :]
+    rho = DensityMatrix(view, (1, 1))
+    assert rho.matrix.flags.f_contiguous and rho.matrix.tobytes("A") == view.tobytes("A")
+    base[0, 0] = 7.0
+    assert rho.matrix[0, 0] != 7.0 and not rho.matrix.flags.writeable
+    payload = haar_unitary(2, RNG, 2)
+    gate = Gate.unitary(payload[1], (0,))
+    payload[1] = np.eye(2)
+    assert not np.allclose(gate.matrix, np.eye(2)) and not gate.matrix.flags.writeable
+    # a loaded matrix owns its data, so the loaded state keeps it without a second copy
+    loaded = state_from_dict(state_to_dict(rho))
+    assert loaded.matrix.base is None and np.array_equal(loaded.matrix, rho.matrix)
 
 
 def test_keyed_builders_share_one_object_per_padded_key():
