@@ -13,9 +13,8 @@ to |0..0>, and C is a shared classical register initialized to |0..0>.
 Each round applies Alice's gates (on A, A', C), dephases C in the
 computational basis, then applies Bob's gates (on B, B', C) and dephases C
 again.  Measurement is modeled exactly as that pinching; no trajectories are
-sampled.  The simulator runs the gates and these dephasings as one flat list
-of steps, which with each wire's last use follows from the circuit alone.
-Finally every wire not designated as an output is traced out.
+sampled.  Finally every wire not designated as an output is traced out.  The
+simulator compiles all of this once per circuit into a list of tensor moves.
 
 Gate counting: every unitary or controlled gate costs 1, every pinched wire
 in an explicit measure gate costs 1, and every ancilla or communication
@@ -25,7 +24,7 @@ qubit costs 1 at creation.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import partial, reduce
 from itertools import accumulate, chain, zip_longest
 from typing import Callable, Iterable, Sequence
 
@@ -276,109 +275,73 @@ def gate_count(circuit: LoccCircuit) -> int:
 # multiplies blocks of 2**_STEP_AXES entries (512 KiB), which stay in cache.
 _STEP_AXES = 15
 
+# The moves of a run.  An amplitude tensor has one axis per active wire; a
+# (2,)*2k density tensor has bra axis i and ket axis k+i on the i-th of its k
+# active wires.  Only ``_plan`` knows which wire an axis belongs to.
 
-class _TensorState:
-    """State over a dynamic set of active wires.
 
-    Pure inputs are tracked as an amplitude tensor until a pinch or partial
-    trace forces densification; afterwards the state is a (2,)*2k density
-    tensor where bra axis i and ket axis k+i both belong to ``active[i]``.
-    A gate step is one ``np.dot`` of its operator (on a density tensor,
-    ``linalg.kron(U, conj U)``) with the tensor's gate axes moved in front.
-    Above 2**_STEP_AXES entries it runs block by block into one
-    preallocated output, with the single dot's bits and strides: its peak
+def _ensure(t: np.ndarray, f: int, k: int | None = None) -> np.ndarray:
+    """``t`` with f fresh |0> wires appended; given ``k``, ``t`` is a density
+    tensor on k wires, whose new bras sit after the old bras, new kets at the end."""
+    block = np.zeros((2,) * (f if k is None else 2 * f), dtype=complex)
+    block[(0,) * block.ndim] = 1.0
+    t = np.multiply.outer(t, block)
+    if k is None:
+        return t
+    return t.transpose([*range(k), *range(2 * k, 2 * k + f),
+                        *range(k, 2 * k), *range(2 * k + f, 2 * (k + f))])
+
+
+def _step(t: np.ndarray, u: np.ndarray, axes: list[int]) -> np.ndarray:
+    """Operator ``u`` on the tensor ``axes``: one ``np.dot`` with those axes
+    moved in front.  Above 2**_STEP_AXES entries it runs block by block into
+    one preallocated output, with the single dot's bits and strides: its peak
     allocation is one tensor plus one block, not a gathered copy plus the output.
     """
+    # np.tensordot's dot on its operands; u keeps its memory order (a copy can move last bits)
+    n = len(u)
+    perm = axes + [i for i in range(t.ndim) if i not in axes]
+    back = sorted(range(len(perm)), key=perm.__getitem__)  # the inverse of perm
+    view = t.transpose(perm)
+    if t.ndim <= _STEP_AXES:
+        cols = np.dot(u, view.reshape(n, -1))
+    else:
+        # one cache-sized gathered copy per index of the leading non-gate axes
+        lead = t.ndim - _STEP_AXES
+        cols = np.empty((n, t.size // n), dtype=complex)
+        parts = cols.reshape(n, 2 ** lead, -1)
+        for c, i in enumerate(np.ndindex((2,) * lead)):
+            np.matmul(u, view[(slice(None),) * len(axes) + i].reshape(n, -1), out=parts[:, c])
+    return cols.reshape(t.shape).transpose(back)
 
-    def __init__(self, matrix: np.ndarray, wires: Sequence[int], vector=None):
-        self.active: list[int] = list(wires)
-        self.pure = vector is not None
-        t = np.array(vector if self.pure else matrix, dtype=complex)
-        self.t = t.reshape((2,) * (self.k if self.pure else 2 * self.k))
 
-    @property
-    def k(self) -> int:
-        return len(self.active)
+def _densify(t: np.ndarray) -> np.ndarray:
+    v = t.reshape(-1)
+    return np.outer(v, v.conj()).reshape((2,) * (2 * t.ndim))
 
-    def densify(self) -> None:
-        if self.pure:
-            v = self.t.reshape(-1)
-            self.t = np.outer(v, v.conj()).reshape((2,) * (2 * self.k))
-            self.pure = False
 
-    def ensure(self, wires: Iterable[int]) -> None:
-        fresh = [w for w in wires if w not in self.active]
-        if not fresh:
-            return
-        k, f = self.k, len(fresh)
-        block = np.zeros((2,) * (f if self.pure else 2 * f), dtype=complex)
-        block[(0,) * block.ndim] = 1.0
-        self.t = np.multiply.outer(self.t, block)
-        if not self.pure:
-            # new bra axes sit after the old bras, new kets at the end
-            self.t = self.t.transpose([*range(k), *range(2 * k, 2 * k + f),
-                                       *range(k, 2 * k), *range(2 * k + f, 2 * (k + f))])
-        self.active.extend(fresh)
+def _pinch(t: np.ndarray, k: int, positions: list[int]) -> np.ndarray:
+    """The density tensor on k wires dephased, in place, on the wires at ``positions``."""
+    for p in positions:
+        view = t.transpose([p, k + p, *(i for i in range(2 * k) if i not in (p, k + p))])
+        view[0, 1] = view[1, 0] = 0.0
+    return t
 
-    def _axes(self, wires: Sequence[int]) -> list[int]:
-        return [self.active.index(w) for w in wires]
 
-    def unitary(self, u: np.ndarray, wires: Sequence[int]) -> None:
-        axes = self._axes(wires)
-        if not self.pure:
-            u = kron(u, u.conj())
-            axes += [self.k + a for a in axes]
-        # np.tensordot's dot on its operands; u keeps its memory order (a copy can move last bits)
-        t, n = self.t, len(u)
-        perm = axes + [i for i in range(t.ndim) if i not in axes]
-        back = sorted(range(len(perm)), key=perm.__getitem__)  # the inverse of perm
-        view = t.transpose(perm)
-        if t.ndim <= _STEP_AXES:
-            cols = np.dot(u, view.reshape(n, -1))
-        else:
-            # one cache-sized gathered copy per index of the leading non-gate axes
-            lead = t.ndim - _STEP_AXES
-            cols = np.empty((n, t.size // n), dtype=complex)
-            parts = cols.reshape(n, 2 ** lead, -1)
-            for c, i in enumerate(np.ndindex((2,) * lead)):
-                np.matmul(u, view[(slice(None),) * len(axes) + i].reshape(n, -1), out=parts[:, c])
-        self.t = cols.reshape(t.shape).transpose(back)
+def _trace_pure(t: np.ndarray, axes: list[int]) -> np.ndarray:
+    """The density tensor of amplitude tensor ``t`` with ``axes`` traced out: np.tensordot's
+    one dot of the outer product over those axes, without the full matrix."""
+    keep = [i for i in range(t.ndim) if i not in axes]
+    flat = t.transpose(keep + axes).reshape(2 ** len(keep), -1)
+    dual = t.conj().transpose(axes + keep).reshape(-1, len(flat))
+    return np.dot(flat, dual).reshape((2,) * (2 * len(keep)))
 
-    def pinch(self, wires: Iterable[int]) -> None:
-        wires = list(wires)
-        if not wires:
-            return
-        self.densify()
-        k = self.k
-        for w in wires:
-            p = self.active.index(w)
-            view = self.t.transpose([p, k + p, *(i for i in range(2 * k) if i not in (p, k + p))])
-            view[0, 1] = view[1, 0] = 0.0
 
-    def trace_out(self, wires: Iterable[int]) -> None:
-        wires = list(wires)
-        if not wires:
-            return
-        if self.pure:
-            # fuse densification with the trace: np.tensordot's one dot of the
-            # outer product over the dropped axes, without the full matrix
-            axes = self._axes(wires)
-            keep = [i for i in range(self.k) if i not in axes]
-            flat = self.t.transpose(keep + axes).reshape(2 ** len(keep), -1)
-            dual = self.t.conj().transpose(axes + keep).reshape(-1, len(flat))
-            self.t = np.dot(flat, dual).reshape((2,) * (2 * len(keep)))
-            self.active = [self.active[i] for i in keep]
-            self.pure = False
-            return
-        for w in wires:
-            p = self.active.index(w)
-            self.t = np.trace(self.t, axis1=p, axis2=self.k + p)
-            self.active.pop(p)
-
-    def extract(self, wires: Sequence[int]) -> np.ndarray:
-        self.trace_out([w for w in self.active if w not in set(wires)])
-        self.densify()
-        return marginal(self.t, self.k, self._axes(wires))
+def _trace(t: np.ndarray, positions: list[int]) -> np.ndarray:
+    """A density tensor traced over wires one by one, each at its position after the earlier ones."""
+    for p in positions:
+        t = np.trace(t, axis1=p, axis2=t.ndim // 2 + p)
+    return t
 
 
 def _as_vector(matrix: np.ndarray) -> np.ndarray | None:
@@ -392,79 +355,105 @@ def _as_vector(matrix: np.ndarray) -> np.ndarray | None:
     return vecs[:, -1]
 
 
-def _program(circuit: LoccCircuit) -> tuple[set[int], list[tuple]]:
-    """The set of non-output inputs that no gate touches, and the run order
-    as ``(wires, operator, done)`` steps, ``done`` the non-output wires whose
-    last use is that step.  A gate gives its operator on ``touched()``, or
-    None for a pinch.  Once C is in use, each half-round ends with a pinch
-    step, the dephasing of C; it pinches the used C wires that a later gate
-    still touches.
+def _plan(circuit: LoccCircuit, pure: bool) -> list[Callable[[np.ndarray], np.ndarray]]:
+    """The run of ``circuit`` on an amplitude (``pure``) or density tensor over
+    its input wires, as moves with every axis position fixed.
+
+    The steps are the gates in order; once C is in use, each half-round ends
+    with a dephasing of the C wires that a later gate still touches.  An
+    ancilla joins in |0> when first touched.  A dead wire (an idle input, or a
+    non-output past its last use) is traced out at once while the state is
+    mixed, before a pinch while it is pure.  The non-outputs left are traced
+    out last, then the marginal on the outputs is taken.  On a density tensor
+    a gate step carries its ``kron(U, conj U)``, built here once.
     """
-    steps: list[tuple[Sequence[int], np.ndarray | None]] = []
-    last: dict[int, int] = {}
+    steps, last = [], {}  # (wires, operator or None for a dephasing); each wire's last gate step
     for rnd in circuit.rounds:
         for gates in (rnd.alice, rnd.bob):
             for g in gates:
-                wires = g.touched()
-                for w in wires:
-                    last[w] = len(steps)
-                steps.append((wires, g.operator()))
+                last.update(dict.fromkeys(g.touched(), len(steps)))
+                steps.append((g.touched(), g.operator()))
             used_c = [w for w in circuit.c_wires if w in last]
             if used_c:
                 steps.append((used_c, None))
-    keep = set(circuit.out_a_global + circuit.out_b_global)
-    idle = {w for w in (*circuit.block("n_a"), *circuit.block("n_b")) if w not in last and w not in keep}
-    # every wire of a pinch gate has last >= its index j; a dephasing keeps the live ones
-    return idle, [(wires if op is not None else [w for w in wires if last[w] >= j], op,
-                   [w for w in wires if last[w] == j and w not in keep])
-                  for j, (wires, op) in enumerate(steps)]
+    outs = circuit.out_a_global + circuit.out_b_global
+    active = [*circuit.block("n_a"), *circuit.block("n_b")]
+    dead = {w for w in active if w not in last and w not in outs}
+    moves: list[Callable[[np.ndarray], np.ndarray]] = []
+
+    def at(wires):
+        return [active.index(w) for w in wires]
+
+    def ensure(wires):
+        fresh = [w for w in wires if w not in active]
+        if fresh:
+            moves.append(partial(_ensure, f=len(fresh), k=None if pure else len(active)))
+            active.extend(fresh)
+
+    def drop(wires):
+        nonlocal pure
+        pos = at(w for w in active if w in wires)
+        if pos:
+            moves.append(partial(_trace_pure, axes=pos) if pure else
+                         partial(_trace, positions=[p - j for j, p in enumerate(pos)]))
+            active[:] = [w for w in active if w not in wires]
+            pure = False
+
+    if not pure:
+        drop(dead)
+    for j, (wires, op) in enumerate(steps):
+        if op is None:  # every wire of a pinch gate has last >= j; a dephasing keeps the live ones
+            wires = [w for w in wires if last[w] >= j]
+        ensure(wires)
+        if op is not None:
+            axes = at(wires)
+            moves.append(partial(_step, u=op, axes=axes) if pure else partial(
+                _step, u=kron(op, op.conj()), axes=axes + [len(active) + a for a in axes]))
+        else:
+            if pure:  # shed dead wires before the pinch densifies
+                drop(dead)
+            if wires:
+                moves += [_densify] if pure else []
+                moves.append(partial(_pinch, k=len(active), positions=at(wires)))
+                pure = False
+        dead.update(w for w in wires if last[w] == j and w not in outs)
+        if not pure:
+            drop(dead)
+    ensure(outs)  # untouched ancilla outputs are still |0>
+    drop([w for w in active if w not in outs])
+    if pure:
+        moves.append(_densify)
+    n, keep = len(active), at(outs)
+    moves.append(lambda t: marginal(t, n, keep))  # looked up per run, as a tracer rebinds it
+    return moves
 
 
 def apply(circuit: LoccCircuit, state: BipartiteState) -> BipartiteState:
     """Run the channel on a bipartite input and return the bipartite output.
 
-    One loop runs the ``_program`` steps.  Pure inputs ride a state-vector
-    fast path until the first pinch; wires are activated lazily (ancillas
-    start in |0>).  Dead wires (idle inputs, then each step's ``done``) are
-    traced out before the loop if the state is mixed, before a pinch while
-    it is pure, after every step once it is mixed.  Every move is an exact
-    density-matrix identity, so the result equals the static full-register
-    simulation, and the output skips ``DensityMatrix``'s checks.  The purity
-    probe ``_as_vector`` runs once per state object and is kept on it; the
-    ``_program`` runs once per circuit object and is kept on it.  The stock
-    states and circuits up to ``SHARED_ENTRIES`` entries per array are
-    ``shared``, so a verify pass probes and plans each of them once.
+    The moves that ``_plan`` compiles for a pure or a mixed input run on a
+    copy of the input.  A circuit keeps its plans, and a state the result of
+    the purity probe ``_as_vector``; the stock states and circuits up to
+    ``SHARED_ENTRIES`` entries per array are ``shared``, so a verify pass
+    probes and plans each of them once.  Every move is an exact density-matrix
+    identity, so the result equals the static full-register simulation, and
+    the output skips ``DensityMatrix``'s checks.
     """
     if state.cut != (circuit.n_a, circuit.n_b):
         raise ValueError(
             f"input cut {state.cut} does not match circuit ({circuit.n_a}, {circuit.n_b})"
         )
-    if "_plan" not in vars(circuit):  # deterministic; a frozen circuit's gates never change
-        object.__setattr__(circuit, "_plan", _program(circuit))
-    idle, steps = circuit._plan
-    dead = set(idle)
-    input_wires = [*circuit.block("n_a"), *circuit.block("n_b")]
     if "_vector" not in vars(state):  # deterministic; nothing writes into a state's matrix
         object.__setattr__(state, "_vector", _as_vector(state.matrix))
-    sim = _TensorState(state.matrix, input_wires, vector=state._vector)
-    if not sim.pure:
-        sim.trace_out([w for w in sim.active if w in dead])
-    for wires, op, done in steps:
-        sim.ensure(wires)
-        if op is not None:
-            sim.unitary(op, wires)
-        else:
-            if sim.pure:  # shed dead wires before the pinch densifies
-                sim.trace_out([w for w in sim.active if w in dead])
-            sim.pinch(wires)
-        dead.update(done)
-        if not sim.pure:
-            sim.trace_out([w for w in sim.active if w in dead])
-
-    out_wires = circuit.out_a_global + circuit.out_b_global
-    sim.ensure(out_wires)  # untouched ancilla outputs are still |0>
-    out = sim.extract(out_wires)
-    return DensityMatrix._trusted(out, (circuit.m_a, circuit.m_b))
+    pure = state._vector is not None
+    plans = vars(circuit).setdefault("_plans", {})  # deterministic; a frozen circuit's gates never change
+    if pure not in plans:
+        plans[pure] = _plan(circuit, pure)
+    t = np.array(state._vector if pure else state.matrix, dtype=complex)
+    t = t.reshape((2,) * (t.ndim * (circuit.n_a + circuit.n_b)))  # a vector has one axis per wire
+    for move in plans[pure]:
+        t = move(t)
+    return DensityMatrix._trusted(t, (circuit.m_a, circuit.m_b))
 
 
 # -- combinators ---------------------------------------------------------------

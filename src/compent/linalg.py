@@ -155,10 +155,11 @@ def matrix_to_dict(m: np.ndarray) -> dict:
 
 
 def matrix_from_dict(d: dict, shape: tuple[int, ...]) -> np.ndarray:
-    """Inverse of ``matrix_to_dict`` for a matrix of the given shape; the result
-    owns its data, so ``read_only`` freezes it without a copy."""
-    re, im = (np.asarray(d[k], dtype=float).reshape(shape) for k in ("re", "im"))
-    return re + 1j * im
+    """Inverse of ``matrix_to_dict`` for a matrix of the given shape, signed zeros
+    included; the result owns its data, so ``read_only`` freezes it without a copy."""
+    m = np.empty(shape, dtype=complex)
+    m.real, m.imag = (np.asarray(d[k], dtype=float).reshape(shape) for k in ("re", "im"))
+    return m
 
 
 def haar_unitary(dim: int, rng: np.random.Generator, count: int | None = None) -> np.ndarray:

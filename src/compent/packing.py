@@ -149,7 +149,7 @@ def greedy_packing(
     _check_orbit_size(m)
     _check_eta(eta)
     for name, cap in (("max_size", max_size), ("max_candidates", max_candidates)):
-        if cap is not None and cap < 1:
+        if cap is not None and not cap >= 1:  # refuses NaN too
             raise ValueError(f"{name} must be at least 1, got {cap}")
     rng = np.random.default_rng(seed)
     k = 4 ** m

@@ -266,14 +266,20 @@ def fidelity(rho, sigma) -> float:
     eigenvalue noise is clipped to zero, and eigenvalues below 1e-12 of the
     largest one are dropped: the square root would otherwise amplify
     O(machine epsilon) rank noise into O(1e-8) fidelity error.  ``psd_sqrt``
-    is the one check of rho (finite, square, Hermitian, PSD).
+    is the one check of rho (finite, square, Hermitian, PSD).  A raw sigma
+    must be Hermitian, and any sigma must keep that spectrum above
+    ``PSD_FLOOR`` before the clipping: on rho's support, sigma is PSD.
     """
     s = _mat(sigma)
     root = psd_sqrt(rho.matrix if isinstance(rho, DensityMatrix) else rho)
     if root.shape != s.shape:
         raise ValueError(f"dimension mismatch {root.shape} vs {s.shape}")
+    if not isinstance(sigma, DensityMatrix) and hermitian_gap(s) > HERMITIAN_TOL:
+        raise ValueError("fidelity's sigma is not Hermitian within tolerance")
     core = root @ s @ root
     vals = np.linalg.eigvalsh((core + core.conj().T) / 2.0)
+    if vals[0] < PSD_FLOOR:  # eigvalsh sorts them ascending
+        raise ValueError(f"fidelity's sigma is not PSD: min eigenvalue {vals[0]} on rho's support")
     vals = np.maximum(vals, 0.0)
     top = vals.max(initial=0.0)
     if top > 0.0:

@@ -2,12 +2,16 @@
 
     PYTHONPATH=src python tests/apply_digest.py
 
-Every input is drawn here with plain numpy from fixed seeds, so two source
-trees that simulate bit for bit alike print the same lines.  The cases are
+Every random input is drawn here with plain numpy from fixed seeds, so two
+source trees that simulate bit for bit alike print the same lines.  The cases are
 the stock channel zoo on random mixed states, ``bbpssw_round`` on isotropic
 pairs, the n=2 teleport on a noisy isotropic resource, a 3+3 Haar local
 circuit on a mixed state, and a 5+5 one on a 1024-dimensional mixed state,
-whose 10-qubit density tensor takes the blocked gate step.  Each line is
+whose 10-qubit density tensor takes the blocked gate step.  Then the pure
+inputs, which the simulator runs as amplitude tensors until a pinch or
+trace: the zoo on Haar pure states, the n=2 teleport on ``epr_pairs(2)``,
+``bbpssw_round`` and the 3+3 circuit on Haar pure states, and a circuit
+whose C wire no one reads on a Haar pure state.  Each line is
 ``<case> <sha256 of the output's bytes>``.  New cases go last, so the lines
 of the earlier ones do not change.
 """
@@ -17,9 +21,10 @@ import hashlib
 import numpy as np
 
 from compent.circuits import (
-    Gate, apply, bbpssw_round, local_unitary_circuit, stock_channel_zoo, teleport_dilution,
+    Gate, LoccCircuit, Round, apply, bbpssw_round, local_unitary_circuit, stock_channel_zoo,
+    teleport_dilution,
 )
-from compent.states import DensityMatrix
+from compent.states import DensityMatrix, epr_pairs
 
 PHI = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
@@ -34,6 +39,12 @@ def haar(dim, rng):
     q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
     d = np.diagonal(r)
     return q * (d / np.abs(d))
+
+
+def pure(dim, cut, rng):
+    """The projector onto the first column of a Haar unitary."""
+    v = haar(dim, rng)[:, 0]
+    return DensityMatrix(np.outer(v, v.conj()), cut)
 
 
 def isotropic(f):
@@ -65,13 +76,24 @@ def cases():
     yield "teleport-n2-F0.9", teleport_dilution(prep, 2), pairs(isotropic(0.9), isotropic(0.9))
     alice, bob = ([Gate.unitary(haar(4, rng), (a + i, a + j)) for i, j in ((0, 1), (1, 2), (0, 2))]
                   + [Gate.unitary(haar(2, rng), (a + 2,))] for a in (0, 3))
-    local = local_unitary_circuit(alice, bob, 3, 3)
-    yield "local-3+3", local, DensityMatrix(ginibre(64, rng), (3, 3))
+    local_3 = local_unitary_circuit(alice, bob, 3, 3)
+    yield "local-3+3", local_3, DensityMatrix(ginibre(64, rng), (3, 3))
     # a Haar gate on each wire, then one on each neighbouring pair
     alice, bob = ([Gate.unitary(haar(2, rng), (a + i,)) for i in range(5)]
                   + [Gate.unitary(haar(4, rng), (a + i, a + i + 1)) for i in range(4)] for a in (0, 5))
     local = local_unitary_circuit(alice, bob, 5, 5)
     yield "local-5+5", local, DensityMatrix(ginibre(1024, rng), (5, 5))
+    # pure inputs: the simulator keeps an amplitude tensor until a pinch or trace
+    for name, c in stock_channel_zoo():
+        for i in range(3):
+            yield f"pure-zoo-{name}-{i}", c, pure(2 ** (c.n_a + c.n_b), (c.n_a, c.n_b), rng)
+    yield "pure-teleport-n2-epr", teleport_dilution(prep, 2), epr_pairs(2)
+    yield "pure-bbpssw", bbpssw_round(), pure(16, (2, 2), rng)
+    yield "pure-local-3+3", local_3, pure(64, (3, 3), rng)
+    # Alice writes C and nobody reads it: her empty dephasing still traces the dead C wire out
+    unread = LoccCircuit(1, 0, 1, 1, 0, (Round(alice=(Gate.unitary(haar(4, rng), (0, 1)),),
+                                               bob=(Gate.unitary(haar(2, rng), (2,)),)),), 1, 1)
+    yield "pure-unread-c", unread, pure(4, (1, 1), rng)
 
 
 def digests():

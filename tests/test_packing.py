@@ -209,13 +209,13 @@ def test_max_candidates_keeps_what_the_first_candidates_accepted(accepted_at_m2_
 
 
 def test_max_candidates_must_be_positive():
-    for cap in (0, -3):
+    for cap in (0, -3, math.nan):
         with pytest.raises(ValueError, match="max_candidates"):
             greedy_packing(1, 0.3, max_candidates=cap)
 
 
 def test_size_cap_must_be_positive():
-    for cap in (0, -1):
+    for cap in (0, -1, math.nan):
         with pytest.raises(ValueError, match="max_size"):
             greedy_packing(1, 0.3, max_size=cap)
     # the smallest legal cap still accepts the first candidate

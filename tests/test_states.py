@@ -147,12 +147,12 @@ def test_trace_distance_values():
 
 
 SCANNED = ("nan-real", "+inf-imag", "-inf-imag", "non-square")
-# rho's square root checks Hermiticity and the PSD floor, the trace distance
-# checks both arguments for Hermiticity, and fidelity's sigma is only scanned
-# for finiteness and shape
+# rho's square root checks Hermiticity and the PSD floor, fidelity checks a raw
+# sigma for Hermiticity and sqrt(rho) sigma sqrt(rho) against the PSD floor,
+# and the trace distance checks both arguments for Hermiticity
 VALIDATED = {
     "fidelity-rho": (lambda m: fidelity(m, np.eye(2) / 2), tuple(BAD_INPUTS)),
-    "fidelity-sigma": (lambda m: fidelity(np.eye(2) / 2, m), SCANNED),
+    "fidelity-sigma": (lambda m: fidelity(np.eye(2) / 2, m), tuple(BAD_INPUTS)),
     "trace_distance-rho": (lambda m: trace_distance(m, np.eye(2) / 2), SCANNED + ("non-hermitian",)),
     "trace_distance-sigma": (lambda m: trace_distance(np.eye(2) / 2, m), SCANNED + ("non-hermitian",)),
     "DensityMatrix": (lambda m: DensityMatrix(m, (1,)), tuple(BAD_INPUTS)),
@@ -348,12 +348,14 @@ def test_all_keys():
 
 
 def test_state_serialization_round_trip():
-    for _ in range(5):
-        s = bipartite_from_matrix(random_density_matrix(8, RNG), (2, 1))
+    signed = np.diag([0.5, 0.25, 0.125, 0.125, 0, 0, 0, 0]).astype(complex)
+    signed[0, 1], signed[1, 0] = complex(-0.0, 0.0), complex(-0.0, -0.0)
+    for m in [random_density_matrix(8, RNG) for _ in range(5)] + [signed]:
+        s = bipartite_from_matrix(m, (2, 1))
         packed = json.dumps(state_to_dict(s))
         back = state_from_dict(json.loads(packed))
         assert back.cut == s.cut
-        assert np.array_equal(back.matrix, s.matrix)  # exact round trip
+        assert back.matrix.tobytes() == s.matrix.tobytes()  # exact round trip, signed zeros too
 
 
 def test_state_loader_refuses_non_integer_dims():

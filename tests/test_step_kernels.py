@@ -4,7 +4,8 @@ The gate step (single-dot and blocked), the ancilla, pinch and pure
 partial-trace moves and ``linalg.kron`` must give the same bits and strides
 as the ``np.kron`` / ``np.tensordot`` / ``np.moveaxis`` formulation they
 replace, signed zeros included, so every comparison is on ``tobytes``, not
-``==``.
+``==``.  A run's plan hands a density-tensor step ``kron(U, conj U)`` and the
+bra and ket axes of its wires, as the mixed tests here do.
 """
 
 import tracemalloc
@@ -13,7 +14,7 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
-from compent.circuits import _STEP_AXES, Gate, _TensorState
+from compent.circuits import _STEP_AXES, Gate, _densify, _ensure, _pinch, _step, _trace_pure
 from compent.linalg import haar_unitary, kron
 from compent.states import random_density_matrix
 
@@ -30,6 +31,19 @@ def gate_on(wires, rng, f_ordered):
         return Gate.unitary(u.conj().T if f_ordered else u, wires)
     u = haar_unitary(4, rng)
     return Gate.controlled(u.conj().T if f_ordered else u, wires[-2:], wires[:-2])
+
+
+def as_tensor(state, pure, k):
+    """A copy of an amplitude vector or density matrix on k wires as the
+    simulator's (2,)*k or (2,)*2k tensor."""
+    return np.array(state, dtype=complex).reshape((2,) * (k if pure else 2 * k))
+
+
+def step(t, u, wires, pure, k):
+    """Gate ``u`` on the wires ``wires`` of k (wire i on axis i) as a plan runs it:
+    on a density tensor, ``kron(u, conj u)`` on the bra and ket axes."""
+    axes = list(wires)
+    return _step(t, u, axes) if pure else _step(t, kron(u, u.conj()), axes + [k + a for a in axes])
 
 
 def sparse_product_vector(k):
@@ -60,14 +74,11 @@ def test_gate_step_is_bitwise_the_tensordot_step(k):
             if f_ordered and n <= 2:
                 assert not u.flags.c_contiguous
             for pure, state in states:
-                if pure:
-                    sim = _TensorState(None, range(k), vector=state)
-                else:
-                    sim = _TensorState(state, range(k))
-                ref = unitary_step_reference(sim.t, u, touched, None if pure else k)
-                sim.unitary(u, touched)
-                assert sim.t.tobytes() == ref.tobytes(), (k, wires, pure)
-                assert sim.t.strides == ref.strides
+                t = as_tensor(state, pure, k)
+                ref = unitary_step_reference(t, u, touched, None if pure else k)
+                got = step(t, u, touched, pure, k)
+                assert got.tobytes() == ref.tobytes(), (k, wires, pure)
+                assert got.strides == ref.strides
 
 
 def assert_same(got, want, *info):
@@ -98,76 +109,69 @@ def test_blocked_gate_step_is_bitwise_the_tensordot_step(k):
             for f_ordered in (False, True):
                 g = payload_gate(kind, where, k, rng, f_ordered)
                 u, touched = g.operator(), g.touched()
-                sim = _TensorState(rho, range(k))
-                ref = unitary_step_reference(sim.t, u, touched, k)
-                sim.unitary(u, touched)
-                assert_same(sim.t, ref, kind, where, f_ordered)
+                t = as_tensor(rho, False, k)
+                ref = unitary_step_reference(t, u, touched, k)
+                assert_same(step(t, u, touched, False, k), ref, kind, where, f_ordered)
 
 
 def test_blocked_gate_step_allocates_one_tensor():
     k = 10
     rng = np.random.default_rng(911)
-    sim = _TensorState(random_density_matrix(2 ** k, rng), range(k))
+    t = as_tensor(random_density_matrix(2 ** k, rng), False, k)
     u = haar_unitary(4, rng)
+    superop = kron(u, u.conj())  # built once on the plan, outside the run
     tracemalloc.start()
     try:
-        sim.unitary(u, (3, 7))
+        t = _step(t, superop, [3, 7, k + 3, k + 7])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * sim.t.nbytes
+    assert peak <= 1.1 * t.nbytes
 
 
 def stepped_states(k, rng):
-    """(pure?, _TensorState) pairs over wires 0..k-1: a Haar vector, the sparse
-    vector, a Ginibre mixed state and the sparse projector, each as given and
-    after a 2-qubit gate step (a non-contiguous tensor)."""
+    """(pure?, tensor) pairs on k wires: a Haar vector, the sparse vector, a
+    Ginibre mixed state and the sparse projector, each as given and after a
+    2-qubit gate step (a non-contiguous tensor)."""
     sparse = sparse_product_vector(k)
     for pure, state in ((True, haar_unitary(2 ** k, rng)[:, 0]), (True, sparse),
                         (False, random_density_matrix(2 ** k, rng)),
                         (False, np.outer(sparse, sparse.conj()))):
         for stepped in (False, True):
-            sim = _TensorState(None if pure else state, range(k), vector=state if pure else None)
+            t = as_tensor(state, pure, k)
             if stepped and k > 1:
-                sim.unitary(haar_unitary(4, rng), (k - 1, 0))
-            yield pure, sim
+                t = step(t, haar_unitary(4, rng), (k - 1, 0), pure, k)
+            yield pure, t
 
 
 @pytest.mark.parametrize("k", range(1, 6))
 def test_ancilla_move_is_bitwise_the_moveaxis_form(k):
-    for pure, sim in stepped_states(k, np.random.default_rng([912, k])):
+    for pure, t in stepped_states(k, np.random.default_rng([912, k])):
         if pure:
             continue
         for f in (1, 2, 3):
-            t = sim.t
-            sim.ensure(range(k, k + f))
-            assert_same(sim.t, ensure_reference(t, k, f), k, f)
-            sim.active, sim.t = sim.active[:k], t
+            assert_same(_ensure(t, f, k), ensure_reference(t, k, f), k, f)
 
 
 @pytest.mark.parametrize("k", range(1, 6))
 def test_pinch_is_bitwise_the_moveaxis_form(k):
     rng = np.random.default_rng([913, k])
-    for pure, sim in stepped_states(k, rng):
+    for pure, t in stepped_states(k, rng):
         wires = [int(w) for w in rng.permutation(k)[:rng.integers(1, k + 1)]]
-        sim.densify()
-        ref = pinch_reference(sim.t, k, wires)
-        sim.pinch(wires)
-        assert_same(sim.t, ref, k, pure, wires)
+        t = _densify(t) if pure else t
+        ref = pinch_reference(t, k, wires)
+        assert_same(_pinch(t, k, wires), ref, k, pure, wires)
 
 
 @pytest.mark.parametrize("k", range(1, 6))
 def test_pure_trace_out_is_bitwise_the_tensordot_form(k):
     rng = np.random.default_rng([914, k])
-    for pure, sim in stepped_states(k, rng):
+    for pure, t in stepped_states(k, rng):
         if not pure:
             continue
-        t = sim.t
         for n in range(1, k + 1):
             wires = [int(w) for w in rng.permutation(k)[:n]]
-            sim.t, sim.active, sim.pure = t, list(range(k)), True
-            sim.trace_out(wires)
-            assert_same(sim.t, pure_trace_out_reference(t, wires), k, wires)
+            assert_same(_trace_pure(t, wires), pure_trace_out_reference(t, wires), k, wires)
 
 
 def test_sparse_input_holds_negative_zeros():
@@ -194,5 +198,5 @@ def test_apply_digest_script_names_each_case_once():
     import apply_digest
 
     lines = apply_digest.digests()
-    assert len(lines) == 27 and len({name for name, _ in lines}) == 27
+    assert len(lines) == 52 and len({name for name, _ in lines}) == 52
     assert all(len(digest) == 64 for _, digest in lines)
