@@ -572,9 +572,8 @@ def bob_unitary_circuit(u, m: int) -> LoccCircuit:
 
 def unrotate_distillation(u, m: int) -> LoccCircuit:
     """Bob-only circuit applying u^dag; maps the rotated EPR state Phi_U back
-    to m perfect pairs."""
-    u = require_unitary(u)
-    return bob_unitary_circuit(u.conj().T, m)
+    to m perfect pairs; the gate checks u."""
+    return bob_unitary_circuit(np.asarray(u, dtype=complex).conj().T, m)
 
 
 def teleport_dilution(prep: Sequence[Gate], n: int) -> LoccCircuit:

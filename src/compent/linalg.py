@@ -32,6 +32,22 @@ def as_complex(m) -> np.ndarray:
     return m
 
 
+def as_square(m, what: str) -> np.ndarray:
+    """``m`` through ``as_complex``; anything but a non-empty square matrix raises ValueError."""
+    m = as_complex(m)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+        raise ValueError(f"{what} must be a non-empty square matrix, got shape {m.shape}")
+    return m
+
+
+def as_hermitian(m, what: str) -> np.ndarray:
+    """``m`` through ``as_square``; a matrix not Hermitian within ``HERMITIAN_TOL`` raises ValueError."""
+    m = as_square(m, what)
+    if hermitian_gap(m) > HERMITIAN_TOL:
+        raise ValueError(f"{what} is not Hermitian within tolerance")
+    return m
+
+
 def read_only(m: np.ndarray) -> np.ndarray:
     """``m`` made read-only: in place when it owns its data, else as a copy in
     its memory order, since a view's base stays writable."""
@@ -88,9 +104,7 @@ def marginal(m: np.ndarray, n_qubits: int, keep: Sequence[int]) -> np.ndarray:
 
 def schatten_norm(m, p) -> float:
     """Schatten p-norm (sum of singular values to the p, to the 1/p)."""
-    m = as_complex(m)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("schatten_norm expects a square matrix")
+    m = as_square(m, "schatten_norm's input")
     if not (p == np.inf or p >= 1):
         raise ValueError(f"order p must be >= 1 or inf, got {p}")
     sv = np.linalg.svd(m, compute_uv=False)
@@ -111,13 +125,7 @@ def hermitian_gap(m: np.ndarray) -> np.floating:
 
 def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
-    m = as_complex(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("eig_hermitian expects a square matrix")
-    if hermitian_gap(m) > HERMITIAN_TOL:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    vals, vecs = np.linalg.eigh(m)
-    return vals, vecs
+    return tuple(np.linalg.eigh(as_hermitian(m, "matrix")))
 
 
 def psd_sqrt(m) -> np.ndarray:
@@ -129,11 +137,12 @@ def psd_sqrt(m) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
-def require_unitary(m, what: str = "matrix") -> np.ndarray:
-    m = as_complex(m)
-    square = m.ndim == 2 and m.shape[0] == m.shape[1]
+def require_unitary(m, what: str = "matrix", dim: int | None = None) -> np.ndarray:
+    m = as_square(m, what)
+    if dim is not None and len(m) != dim:
+        raise ValueError(f"{what} of shape {m.shape} is not {dim}x{dim}")
     # "not <=" refuses a NaN residual too
-    if not (square and np.abs(m.conj().T @ m - np.eye(m.shape[0])).max() <= UNITARY_TOL):
+    if not (np.abs(m.conj().T @ m - np.eye(m.shape[0])).max() <= UNITARY_TOL):
         raise ValueError(f"{what} is not unitary within {UNITARY_TOL}")
     return m
 

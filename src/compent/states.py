@@ -15,13 +15,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .linalg import (
-    HERMITIAN_TOL,
     PSD_FLOOR,
     SizeLimitError,
-    as_complex,
+    as_hermitian,
     as_ints,
     haar_unitary,
-    hermitian_gap,
     kron,
     marginal,
     matrix_from_dict,
@@ -54,11 +52,9 @@ class DensityMatrix:
         if any(c < 1 for c in cut):
             raise ValueError(f"every register of cut {cut} must hold at least one qubit")
         object.__setattr__(self, "cut", cut)
-        m = as_complex(self.matrix)
+        m = as_hermitian(self.matrix, "density matrix")
         if m.shape != (2 ** sum(cut),) * 2:
             raise ValueError(f"matrix shape {m.shape} does not match cut {cut}")
-        if hermitian_gap(m) > HERMITIAN_TOL:
-            raise ValueError("density matrix is not Hermitian within tolerance")
         tr = m.trace().real
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace {tr} is not 1")
@@ -222,10 +218,8 @@ def epr_pairs(n: int) -> BipartiteState:
 def rotated_epr(u, m: int) -> BipartiteState:
     """EPR pairs with a unitary applied to Bob's half: (I (x) U) |phi^(x)m>."""
     m = _pair_count(m)
-    u = require_unitary(u, "rotation")
     d = 2 ** m
-    if u.shape != (d, d):
-        raise ValueError(f"unitary shape {u.shape} does not match {m} qubits")
+    u = require_unitary(u, "rotation", d)
     v = (u.T.reshape(-1)) / math.sqrt(d)  # v[x*d + y] = u[y, x] / sqrt(d)
     return DensityMatrix._trusted(_projector(v), (m, m))
 
@@ -255,8 +249,8 @@ def _bits(bits) -> tuple[int, ...]:
     return bits
 
 
-def _mat(x) -> np.ndarray:
-    return x.matrix if isinstance(x, DensityMatrix) else as_complex(x)
+def _mat(x, what: str) -> np.ndarray:
+    return x.matrix if isinstance(x, DensityMatrix) else as_hermitian(x, what)
 
 
 def fidelity(rho, sigma) -> float:
@@ -267,15 +261,13 @@ def fidelity(rho, sigma) -> float:
     largest one are dropped: the square root would otherwise amplify
     O(machine epsilon) rank noise into O(1e-8) fidelity error.  ``psd_sqrt``
     is the one check of rho (finite, square, Hermitian, PSD).  A raw sigma
-    must be Hermitian, and any sigma must keep that spectrum above
+    goes through ``as_hermitian``, and any sigma must keep that spectrum above
     ``PSD_FLOOR`` before the clipping: on rho's support, sigma is PSD.
     """
-    s = _mat(sigma)
+    s = _mat(sigma, "fidelity's sigma")
     root = psd_sqrt(rho.matrix if isinstance(rho, DensityMatrix) else rho)
     if root.shape != s.shape:
         raise ValueError(f"dimension mismatch {root.shape} vs {s.shape}")
-    if not isinstance(sigma, DensityMatrix) and hermitian_gap(s) > HERMITIAN_TOL:
-        raise ValueError("fidelity's sigma is not Hermitian within tolerance")
     core = root @ s @ root
     vals = np.linalg.eigvalsh((core + core.conj().T) / 2.0)
     if vals[0] < PSD_FLOOR:  # eigvalsh sorts them ascending
@@ -290,19 +282,18 @@ def fidelity(rho, sigma) -> float:
 
 def trace_distance(rho, sigma) -> float:
     """Half the trace norm of rho - sigma; a raw array must be Hermitian."""
-    r, s = _mat(rho), _mat(sigma)
-    if r.shape != s.shape or r.shape != r.shape[:1] * 2:
-        raise ValueError(f"trace distance needs square inputs of one shape: {r.shape}, {s.shape}")
-    for x, m in ((rho, r), (sigma, s)):
-        if not isinstance(x, DensityMatrix) and hermitian_gap(m) > HERMITIAN_TOL:
-            raise ValueError("trace distance input is not Hermitian within tolerance")
+    r, s = _mat(rho, "trace distance's rho"), _mat(sigma, "trace distance's sigma")
+    if r.shape != s.shape:
+        raise ValueError(f"trace distance needs inputs of one shape: {r.shape}, {s.shape}")
     vals = np.linalg.eigvalsh(r - s)
     return float(0.5 * np.abs(vals).sum())
 
 
 def von_neumann_entropy(rho) -> float:
-    """-sum(p log2 p) over the spectrum, with 0 log 0 = 0."""
-    vals = np.linalg.eigvalsh(_mat(rho))
+    """-sum(p log2 p) over a spectrum held to ``PSD_FLOOR``, with 0 log 0 = 0."""
+    vals = np.linalg.eigvalsh(_mat(rho, "entropy's rho"))
+    if vals[0] < PSD_FLOOR:  # eigvalsh sorts them ascending
+        raise ValueError(f"entropy's rho is not PSD: min eigenvalue {vals[0]}")
     vals = vals[vals > 1e-15]
     return float(-np.sum(vals * np.log2(vals)))
 
@@ -385,8 +376,9 @@ def tensor_states(s1: BipartiteState, s2: BipartiteState) -> BipartiteState:
 
 
 def conjugate_local(s: BipartiteState, u_a, u_b) -> BipartiteState:
-    """Apply a local unitary U_A (x) U_B to a bipartite state."""
-    u = kron(require_unitary(u_a, "U_A"), require_unitary(u_b, "U_B"))
+    """Apply a local unitary U_A (x) U_B, sized to the cut, to a bipartite state."""
+    n_a, n_b = _bipartite_cut(s.cut)
+    u = kron(require_unitary(u_a, "U_A", 2 ** n_a), require_unitary(u_b, "U_B", 2 ** n_b))
     return DensityMatrix._trusted(u @ s.matrix @ u.conj().T, s.cut)
 
 

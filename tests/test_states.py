@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from compent.linalg import SizeLimitError, haar_unitary
+from compent.linalg import SizeLimitError, haar_unitary, schatten_norm
 from compent.states import (
     PSD_CHECK_DIM,
     DensityMatrix,
@@ -146,23 +146,28 @@ def test_trace_distance_values():
     assert abs(trace_distance(zero, plus) - math.sqrt(1 - f)) < 1e-10
 
 
-SCANNED = ("nan-real", "+inf-imag", "-inf-imag", "non-square")
-# rho's square root checks Hermiticity and the PSD floor, fidelity checks a raw
-# sigma for Hermiticity and sqrt(rho) sigma sqrt(rho) against the PSD floor,
-# and the trace distance checks both arguments for Hermiticity
+SPOILED = {**BAD_INPUTS, "vector": np.full(2, 0.5, dtype=complex), "empty": np.zeros((0, 0))}
+SCANNED = ("nan-real", "+inf-imag", "-inf-imag", "non-square", "vector", "empty")
+# schatten_norm runs linalg.as_square (finite, non-empty, square); the trace distance runs
+# linalg.as_hermitian (also Hermitian) on each raw argument; fidelity's rho goes
+# through psd_sqrt (as_hermitian, then the PSD floor); fidelity's sigma and the
+# entropy's argument go through as_hermitian, then a spectrum held to the PSD
+# floor; DensityMatrix runs as_hermitian, then its cut-shape, trace and PSD tests
 VALIDATED = {
-    "fidelity-rho": (lambda m: fidelity(m, np.eye(2) / 2), tuple(BAD_INPUTS)),
-    "fidelity-sigma": (lambda m: fidelity(np.eye(2) / 2, m), tuple(BAD_INPUTS)),
+    "fidelity-rho": (lambda m: fidelity(m, np.eye(2) / 2), tuple(SPOILED)),
+    "fidelity-sigma": (lambda m: fidelity(np.eye(2) / 2, m), tuple(SPOILED)),
     "trace_distance-rho": (lambda m: trace_distance(m, np.eye(2) / 2), SCANNED + ("non-hermitian",)),
     "trace_distance-sigma": (lambda m: trace_distance(np.eye(2) / 2, m), SCANNED + ("non-hermitian",)),
-    "DensityMatrix": (lambda m: DensityMatrix(m, (1,)), tuple(BAD_INPUTS)),
+    "DensityMatrix": (lambda m: DensityMatrix(m, (1,)), tuple(SPOILED)),
+    "von_neumann_entropy": (von_neumann_entropy, tuple(SPOILED)),
+    "schatten_norm": (lambda m: schatten_norm(m, 2), SCANNED),
 }
 
 
 @pytest.mark.parametrize("check, bad", [(c, b) for c, (_, bads) in VALIDATED.items() for b in bads])
 def test_each_validator_refuses_each_spoiled_input(check, bad):
     with pytest.raises(ValueError):
-        VALIDATED[check][0](BAD_INPUTS[bad])
+        VALIDATED[check][0](SPOILED[bad])
 
 
 def test_fidelity_refuses_two_non_square_arguments_of_one_shape():
@@ -340,6 +345,13 @@ def test_conjugate_local_preserves_fidelity():
         before = fidelity(rho, sigma)
         after = fidelity(conjugate_local(rho, ua, ub), conjugate_local(sigma, ua, ub))
         assert abs(before - after) < 1e-9
+
+
+def test_conjugate_local_refuses_unitaries_not_sized_to_the_cut():
+    # a 4x4 U_A on the (1, 1) cut would act across the cut, not on A alone
+    for u_a, u_b in ((np.eye(4), np.eye(1)), (np.eye(1), np.eye(4)), (np.eye(2), np.eye(4))):
+        with pytest.raises(ValueError, match="is not 2x2"):
+            conjugate_local(epr_pairs(1), u_a, u_b)
 
 
 def test_all_keys():
