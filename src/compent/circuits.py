@@ -772,8 +772,7 @@ def _keyed(build, key: tuple[int, ...], m: int):
     bits = tuple(key) + (0,) * (2 * m - len(key))
     if len(bits) != 2 * m:
         raise ValueError(f"key {key} longer than 2m = {2 * m}")
-    bits = _bits(bits[:m]) + _bits(bits[m:])
-    return _on_shift(build, bits, m)
+    return _on_shift(build, _bits(bits), m)
 
 
 def keyed_pauli_state(key: tuple[int, ...], m: int) -> BipartiteState:

@@ -13,24 +13,16 @@ import csv
 import io
 import json
 import sys
-from functools import cache, reduce
+from functools import cache
 
 import numpy as np
 
-from .circuits import Gate, apply, bbpssw_round, gate_count, teleport_dilution, unrotate_distillation
-from .harness import all_selectors, run_noninvariance_counterexample, run_suites
+from .circuits import apply, bbpssw_round, epr_expectation, gate_count, unrotate_distillation
+from .harness import all_selectors, random_pure_teleport, run_noninvariance_counterexample, run_suites
 from .linalg import haar_unitary
 from .measures import p_err_dilute, p_err_distill
 from .packing import greedy_packing, packing_to_dict, separation_check
-from .states import (
-    bipartite_from_matrix,
-    bipartite_pure,
-    column_unitary,
-    epr_pairs,
-    random_pure_state,
-    rotated_epr,
-    tensor_states,
-)
+from .states import bipartite_from_matrix, epr_pairs, rotated_epr, tensor_states
 
 REPORT_FIELDS = (
     "name", "lambda", "key", "lhs", "rhs", "slack", "tolerance",
@@ -127,8 +119,6 @@ def cmd_net(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    if not 0.0 <= args.eps < 1.0:
-        raise ConfigError(f"eps must lie in [0, 1), got {args.eps}")
     _require_size("--m", args.m)
     record = run_noninvariance_counterexample(args.m, args.eps, args.seed)
     if args.out:
@@ -153,12 +143,7 @@ def cmd_demo(args) -> int:
     rng = np.random.default_rng(args.seed)
     if args.protocol == "teleport":
         n = _require_size("--n", args.n)
-        # one random two-qubit pure target per teleported qubit; the prep gate
-        # for target i acts on Alice's share i and the qubit sent to Bob
-        vecs = [random_pure_state(2, rng) for _ in range(n)]
-        target = reduce(tensor_states, [bipartite_pure(v, (1, 1)) for v in vecs])
-        prep = [Gate.unitary(column_unitary(v), (i, n + i)) for i, v in enumerate(vecs)]
-        circuit = teleport_dilution(prep, n)
+        circuit, target = random_pure_teleport(rng, n)
         err = p_err_dilute(circuit, target, n)
         print(f"teleportation dilution of a random pure target ({n} pairs consumed)")
         print(f"p_err: {err:.3e}")
@@ -182,7 +167,7 @@ def cmd_demo(args) -> int:
     pair = bipartite_from_matrix(pair_matrix, (1, 1))
     circuit = bbpssw_round()
     out = apply(circuit, tensor_states(pair, pair))
-    channel_fidelity = float(np.real(np.trace(out.matrix @ phi)))
+    channel_fidelity = epr_expectation(out, 1)
     print(f"purification round on two isotropic pairs with F={f}")
     print(f"channel-output fidelity with the EPR pair: {channel_fidelity:.6f}")
     print(_demo_budget_line(gate_count(circuit), 20.0))

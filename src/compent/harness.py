@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import product
 from typing import Callable, NamedTuple, Sequence
 
@@ -45,7 +45,7 @@ from .measures import (
     p_err_dilute,
     p_err_distill,
 )
-from .packing import greedy_packing
+from .packing import epr_overlap, greedy_packing
 from .states import (
     BipartiteState,
     all_keys,
@@ -172,6 +172,21 @@ def check_subadditivity_cost(
     return _product_check("subadditivity", p_err_dilute, g1, g2, rho1, rho2, n1, n2, tolerance)
 
 
+def _lu_check(name, p_err, g, state, layers, size, tolerance, on_output) -> CheckRecord:
+    """p_err on the state conjugated by a local layer's (U_A, U_B) against p_err
+    on the state itself, as an equality: a dilution witness runs the layer on its
+    output, a distillation witness first runs the inverse layer on its input."""
+    widths = (g.m_a, g.m_b) if on_output else (g.n_a, g.n_b)
+    u_a, u_b = (local_layer_unitary(layer, w) for layer, w in zip(layers, widths))
+    inverse = ([Gate.unitary(x.matrix.conj().T, x.wires) for x in reversed(layer)] for layer in layers)
+    moved = (conjugate_by_local_unitary(g, *layers) if on_output else
+             compose(g, conjugate_by_local_unitary(identity_circuit(*widths), *inverse)))
+    details = {"gate_count_delta": gate_count(moved) - gate_count(g)} if on_output else {}
+    moved_err = p_err(moved, conjugate_local(state, u_a, u_b), size)
+    return _equality(name, moved_err, p_err(g, state, size), tolerance,
+                     {**details, "layer_size": len(layers[0]) + len(layers[1])})
+
+
 def check_lu_invariance_cost(
     g: LoccCircuit,
     target: BipartiteState,
@@ -181,27 +196,8 @@ def check_lu_invariance_cost(
     tolerance: float = EQ_TOL,
 ) -> CheckRecord:
     """Conjugated witnesses dilute the conjugated targets at identical error."""
-    u_a = local_layer_unitary(alice_layer, g.m_a)
-    u_b = local_layer_unitary(bob_layer, g.m_b)
-    base = p_err_dilute(g, target, n)
-    conjugated = conjugate_by_local_unitary(g, alice_layer, bob_layer)
-    moved = p_err_dilute(conjugated, conjugate_local(target, u_a, u_b), n)
-    delta = gate_count(conjugated) - gate_count(g)
-    return _equality("lu-cost", moved, base, tolerance,
-                     {"gate_count_delta": delta,
-                      "layer_size": len(alice_layer) + len(bob_layer)})
-
-
-def _inverse_layer_circuit(
-    alice_layer: Sequence[Gate], bob_layer: Sequence[Gate], n_a: int, n_b: int
-) -> LoccCircuit:
-    """Local circuit applying the inverse of a (U_A, U_B) layer on the input."""
-    alice, bob = (
-        tuple(Gate.unitary(g.matrix.conj().T, tuple(w + shift for w in g.wires))
-              for g in reversed(layer))
-        for layer, shift in ((alice_layer, 0), (bob_layer, n_a))
-    )
-    return local_unitary_circuit(alice, bob, n_a, n_b)
+    return _lu_check("lu-cost", p_err_dilute, g, target, (alice_layer, bob_layer), n,
+                     tolerance, on_output=True)
 
 
 def check_lu_invariance_distillation(
@@ -214,13 +210,8 @@ def check_lu_invariance_distillation(
 ) -> CheckRecord:
     """Pre-composing with the inverse layer distills the rotated family at the
     original error."""
-    u_a = local_layer_unitary(alice_layer, g.n_a)
-    u_b = local_layer_unitary(bob_layer, g.n_b)
-    base = p_err_distill(g, rho, m)
-    inverse = _inverse_layer_circuit(alice_layer, bob_layer, g.n_a, g.n_b)
-    moved = p_err_distill(compose(g, inverse), conjugate_local(rho, u_a, u_b), m)
-    return _equality("lu-distillation", moved, base, tolerance,
-                     {"layer_size": len(alice_layer) + len(bob_layer)})
+    return _lu_check("lu-distillation", p_err_distill, g, rho, (alice_layer, bob_layer), m,
+                     tolerance, on_output=False)
 
 
 def check_locc_monotonicity_cost(
@@ -273,7 +264,7 @@ def run_noninvariance_counterexample(m: int, eps: float, seed: int) -> CheckReco
     if len(packing) < 2:
         return inconclusive(threshold=eta, packing_size=len(packing))
     u, v = packing.members[0], packing.members[1]
-    overlap = float(abs(np.trace(u.conj().T @ v)) / 2 ** m)
+    overlap = abs(epr_overlap(u, v, m))
     psi = mixture([rotated_epr(u, m), rotated_epr(v, m)], [0.5, 0.5])
     upper = distillable_upper_via_squashed(psi, eps)
     return _upper_bound(
@@ -306,10 +297,13 @@ def _random_local_circuit(s: int, rng) -> LoccCircuit:
     return local_unitary_circuit(singles[:s] + pairs[:1], singles[s:] + pairs[1:], s, s)
 
 
-def _teleport_for_random_pure(rng) -> tuple[LoccCircuit, BipartiteState]:
-    vec = random_pure_state(2, rng)
-    circuit = teleport_dilution([Gate.unitary(column_unitary(vec), (0, 1))], 1)
-    return circuit, bipartite_pure(vec, (1, 1))
+def random_pure_teleport(rng, n: int) -> tuple[LoccCircuit, BipartiteState]:
+    """Teleportation dilution toward n random two-qubit pure targets, all drawn
+    first; the prep gate of target i acts on Alice's share i and the qubit sent to Bob."""
+    vecs = [random_pure_state(2, rng) for _ in range(n)]
+    target = reduce(tensor_states, [bipartite_pure(v, (1, 1)) for v in vecs])
+    prep = [Gate.unitary(column_unitary(v), (i, n + i)) for i, v in enumerate(vecs)]
+    return teleport_dilution(prep, n), target
 
 
 def _post_channel(instance: int, rng) -> LoccCircuit:
@@ -340,7 +334,7 @@ def _superadditivity_one_shot(rng, s, lam, instance):
 
 
 def _subadditivity_one_shot(rng, s, lam, instance):
-    g1, target1 = _teleport_for_random_pure(rng)
+    g1, target1 = random_pure_teleport(rng, 1)
     if instance % 2 == 0:
         u = haar_unitary(2, rng)
         g2, target2 = bob_unitary_circuit(u, 1), rotated_epr(u, 1)
@@ -350,7 +344,7 @@ def _subadditivity_one_shot(rng, s, lam, instance):
 
 
 def _lu_cost_one_shot(rng, s, lam, instance):
-    g, target = _teleport_for_random_pure(rng)
+    g, target = random_pure_teleport(rng, 1)
     return g, target, _random_local_layer(g.m_a, rng), _random_local_layer(g.m_b, rng), 1
 
 
@@ -362,7 +356,7 @@ def _lu_distillation_one_shot(rng, s, lam, instance):
 
 
 def _monotonicity_cost_one_shot(rng, s, lam, instance):
-    g, target = _teleport_for_random_pure(rng)
+    g, target = random_pure_teleport(rng, 1)
     return g, _post_channel(instance + lam, rng), target, 1
 
 

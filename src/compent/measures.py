@@ -23,6 +23,7 @@ from .circuits import (
 from .states import (
     BipartiteState,
     KeyedStateFamily,
+    _pair_count,
     all_keys,
     epr_pairs,
     fidelity,
@@ -170,6 +171,7 @@ def counterexample_eta_threshold(m: int, eps: float) -> float | None:
     squashed-type upper bound drops strictly below m; returns None when no
     grid point qualifies.
     """
+    m = _pair_count(m)
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"eps must lie in [0, 1), got {eps}")
     root = math.sqrt(eps)

@@ -17,7 +17,7 @@ import numpy as np
 from .linalg import (
     as_ints, haar_unitary, matrix_from_dict, matrix_to_dict, require_unitary, schatten_norm,
 )
-from .states import pauli_shift, shared
+from .states import _pair_count, pauli_shift, shared
 
 _BLOCK = 64  # candidates per Haar draw, and members per overlap product
 SEPARATION_TOL = 1e-9  # slack on separation_check's root-fidelity bound
@@ -238,6 +238,7 @@ def counting_ratio_log(poly, lam: int, m: int, eta: float) -> float:
     Evaluates poly(lam) - 2^(2m) * log2(1/eta); a negative
     value certifies that efficient channels are outnumbered at this point.
     """
+    m = _pair_count(m)
     _check_eta(eta)
     return float(poly(lam) - (2 ** (2 * m)) * math.log2(1.0 / eta))
 

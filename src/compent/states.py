@@ -138,6 +138,9 @@ def _check_key(key: tuple[int, ...], kappa: int) -> tuple[int, ...]:
 
 def all_keys(kappa: int) -> list[tuple[int, ...]]:
     """All bit tuples of length kappa, in lexicographic order."""
+    (kappa,) = as_ints((kappa,), "key length")
+    if kappa < 0:
+        raise ValueError(f"key length must be nonnegative, got {kappa}")
     return [tuple((i >> (kappa - 1 - j)) & 1 for j in range(kappa)) for i in range(2 ** kappa)]
 
 

@@ -10,6 +10,7 @@ directory TREE) and writes each pinned output into OUTDIR under a fixed name:
 - the ``apply`` digests of this script's ``apply_digest.py``, which runs
   against TREE's ``src`` like everything else;
 - the three ``net`` packings and their stderr lines;
+- the m = 2 ``counterexample`` record;
 - the stdout of ``counterexample``, of every ``demos/`` script and of the
   three ``compent demo`` commands;
 - seeds 7, 0 and 7 run in one process, which must reproduce the seed-7 and
@@ -49,6 +50,9 @@ RUNS = {
     # 2,454 members; the complex64 overlap screen sends dozens of columns to its exact path
     "net-eta025.json": [*CLI, "net", "--m", "2", "--eta", "0.25", "--seed", "0", "--out", "{out}"],
     "counterexample.txt": [*CLI, "counterexample", "--m", "1", "--eps", "1e-4", "--seed", "7"],
+    # the only pinned m = 2 overlap: verify's m = 2 counterexample record is inconclusive
+    "counterexample-m2.json": [*CLI, "counterexample", "--m", "2", "--eps", "0", "--seed", "7",
+                               "--out", "{out}"],
     "demo-cli-teleport.txt": [*CLI, "demo", "teleport", "--n", "2"],
     "demo-cli-unrotate.txt": [*CLI, "demo", "unrotate", "--m", "2"],
     "demo-cli-bbpssw.txt": [*CLI, "demo", "bbpssw"],

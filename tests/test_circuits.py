@@ -92,6 +92,32 @@ def test_gate_validation():
             Gate.controlled(X, (0,), controls)
 
 
+# each refusal with a fragment of its message; a thunk builds the bad call
+REFUSED = {
+    "payload-shape": (lambda: Gate.unitary(np.eye(4), (0,)), "does not match wires"),
+    "unitary-with-controls": (lambda: Gate("unitary", (0,), X, (1,)), "cannot carry controls"),
+    "pinch-with-payload": (lambda: Gate("pinch", (0,), X), "carries no payload"),
+    "unknown-kind": (lambda: Gate("swap", (0, 1)), "unknown gate kind"),
+    "m_a-over-n_a+t_a": (lambda: LoccCircuit(1, 0, 0, 1, 0, (Round(),), 2, 1), "exceed the available"),
+    "m_a-zero": (lambda: LoccCircuit(1, 0, 0, 1, 0, (Round(),), 0, 1), "at least one qubit"),
+    "out_a-repeated": (lambda: LoccCircuit(1, 1, 0, 1, 0, (Round(),), 2, 1, out_a=(0, 0)),
+                       "do not match size"),
+    "out_a-outside-block": (lambda: LoccCircuit(1, 0, 0, 1, 0, (Round(),), 1, 1, out_a=(1,)),
+                            "outside block"),
+    "layer-unitary-pinch": (lambda: local_layer_unitary([Gate.pinch((0,))], 1), "only unitary gates"),
+    "conjugation-pinch": (lambda: conjugate_by_local_unitary(identity_circuit(1, 1), [Gate.pinch((0,))], []),
+                          "only unitary gates"),
+    "epr-expectation-cut": (lambda: epr_expectation(random_bipartite(1, 2), 1), "does not match 1 EPR pairs"),
+}
+
+
+@pytest.mark.parametrize("name", REFUSED)
+def test_each_circuit_refusal_names_its_fault(name):
+    build, fragment = REFUSED[name]
+    with pytest.raises(ValueError, match=fragment):
+        build()
+
+
 def test_remap_keeps_the_checked_payload():
     g = Gate.unitary(CNOT.conj().T, (0, 1))
     moved = g.remap({0: 4, 1: 2})

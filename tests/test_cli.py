@@ -213,6 +213,8 @@ BAD_ETAS = {"0": "0.0", "1": "1.0", "-0.5": "-0.5", "nan": "nan"}
     ["net", "--eta", "0.5", "--max-candidates", "0"],
     ["counterexample", "--m", "0"],
     ["counterexample", "--m", "3"],
+    ["counterexample", "--m", "1", "--eps", "1.5"],
+    ["demo", "bbpssw", "--fidelity", "1.5"],
     *(["net", "--m", "2", "--eta", eta] for eta in BAD_ETAS),
 ])
 def test_out_of_range_sizes_exit_2(argv, capsys):
@@ -222,6 +224,10 @@ def test_out_of_range_sizes_exit_2(argv, capsys):
     assert captured.err.startswith("error: ")
     if argv[-2] == "--eta" and argv[-1] in BAD_ETAS:
         assert captured.err == f"error: eta must lie in (0, 1), got {BAD_ETAS[argv[-1]]}\n"
+    if argv[-2] == "--eps":  # the threshold scan's own check, word for word
+        assert captured.err == "error: eps must lie in [0, 1), got 1.5\n"
+    if argv[-2] == "--fidelity":
+        assert captured.err == "error: input fidelity must lie in [0, 1]\n"
 
 
 def test_counterexample_writes_out_when_inconclusive(capsys, tmp_path):

@@ -24,20 +24,23 @@ from compent.harness import (
     check_lu_invariance_distillation,
     check_subadditivity_cost,
     check_superadditivity_distillation,
+    random_pure_teleport,
     run_keyed_suite,
     run_noninvariance_counterexample,
     run_one_shot_check,
     run_suites,
 )
 from compent.linalg import haar_unitary
-from compent.measures import p_err_distill
+from compent.measures import p_err_dilute, p_err_distill
 from compent.states import (
     all_keys,
     binary_mixture_entropy,
     bipartite_pure,
     epr_pairs,
     mixture,
+    random_pure_state,
     rotated_epr,
+    tensor_states,
 )
 
 from test_circuits import prep_gates_for_state
@@ -342,3 +345,40 @@ def test_keyed_setting_builds_each_bob_rotation_once(monkeypatch):
         records = run_keyed_suite(name, 2, [1, 2, 3], seed=5)
         assert len(records) == 12 and all(r.passed for r in records), name
         assert built == [1] * 6, name  # two fixed rotations for each lambda's setting
+
+
+@pytest.mark.parametrize("run", [lambda sel: run_one_shot_check(sel, 1, 0, 7),
+                                 lambda sel: run_keyed_suite(sel, 1, [1], 7)], ids=["one-shot", "keyed"])
+@pytest.mark.parametrize("selector", ["nope", "keyed-convexity", "counterexample"])
+def test_suite_runners_refuse_an_unknown_selector(run, selector):
+    with pytest.raises(ValueError, match="unknown suite selector"):
+        run(selector)
+
+
+@pytest.mark.parametrize("check", [check_lu_invariance_cost, check_lu_invariance_distillation])
+def test_lu_checks_refuse_a_layer_that_is_not_unitary(check):
+    u = haar_unitary(2, RNG)
+    g = bob_unitary_circuit(u, 1) if check is check_lu_invariance_cost else unrotate_distillation(u, 1)
+    with pytest.raises(ValueError, match="only unitary gates"):
+        check(g, rotated_epr(u, 1), [Gate.pinch((0,))], [], 1)
+
+
+def test_lu_distillation_runs_the_inverse_layer_on_the_input():
+    # the inverse layer undoes a two-wire layer on each side, so a perfect witness stays perfect
+    u = haar_unitary(4, RNG)
+    layers = [[Gate.unitary(haar_unitary(2, RNG), (0,)), Gate.unitary(haar_unitary(4, RNG), (1, 0))]
+              for _ in range(2)]
+    rec = check_lu_invariance_distillation(unrotate_distillation(u, 2), rotated_epr(u, 2), *layers, 2)
+    assert rec.passed and rec.lhs < 1e-12 and rec.details == {"layer_size": 4}
+
+
+def test_random_pure_teleport_draws_every_target_first():
+    circuit, target = random_pure_teleport(np.random.default_rng(5), 2)
+    rng = np.random.default_rng(5)
+    vecs = [random_pure_state(2, rng) for _ in range(2)]
+    expected = tensor_states(*(bipartite_pure(v, (1, 1)) for v in vecs))
+    assert np.array_equal(target.matrix, expected.matrix)
+    assert p_err_dilute(circuit, target, 2) < 1e-12
+    one, target1 = random_pure_teleport(np.random.default_rng(5), 1)
+    assert (one.n_a, one.m_a) == (1, 1)
+    assert np.array_equal(target1.matrix, bipartite_pure(vecs[0], (1, 1)).matrix)

@@ -220,6 +220,8 @@ def test_permute_and_embed():
     rev = embed_operator(cnot, (1, 0), 2)
     expect = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex)
     assert np.allclose(rev, expect)
+    with pytest.raises(ValueError, match="does not match 2 wires"):
+        embed_operator(X, (0, 1), 2)
 
 
 def test_haar_unitary_is_unitary():

@@ -13,6 +13,7 @@ from compent.circuits import (
     apply,
     bob_unitary_circuit,
     identity_circuit,
+    is_efficient,
     keyed_pauli_rotate,
     keyed_pauli_state,
     keyed_pauli_unrotate,
@@ -362,3 +363,29 @@ def test_counterexample_eta_threshold():
     assert h_star(eta - 0.01) <= 2 * (g2(root) + 1 * root)
     with pytest.raises(ValueError):
         counterexample_eta_threshold(1, 1.2)
+
+
+@pytest.mark.parametrize("m, fragment", [(0, "pair count"), (-2, "pair count"), (1.5, "integers")])
+def test_counterexample_eta_threshold_refuses_m_that_is_not_a_pair_count(m, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        counterexample_eta_threshold(m, 0.0)
+
+
+@pytest.mark.parametrize("kind, verify", [(DistillationCertificate, verify_distillation_certificate),
+                                          (DilutionCertificate, verify_dilution_certificate)])
+def test_certificates_need_a_lambda(kind, verify):
+    cert = kind(epr_family(), lambda lam: lam, lambda lam: 0.0,
+                ChannelFamily(lambda lam: identity_circuit(lam, lam), GateBudget((4.0,))))
+    with pytest.raises(ValueError, match="at least one lambda"):
+        verify(cert, [])
+
+
+@pytest.mark.parametrize("kappa", [-1, 1.5, 2.0])
+def test_a_family_whose_key_length_is_not_a_count_is_refused(kappa):
+    witness = KeyedChannelFamily(lambda lam: kappa, lambda lam, key: identity_circuit(1, 1),
+                                 GateBudget((4.0,)))
+    cert = DistillationCertificate(KeyedStateFamily(lambda lam: kappa, lambda lam, key: epr_pairs(1)),
+                                   lambda lam: 1, lambda lam: 0.0, witness)
+    for check in (lambda: is_efficient(witness, [1]), lambda: verify_distillation_certificate(cert, [1])):
+        with pytest.raises(ValueError, match="key length"):
+            check()

@@ -45,6 +45,9 @@ def test_frobenius_distance():
 
 def test_epr_overlap_identity():
     assert abs(epr_overlap(np.eye(2), np.eye(2), 1) - 1.0) < 1e-12
+    for u, v, m in ((np.eye(2), np.eye(2), 2), (np.eye(4), np.eye(2), 2), (np.eye(2), np.eye(4), 1)):
+        with pytest.raises(ValueError, match=f"must be {2 ** m}x{2 ** m}"):
+            epr_overlap(u, v, m)
     assert abs(epr_overlap(np.eye(2), X, 1)) < 1e-12
     for m in (1, 2):
         for _ in range(100):
@@ -328,11 +331,13 @@ def test_net_cardinality_bounds_refuses_nan():
 def test_counting_ratio_log():
     poly = GateBudget((0.0, 0.0, 1.0))  # lam^2
     assert abs(counting_ratio_log(poly, 4, 3, 0.5) - (16 - 64)) < 1e-12
-    assert counting_ratio_log(poly, 4, 0, 0.5) > 0  # degenerate m: poly dominates
-    vals = [counting_ratio_log(poly, 4, m, 0.5) for m in (0, 1, 2, 3)]
+    vals = [counting_ratio_log(poly, 4, m, 0.5) for m in (1, 2, 3)]
     assert all(b < a for a, b in zip(vals, vals[1:]))
     with pytest.raises(ValueError):
         counting_ratio_log(poly, 4, 1, 1.5)
+    for m, fragment in ((0, "pair count"), (-1, "pair count"), (0.5, "integers")):
+        with pytest.raises(ValueError, match=fragment):  # m counts EPR pairs
+            counting_ratio_log(poly, 1, m, 0.5)
 
 
 def test_packing_serialization_round_trip():

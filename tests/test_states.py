@@ -357,6 +357,23 @@ def test_conjugate_local_refuses_unitaries_not_sized_to_the_cut():
 def test_all_keys():
     assert all_keys(1) == [(0,), (1,)]
     assert all_keys(2) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert all_keys(0) == [()]
+
+
+@pytest.mark.parametrize("kappa, fragment", [(-1, "nonnegative"), (1.5, "integers"), (2.0, "integers")])
+def test_all_keys_refuses_a_key_length_that_is_not_a_count(kappa, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        all_keys(kappa)
+
+
+@pytest.mark.parametrize("build, fragment", [
+    (lambda: DensityMatrix(np.eye(4) / 4, (1,)), "does not match cut"),
+    (lambda: trace_distance(np.eye(2) / 2, np.eye(4) / 4), "one shape"),
+    (lambda: mixture([epr_pairs(1)], [0.5, 0.5]), "one weight per state"),
+], ids=["density-matrix-cut", "trace-distance-shapes", "mixture-weight-count"])
+def test_each_state_refusal_names_its_fault(build, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        build()
 
 
 def test_state_serialization_round_trip():
