@@ -587,6 +587,7 @@ def teleport_dilution(prep: Sequence[Gate], n: int) -> LoccCircuit:
     Z corrections.  Wires: Alice's EPR halves 0..n-1, A' from n, C from 3n,
     Bob's EPR halves from 5n.
     """
+    n = _pair_count(n)
     alice: list[Gate] = [g.remap({i: n + i for i in range(2 * n)}) for g in prep]
     bob: list[Gate] = []
     measures: list[Gate] = []

@@ -9,7 +9,6 @@ holds uniformly.  All randomness flows through per-check seeds derived from
 
 from __future__ import annotations
 
-import math
 import zlib
 from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
@@ -38,7 +37,7 @@ from .circuits import (
     tensor,
     unrotate_distillation,
 )
-from .linalg import haar_unitary
+from .linalg import as_count, haar_unitary
 from .measures import (
     counterexample_eta_threshold,
     distillable_upper_via_squashed,
@@ -48,6 +47,7 @@ from .measures import (
 from .packing import epr_overlap, greedy_packing
 from .states import (
     BipartiteState,
+    _pair_count,
     all_keys,
     bipartite_from_matrix,
     bipartite_pure,
@@ -300,10 +300,10 @@ def _random_local_circuit(s: int, rng) -> LoccCircuit:
 def random_pure_teleport(rng, n: int) -> tuple[LoccCircuit, BipartiteState]:
     """Teleportation dilution toward n random two-qubit pure targets, all drawn
     first; the prep gate of target i acts on Alice's share i and the qubit sent to Bob."""
-    vecs = [random_pure_state(2, rng) for _ in range(n)]
-    target = reduce(tensor_states, [bipartite_pure(v, (1, 1)) for v in vecs])
+    vecs = [random_pure_state(2, rng) for _ in range(_pair_count(n))]
     prep = [Gate.unitary(column_unitary(v), (i, n + i)) for i, v in enumerate(vecs)]
-    return teleport_dilution(prep, n), target
+    circuit = teleport_dilution(prep, n)  # past the qubit cap, refused before the target is built
+    return circuit, reduce(tensor_states, [bipartite_pure(v, (1, 1)) for v in vecs])
 
 
 def _post_channel(instance: int, rng) -> LoccCircuit:
@@ -461,6 +461,7 @@ def run_one_shot_check(selector: str, lam: int, instance: int, seed: int,
                        tolerance: float = EQ_TOL) -> CheckRecord:
     """One randomized instance of a named one-shot check."""
     suite = _suite(selector)
+    lam, instance = as_count(lam, "lambda", 1), as_count(instance, "instance", 0)
     size = min(lam, 2)  # witnesses grow with lambda up to two pairs per side
     args = suite.one_shot(_rng(seed, selector, lam, instance), size, lam, instance)
     return replace(suite.check(*args, tolerance), name=f"{selector}#{instance}", lam=lam)
@@ -476,13 +477,12 @@ def run_keyed_suite(
     """Run the keyed analogue of a one-shot check for every key, or every
     pair of keys for the tensor-product laws.
 
-    The keyed family lives on m = max(1, ceil(kappa/2)) pairs; witnesses are
+    The keyed family lives on m = ceil(kappa/2) pairs; witnesses are
     the matching keyed rotations, so a uniform error budget holds across keys.
     """
-    if kappa < 1 or kappa > 3:
-        raise ValueError("keyed suites run with 1 <= kappa <= 3")
+    kappa, lambdas = as_count(kappa, "kappa", 1, 3), [as_count(n, "lambda", 1) for n in lambdas]
     suite = _suite(selector)
-    m = max(1, math.ceil(kappa / 2))
+    m = (kappa + 1) // 2
     name = f"keyed-{selector}"
     records: list[CheckRecord] = []
     for lam in lambdas if suite.per_lambda else lambdas[:1]:
@@ -509,6 +509,7 @@ def run_suites(
     kappa: int = 1,
 ) -> list[CheckRecord]:
     """Run the requested suites and return records in canonical order."""
+    lambdas = [as_count(lam, "lambda", 1) for lam in lambdas]
     chosen = (_SELECTORS if sel == "all" else (sel,) for sel in selectors)
     ordered = list(dict.fromkeys(s for group in chosen for s in group))  # first occurrences
     unknown = [s for s in ordered if s not in _SELECTORS]

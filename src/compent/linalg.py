@@ -22,7 +22,7 @@ HERMITIAN_BAND = 64     # rows per band of hermitian_gap
 
 
 class SizeLimitError(ValueError):
-    """An operation would exceed the dense-simulation qubit cap."""
+    """An input lies outside a capped range: the dense-simulation qubit cap or a count's cap."""
 
 
 def as_complex(m) -> np.ndarray:
@@ -63,6 +63,17 @@ def as_ints(values, what: str) -> tuple[int, ...]:
         return tuple(map(operator.index, values))
     except TypeError:
         raise ValueError(f"{what} {values!r} must be integers") from None
+
+
+def as_count(n, what: str, lo: int, hi: int | None = None) -> int:
+    """``n`` as a plain int in ``lo..hi``, or at least ``lo`` when ``hi`` is None.  A non-integer
+    raises ValueError; out of range raises SizeLimitError when capped, else ValueError."""
+    (n,) = as_ints((n,), what)
+    if hi is not None and not lo <= n <= hi:
+        raise SizeLimitError(f"{what} must lie in {lo}..{hi}, got {n}")
+    if n < lo:
+        raise ValueError(f"{what} must be at least {lo}, got {n}")
+    return n
 
 
 def tensor_product(a, b) -> np.ndarray:

@@ -9,13 +9,15 @@ through the root fidelity of the rotated EPR states sqrt(F(Phi_U, Phi_V)) =
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from .linalg import (
-    as_ints, haar_unitary, matrix_from_dict, matrix_to_dict, require_unitary, schatten_norm,
+    as_count, as_ints, haar_unitary, matrix_from_dict, matrix_to_dict, require_unitary,
+    schatten_norm,
 )
 from .states import _pair_count, pauli_shift, shared
 
@@ -36,10 +38,6 @@ class UnitaryPacking:
     # how the greedy construction ran; not serialized
     candidates: int = 0
     stop: str = ""
-
-    @property
-    def d(self) -> int:
-        return 2 ** self.m
 
     def __len__(self) -> int:
         return len(self.members)
@@ -72,15 +70,10 @@ def epr_overlap(u, v, m: int) -> complex:
     Its real part equals 1 - ||U - V||_2^2 / 2^(m+1).
     """
     u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
-    d = 2 ** m
+    d = 2 ** _pair_count(m)
     if u.shape != (d, d) or v.shape != (d, d):
         raise ValueError(f"operands must be {d}x{d} for m={m}")
     return complex(np.trace(u.conj().T @ v) / d)
-
-
-def _check_orbit_size(m: int) -> None:
-    if not 1 <= m <= 2:
-        raise ValueError(f"packings are built for 1 <= m <= 2 (orbit scans stay cheap), got m={m}")
 
 
 def _check_eta(eta: float) -> None:
@@ -90,7 +83,7 @@ def _check_eta(eta: float) -> None:
 
 def pauli_orbit(v, m: int) -> list[np.ndarray]:
     """All 4^m 'sigma_X(a) sigma_Z(b) V' shifts of a unitary."""
-    _check_orbit_size(m)
+    m = as_count(m, "m", 1, 2)  # packings stay at m <= 2, where orbit scans are cheap
     if np.shape(v) != (2 ** m, 2 ** m):
         raise ValueError(f"pauli_orbit needs shape {(2 ** m, 2 ** m)} at m={m}, got shape {np.shape(v)}")
     return list(_paulis(m) @ require_unitary(v))
@@ -146,16 +139,14 @@ def greedy_packing(
     accepted from the block, and the candidates it rejects leave the next.
     ``_within`` screens each product in complex64 and keeps its complex128 decision.
     """
-    _check_orbit_size(m)
+    m = as_count(m, "m", 1, 2)
     _check_eta(eta)
-    for name, cap in (("max_size", max_size), ("max_candidates", max_candidates)):
-        if cap is not None and not cap >= 1:  # refuses NaN too
-            raise ValueError(f"{name} must be at least 1, got {cap}")
+    size_cap = sys.maxsize if max_size is None else as_count(max_size, "max_size", 1)
+    candidate_cap = (sys.maxsize if max_candidates is None
+                     else as_count(max_candidates, "max_candidates", 1))
     rng = np.random.default_rng(seed)
     k = 4 ** m
     bound = (1.0 - eta) * 2 ** m  # on |tr((P U)^dag V)|, exact scaling by 2^m
-    size_cap = math.inf if max_size is None else max_size
-    candidate_cap = math.inf if max_candidates is None else max_candidates
     rows = np.empty((_BLOCK * k, k), dtype=complex)
     rows32 = np.empty_like(rows, dtype=np.complex64)  # the screen's copy of ``rows``
     members: list[np.ndarray] = []
@@ -172,7 +163,7 @@ def greedy_packing(
         tested = n * k
         # the candidates before the next live one are rejected in one step, up to a cap
         dead = next(iter(np.flatnonzero(live[i:])), _BLOCK - i)
-        skip = math.ceil(min(dead, MAX_REJECTIONS - rejections, candidate_cap - candidates))
+        skip = min(dead, MAX_REJECTIONS - rejections, candidate_cap - candidates)
         candidates, rejections = candidates + skip, rejections + skip
         if i + dead == _BLOCK or rejections >= MAX_REJECTIONS or candidates >= candidate_cap:
             continue
@@ -195,19 +186,19 @@ def separation_check(p: UnitaryPacking) -> bool:
     ``_BLOCK`` members in one product screened by ``_within``, up to the first
     product with a violating pair.
     """
-    _check_orbit_size(p.m)
-    d, n = p.d, len(p.members)
+    m = as_count(p.m, "m", 1, 2)
+    d, n = 2 ** m, len(p.members)
     members = []
     for i, u in enumerate(p.members):
         if np.shape(u) != (d, d):
-            raise ValueError(f"packing members must be {d}x{d} for m={p.m}, got shape {np.shape(u)}")
+            raise ValueError(f"packing members must be {d}x{d} for m={m}, got shape {np.shape(u)}")
         members.append(require_unitary(u, f"packing member {i}"))
     k = d * d
     flat = np.array(members).reshape(n, k)
     flat32 = flat.astype(np.complex64)
     bound = (1.0 - p.eta + SEPARATION_TOL) * d
     for s in range(0, n, _BLOCK):
-        rows = _orbit_rows(flat[s:s + _BLOCK].reshape(-1, d, d), p.m)
+        rows = _orbit_rows(flat[s:s + _BLOCK].reshape(-1, d, d), m)
         rows32 = rows.astype(np.complex64)
         for t in range(s, n, _BLOCK):
             # member s + i's orbit against member t + j
@@ -254,7 +245,7 @@ def packing_to_dict(p: UnitaryPacking) -> dict:
 
 def packing_from_dict(d: dict) -> UnitaryPacking:
     m, seed = as_ints((d["m"], d["seed"]), "m and seed")
-    _check_orbit_size(m)
+    m = as_count(m, "m", 1, 2)
     eta = float(d["eta"])
     _check_eta(eta)
     members = tuple(require_unitary(matrix_from_dict(e, (2 ** m, 2 ** m)), "packing member")

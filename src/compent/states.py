@@ -9,14 +9,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import wraps
-from itertools import accumulate
+from itertools import accumulate, product
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .linalg import (
     PSD_FLOOR,
-    SizeLimitError,
+    as_count,
     as_hermitian,
     as_ints,
     haar_unitary,
@@ -36,6 +36,7 @@ NORM_TOL = 1e-10
 # larger input is checked for finiteness, shape, Hermiticity and trace only.
 PSD_CHECK_DIM = 256
 SHARED_ENTRIES = 64 * 64  # per array of a kept ``shared`` result: 3 EPR pairs, not 7 (4 GiB)
+KEY_LENGTH_CAP = 16  # all_keys' longest list: 2^16 key tuples, about 11 MiB
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,10 +139,8 @@ def _check_key(key: tuple[int, ...], kappa: int) -> tuple[int, ...]:
 
 def all_keys(kappa: int) -> list[tuple[int, ...]]:
     """All bit tuples of length kappa, in lexicographic order."""
-    (kappa,) = as_ints((kappa,), "key length")
-    if kappa < 0:
-        raise ValueError(f"key length must be nonnegative, got {kappa}")
-    return [tuple((i >> (kappa - 1 - j)) & 1 for j in range(kappa)) for i in range(2 ** kappa)]
+    kappa = as_count(kappa, "key length", 0, KEY_LENGTH_CAP)
+    return list(product((0, 1), repeat=kappa))
 
 
 def key_label(*keys: tuple[int, ...]) -> str:
@@ -205,10 +204,7 @@ def epr_vector(n: int) -> np.ndarray:
 
 def _pair_count(n) -> int:
     """``n`` as a number of EPR pairs, 1 to 7; checked before anything is built."""
-    (n,) = as_ints((n,), "pair count")
-    if not 1 <= n <= 7:
-        raise SizeLimitError(f"pair count must lie in 1..7, got {n}")
-    return n
+    return as_count(n, "pair count", 1, 7)
 
 
 @shared

@@ -30,7 +30,7 @@ from compent.harness import (
     run_one_shot_check,
     run_suites,
 )
-from compent.linalg import haar_unitary
+from compent.linalg import SizeLimitError, haar_unitary
 from compent.measures import p_err_dilute, p_err_distill
 from compent.states import (
     all_keys,
@@ -382,3 +382,13 @@ def test_random_pure_teleport_draws_every_target_first():
     one, target1 = random_pure_teleport(np.random.default_rng(5), 1)
     assert (one.n_a, one.m_a) == (1, 1)
     assert np.array_equal(target1.matrix, bipartite_pure(vecs[0], (1, 1)).matrix)
+
+
+@pytest.mark.parametrize("n", [3, 7])
+def test_random_pure_teleport_checks_the_qubit_cap_before_building_the_target(monkeypatch, n):
+    def built(*args):
+        raise AssertionError("the target was built")
+
+    monkeypatch.setattr(harness, "tensor_states", built)
+    with pytest.raises(SizeLimitError, match=f"circuit needs {6 * n} qubits"):
+        random_pure_teleport(np.random.default_rng(5), n)

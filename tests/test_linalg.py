@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from compent.circuits import GateBudget, dephase_bob_circuit, keyed_pauli_state, teleport_dilution
+from compent.harness import random_pure_teleport, run_keyed_suite, run_one_shot_check, run_suites
 from compent.linalg import (
     SizeLimitError,
+    as_count,
     eig_hermitian,
     embed_operator,
     haar_unitary,
@@ -13,7 +16,15 @@ from compent.linalg import (
     schatten_norm,
     tensor_product,
 )
-from compent.states import DensityMatrix, random_density_matrix, trace_distance
+from compent.measures import counterexample_eta_threshold
+from compent.packing import (
+    UnitaryPacking, counting_ratio_log, epr_overlap, greedy_packing, packing_from_dict, pauli_orbit,
+    separation_check,
+)
+from compent.states import (
+    KEY_LENGTH_CAP, DensityMatrix, all_keys, epr_pairs, random_density_matrix, rotated_epr,
+    trace_distance,
+)
 
 from oracles import BAD_INPUTS, haar_single
 
@@ -208,6 +219,65 @@ def test_validators_refuse_a_vector():
     for check in VALIDATED:
         with pytest.raises(ValueError):
             check(np.full(2, 0.5))
+
+
+def test_as_count():
+    assert as_count(3, "n", 1, 7) == 3 and type(as_count(np.int64(3), "n", 1)) is int
+    assert type(as_count(True, "n", 1, 2)) is int
+    assert as_count(10 ** 30, "n", 0) == 10 ** 30  # no cap: only the floor
+
+
+# Every count the public API is given goes through ``as_count``.  An entry is
+# (its call on the count, floor, cap or None, the argument's name, the inputs
+# it once took otherwise): those ended in a TypeError, in another class or
+# message, or in no error at all.
+COUNTED = {
+    "epr_pairs": (epr_pairs, 1, 7, "pair count", ()),
+    "rotated_epr": (lambda m: rotated_epr(np.eye(2), m), 1, 7, "pair count", ()),
+    "dephase_bob_circuit": (dephase_bob_circuit, 1, 7, "pair count", ()),
+    "keyed_pauli_state": (lambda m: keyed_pauli_state((0,), m), 1, 7, "pair count", ()),
+    "counterexample_eta_threshold": (lambda m: counterexample_eta_threshold(m, 0.0), 1, 7,
+                                     "pair count", ()),
+    "counting_ratio_log": (lambda m: counting_ratio_log(GateBudget((1.0,)), 1, m, 0.5), 1, 7,
+                           "pair count", ()),
+    "epr_overlap": (lambda m: epr_overlap(np.eye(2), np.eye(2), m), 1, 7, "pair count",
+                    (1.5, 0, 8)),
+    "teleport_dilution": (lambda n: teleport_dilution([], n), 1, 7, "pair count", (1.5, 0, 8)),
+    "random_pure_teleport": (lambda n: random_pure_teleport(np.random.default_rng(0), n), 1, 7,
+                             "pair count", (1.5, 0, 8)),
+    "all_keys": (all_keys, 0, KEY_LENGTH_CAP, "key length", (-1, KEY_LENGTH_CAP + 1)),
+    "pauli_orbit": (lambda m: pauli_orbit(np.eye(2), m), 1, 2, "m", (1.5, 0, 3)),
+    "greedy_packing": (lambda m: greedy_packing(m, 0.5), 1, 2, "m", (1.5, 0, 3)),
+    "separation_check": (lambda m: separation_check(UnitaryPacking(m, 0.5, (np.eye(2),), 0)), 1, 2,
+                         "m", (1.5, 0, 3)),
+    "packing_from_dict": (lambda m: packing_from_dict({"m": m, "eta": 0.5, "seed": 0,
+                                                       "members": []}), 1, 2, "m", (0, 3)),
+    "max_size": (lambda n: greedy_packing(1, 0.5, max_size=n), 1, None, "max_size", (1.5,)),
+    "max_candidates": (lambda n: greedy_packing(1, 0.5, max_candidates=n), 1, None,
+                       "max_candidates", (1.5,)),
+    "run_suites": (lambda lam: run_suites(["keyed-convexity"], [lam], 0), 1, None, "lambda",
+                   (1.5, 0)),
+    "run_one_shot_check": (lambda lam: run_one_shot_check("convexity", lam, 0, 0), 1, None,
+                           "lambda", (1.5, 0)),
+    "run_one_shot_check instance": (lambda i: run_one_shot_check("convexity", 1, i, 0), 0, None,
+                                    "instance", (1.5, -1)),
+    "run_keyed_suite": (lambda lam: run_keyed_suite("convexity", 1, [lam], 0), 1, None, "lambda",
+                        (1.5, 0)),
+    "run_keyed_suite kappa": (lambda k: run_keyed_suite("convexity", k, [1], 0), 1, 3, "kappa",
+                              (1.5, 0, 4)),
+}
+
+
+@pytest.mark.parametrize("entry, bad", [
+    (entry, bad) for entry, (_, floor, cap, _, _) in COUNTED.items()
+    for bad in (1.5, floor - 1) + (() if cap is None else (cap + 1,))
+])
+def test_each_count_refusal_names_its_argument(entry, bad):
+    call, _, cap, name, _ = COUNTED[entry]
+    with pytest.raises(ValueError) as refused:
+        call(bad)
+    assert type(refused.value) is (ValueError if bad == 1.5 or cap is None else SizeLimitError)
+    assert str(refused.value).startswith(f"{name} ") and str(bad) in str(refused.value)
 
 
 def test_permute_and_embed():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,9 +33,11 @@ from compent.measures import (
     verify_distillation_certificate,
 )
 from compent.states import (
+    KEY_LENGTH_CAP,
     DensityMatrix,
     KeyedStateFamily,
     StateFamily,
+    all_keys,
     bipartite_from_matrix,
     bipartite_pure,
     epr_pairs,
@@ -389,3 +392,19 @@ def test_a_family_whose_key_length_is_not_a_count_is_refused(kappa):
     for check in (lambda: is_efficient(witness, [1]), lambda: verify_distillation_certificate(cert, [1])):
         with pytest.raises(ValueError, match="key length"):
             check()
+
+
+def test_a_key_length_past_the_cap_is_refused_before_any_key_is_listed():
+    kappa = KEY_LENGTH_CAP + 1
+    refusal = rf"key length must lie in 0\.\.16, got {kappa}"
+    witness = KeyedChannelFamily(lambda lam: lam, lambda lam, key: identity_circuit(1, 1),
+                                 GateBudget((4.0,)))
+    tracemalloc.start()
+    try:
+        for check in (lambda: all_keys(kappa), lambda: is_efficient(witness, [kappa])):
+            with pytest.raises(SizeLimitError, match=refusal):
+                check()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20  # the 2^17 keys would take about 22 MiB

@@ -98,8 +98,7 @@ def test_pauli_orbit_refuses_m_outside_one_to_two_before_building(monkeypatch, m
         pauli_orbit(np.eye(2 ** m), m)
     with pytest.raises(ValueError) as packed:
         greedy_packing(m, 0.5)
-    assert str(orbit.value) == str(packed.value) == (
-        f"packings are built for 1 <= m <= 2 (orbit scans stay cheap), got m={m}")
+    assert str(orbit.value) == str(packed.value) == f"m must lie in 1..2, got {m}"
 
 
 def _refuse_building(monkeypatch):
@@ -116,14 +115,14 @@ def test_separation_check_and_the_loader_refuse_m_outside_one_to_two_before_buil
     d = packing_to_dict(p)
     _refuse_building(monkeypatch)
     for call, arg in ((separation_check, p), (packing_from_dict, d)):
-        with pytest.raises(ValueError, match=f"1 <= m <= 2 .*got m={m}"):
+        with pytest.raises(ValueError, match=rf"m must lie in 1\.\.2, got {m}"):
             call(arg)
 
 
 def test_a_loaded_m7_packing_is_refused_before_building(monkeypatch):
     d = {"m": 7, "eta": 0.3, "seed": 0, "members": [matrix_to_dict(np.eye(128))] * 2}
     _refuse_building(monkeypatch)
-    with pytest.raises(ValueError, match="got m=7"):
+    with pytest.raises(ValueError, match=r"m must lie in 1\.\.2, got 7"):
         packing_from_dict(d)
 
 
@@ -143,7 +142,7 @@ def test_greedy_packing_basics():
     q = greedy_packing(1, 0.3, seed=7)
     assert all(np.array_equal(a, b) for a, b in zip(p.members, q.members))
     for m in (3, 0, -1):
-        with pytest.raises(ValueError, match="1 <= m <= 2"):
+        with pytest.raises(ValueError, match=rf"m must lie in 1\.\.2, got {m}"):
             greedy_packing(m, 0.5)
     with pytest.raises(ValueError):
         greedy_packing(1, 0.0)
@@ -338,6 +337,12 @@ def test_counting_ratio_log():
     for m, fragment in ((0, "pair count"), (-1, "pair count"), (0.5, "integers")):
         with pytest.raises(ValueError, match=fragment):  # m counts EPR pairs
             counting_ratio_log(poly, 1, m, 0.5)
+
+
+def test_greedy_packing_stores_m_as_a_plain_int():
+    p = greedy_packing(True, 0.5, seed=0, max_size=True)
+    assert type(p.m) is int and len(p) == 1
+    assert json.dumps(packing_to_dict(p)).startswith('{"m": 1, ')
 
 
 def test_packing_serialization_round_trip():

@@ -360,7 +360,7 @@ def test_all_keys():
     assert all_keys(0) == [()]
 
 
-@pytest.mark.parametrize("kappa, fragment", [(-1, "nonnegative"), (1.5, "integers"), (2.0, "integers")])
+@pytest.mark.parametrize("kappa, fragment", [(-1, "0..16, got -1"), (1.5, "integers"), (2.0, "integers")])
 def test_all_keys_refuses_a_key_length_that_is_not_a_count(kappa, fragment):
     with pytest.raises(ValueError, match=fragment):
         all_keys(kappa)
