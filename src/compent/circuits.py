@@ -23,8 +23,10 @@ qubit costs 1 at creation.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, replace
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from itertools import accumulate, chain, zip_longest
 from typing import Callable, Iterable, Sequence
 
@@ -275,6 +277,14 @@ def gate_count(circuit: LoccCircuit) -> int:
 # multiplies blocks of 2**_STEP_AXES entries (512 KiB), which stay in cache.
 _STEP_AXES = 15
 
+
+@cache  # keyed by pid: a forked child's copy of the pool has no thread, so it makes its own
+def _helper(pid: int):
+    """The one-thread pool that takes blocks of this process's large gate steps."""
+    from concurrent.futures import ThreadPoolExecutor  # a 6.6 ms import, kept off `import compent`
+    return ThreadPoolExecutor(1)
+
+
 # The moves of a run.  An amplitude tensor has one axis per active wire; a
 # (2,)*2k density tensor has bra axis i and ket axis k+i on the i-th of its k
 # active wires.  Only ``_plan`` knows which wire an axis belongs to.
@@ -295,8 +305,10 @@ def _ensure(t: np.ndarray, f: int, k: int | None = None) -> np.ndarray:
 def _step(t: np.ndarray, u: np.ndarray, axes: list[int]) -> np.ndarray:
     """Operator ``u`` on the tensor ``axes``: one ``np.dot`` with those axes
     moved in front.  Above 2**_STEP_AXES entries it runs block by block into
-    one preallocated output, with the single dot's bits and strides: its peak
-    allocation is one tensor plus one block, not a gathered copy plus the output.
+    one preallocated output, with the single dot's bits and strides.  Where the
+    process may run on two CPUs, the calling thread and one helper thread each
+    claim the next block in order until none is left, so a step's peak
+    allocation is one tensor plus two blocks, not a gathered copy plus the output.
     """
     # np.tensordot's dot on its operands; u keeps its memory order (a copy can move last bits)
     n = len(u)
@@ -304,14 +316,29 @@ def _step(t: np.ndarray, u: np.ndarray, axes: list[int]) -> np.ndarray:
     back = sorted(range(len(perm)), key=perm.__getitem__)  # the inverse of perm
     view = t.transpose(perm)
     if t.ndim <= _STEP_AXES:
-        cols = np.dot(u, view.reshape(n, -1))
-    else:
-        # one cache-sized gathered copy per index of the leading non-gate axes
-        lead = t.ndim - _STEP_AXES
-        cols = np.empty((n, t.size // n), dtype=complex)
-        parts = cols.reshape(n, 2 ** lead, -1)
-        for c, i in enumerate(np.ndindex((2,) * lead)):
+        return np.dot(u, view.reshape(n, -1)).reshape(t.shape).transpose(back)
+    # one cache-sized gathered copy per index of the leading non-gate axes
+    lead = t.ndim - _STEP_AXES
+    cols = np.empty((n, t.size // n), dtype=complex)
+    parts = cols.reshape(n, 2 ** lead, -1)
+    blocks, lock = enumerate(np.ndindex((2,) * lead)), threading.Lock()
+
+    def run() -> None:
+        while True:
+            with lock:
+                c, i = next(blocks, (-1, ()))
+            if c < 0:
+                return
             np.matmul(u, view[(slice(None),) * len(axes) + i].reshape(n, -1), out=parts[:, c])
+
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
+    helper = len(cpus) > 1 and _helper(os.getpid()).submit(run)
+    try:
+        run()
+    finally:  # no thread writes into cols once _step returns
+        if helper and not helper.cancel():
+            helper.result()
+        del view, parts  # a cancelled task stays queued until the helper runs: it holds no tensor
     return cols.reshape(t.shape).transpose(back)
 
 

@@ -510,6 +510,7 @@ def run_suites(
 ) -> list[CheckRecord]:
     """Run the requested suites and return records in canonical order."""
     lambdas = [as_count(lam, "lambda", 1) for lam in lambdas]
+    kappa = as_count(kappa, "kappa", 1, 3)
     chosen = (_SELECTORS if sel == "all" else (sel,) for sel in selectors)
     ordered = list(dict.fromkeys(s for group in chosen for s in group))  # first occurrences
     unknown = [s for s in ordered if s not in _SELECTORS]

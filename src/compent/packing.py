@@ -213,8 +213,9 @@ def separation_check(p: UnitaryPacking) -> bool:
 def net_cardinality_bounds(d: int, eta: float, c: float, big_c: float) -> NetBoundEstimate:
     """Minimal eta-net cardinality bounds (2cd^(1/2)/eta)^(d^2) <= N <=
     (2Cd^(1/2)/eta)^(d^2), reported in log2 to avoid overflow."""
-    if not (d >= 1 and eta > 0 and c > 0 and big_c > 0):  # refuses NaN too
-        raise ValueError("d, eta, c, C must be positive")
+    d = as_count(d, "d", 1)
+    if not (eta > 0 and c > 0 and big_c > 0):  # refuses NaN too
+        raise ValueError("eta, c, C must be positive")
     if c > big_c:
         raise ValueError(f"lower constant {c} exceeds upper constant {big_c}")
     exponent = d * d

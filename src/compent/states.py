@@ -27,6 +27,7 @@ from .linalg import (
     psd_sqrt,
     read_only,
     require_unitary,
+    tensor_product,
 )
 
 TRACE_TOL = 1e-9
@@ -370,7 +371,7 @@ def mixture(states: Sequence[BipartiteState], p: Sequence[float]) -> BipartiteSt
 def tensor_states(s1: BipartiteState, s2: BipartiteState) -> BipartiteState:
     """Bipartite tensor product: A parts concatenate, B parts concatenate."""
     cut = _bipartite_cut(s1.cut) + _bipartite_cut(s2.cut)  # qubit order A1 B1 A2 B2
-    m = marginal(kron(s1.matrix, s2.matrix), sum(cut), _register_wires(cut, (0, 2, 1, 3)))
+    m = marginal(tensor_product(s1.matrix, s2.matrix), sum(cut), _register_wires(cut, (0, 2, 1, 3)))
     return DensityMatrix._trusted(m, (s1.n_a + s2.n_a, s1.n_b + s2.n_b))
 
 

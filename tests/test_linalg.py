@@ -18,8 +18,8 @@ from compent.linalg import (
 )
 from compent.measures import counterexample_eta_threshold
 from compent.packing import (
-    UnitaryPacking, counting_ratio_log, epr_overlap, greedy_packing, packing_from_dict, pauli_orbit,
-    separation_check,
+    UnitaryPacking, counting_ratio_log, epr_overlap, greedy_packing, net_cardinality_bounds,
+    packing_from_dict, pauli_orbit, separation_check,
 )
 from compent.states import (
     KEY_LENGTH_CAP, DensityMatrix, all_keys, epr_pairs, random_density_matrix, rotated_epr,
@@ -265,6 +265,10 @@ COUNTED = {
                         (1.5, 0)),
     "run_keyed_suite kappa": (lambda k: run_keyed_suite("convexity", k, [1], 0), 1, 3, "kappa",
                               (1.5, 0, 4)),
+    "run_suites kappa": (lambda k: run_suites(["convexity"], [1], 0, kappa=k), 1, 3, "kappa",
+                         (1.5, 0, 4)),
+    "net_cardinality_bounds": (lambda d: net_cardinality_bounds(d, 0.5, 1.0, 2.0), 1, None, "d",
+                               (1.5, 0)),
 }
 
 

@@ -1,10 +1,12 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from compent.linalg import SizeLimitError, haar_unitary, schatten_norm
+from compent import linalg, states
+from compent.linalg import QUBIT_CAP, SizeLimitError, haar_unitary, schatten_norm
 from compent.states import (
     PSD_CHECK_DIM,
     DensityMatrix,
@@ -320,6 +322,26 @@ def test_tensor_states_ordering():
     joint = tensor_states(epr_pairs(1), epr_pairs(1))
     assert np.allclose(joint.matrix, epr_pairs(2).matrix, atol=1e-12)
     assert joint.cut == (2, 2)
+
+
+def test_tensor_states_past_the_qubit_cap_is_refused_before_the_product(monkeypatch):
+    # two 8-qubit states: their 16-qubit product would hold 2^32 complex entries (64 GiB)
+    big = DensityMatrix._trusted(np.eye(256, dtype=complex) / 256, (4, 4))
+    assert 2 * sum(big.cut) > QUBIT_CAP
+
+    def no_product(*args):
+        raise AssertionError("the product was started")
+
+    monkeypatch.setattr(linalg, "kron", no_product)
+    monkeypatch.setattr(states, "kron", no_product)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitError, match=f"{QUBIT_CAP}-qubit cap"):
+            tensor_states(big, big)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_bipartite_maps_refuse_a_tripartite_state():
