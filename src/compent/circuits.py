@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cache, partial, reduce
 from itertools import accumulate, chain, zip_longest
@@ -275,13 +276,15 @@ def gate_count(circuit: LoccCircuit) -> int:
 
 # A gate step on a tensor of more than 2**_STEP_AXES entries gathers and
 # multiplies blocks of 2**_STEP_AXES entries (512 KiB), which stay in cache.
+# It takes a helper thread only where OpenBLAS runs one thread, as set before
+# numpy loaded: more BLAS threads already share out each block's product.
 _STEP_AXES = 15
+_BLAS_ONE = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS")) == "1"
 
 
 @cache  # keyed by pid: a forked child's copy of the pool has no thread, so it makes its own
-def _helper(pid: int):
+def _helper(pid: int) -> ThreadPoolExecutor:
     """The one-thread pool that takes blocks of this process's large gate steps."""
-    from concurrent.futures import ThreadPoolExecutor  # a 6.6 ms import, kept off `import compent`
     return ThreadPoolExecutor(1)
 
 
@@ -305,10 +308,9 @@ def _ensure(t: np.ndarray, f: int, k: int | None = None) -> np.ndarray:
 def _step(t: np.ndarray, u: np.ndarray, axes: list[int]) -> np.ndarray:
     """Operator ``u`` on the tensor ``axes``: one ``np.dot`` with those axes
     moved in front.  Above 2**_STEP_AXES entries it runs block by block into
-    one preallocated output, with the single dot's bits and strides.  Where the
-    process may run on two CPUs, the calling thread and one helper thread each
-    claim the next block in order until none is left, so a step's peak
-    allocation is one tensor plus two blocks, not a gathered copy plus the output.
+    one preallocated output, with the single dot's bits and strides, on this
+    thread and, with two CPUs and ``_BLAS_ONE``, on the helper thread too:
+    its peak allocation is one tensor plus a block per thread.
     """
     # np.tensordot's dot on its operands; u keeps its memory order (a copy can move last bits)
     n = len(u)
@@ -332,7 +334,7 @@ def _step(t: np.ndarray, u: np.ndarray, axes: list[int]) -> np.ndarray:
             np.matmul(u, view[(slice(None),) * len(axes) + i].reshape(n, -1), out=parts[:, c])
 
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
-    helper = len(cpus) > 1 and _helper(os.getpid()).submit(run)
+    helper = _BLAS_ONE and len(cpus) > 1 and _helper(os.getpid()).submit(run)
     try:
         run()
     finally:  # no thread writes into cols once _step returns

@@ -1,12 +1,15 @@
 """The blocked gate step on two threads gives the bits of the step on one.
 
-Where the process may run on two CPUs, ``circuits._step`` hands the blocks of
-a large step to the calling thread and to one helper thread.  These tests pin
-that path to the serial one: in a process pinned to one CPU (no helper), in a
-child forked after the helper was made (it must make its own), while the
-helper is held by other work, and with several callers sharing the one
-helper at once.  Every comparison is on ``tobytes``, against the step
-formed as ``np.tensordot`` forms it (``oracles``) or against its digest.
+Where the process may run on two CPUs and OpenBLAS on one thread,
+``circuits._step`` hands the blocks of a large step to the calling thread and
+to one helper thread.  These tests pin that path to the serial one: in a
+process pinned to one CPU or with more BLAS threads (no helper), in a child
+forked after the helper was made (it must make its own), while the helper is
+held by other work, with several callers sharing the one helper at once, and
+when the helper's block fails.  Every comparison is on ``tobytes``, against
+the step formed as ``np.tensordot`` forms it (``oracles``) or against its
+digest.  The in-process tests set ``_BLAS_ONE``, since the suite may run with
+BLAS on more threads; the child processes read it from their environment.
 """
 
 import hashlib
@@ -23,6 +26,7 @@ import numpy as np
 import pytest
 
 import compent
+from compent import circuits
 from compent.circuits import _STEP_AXES, _helper, _step
 from compent.linalg import haar_unitary, kron
 from compent.states import random_density_matrix
@@ -32,6 +36,12 @@ from oracles import unitary_step_reference
 K = 9  # a density tensor on 9 wires: 2**18 entries, so a step runs 8 blocks
 TIMEOUT_S = 60
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+two_cpus = pytest.mark.skipif(CPUS < 2, reason="the helper runs only where the process has two CPUs")
+
+
+@pytest.fixture(autouse=True)
+def blas_on_one_thread(monkeypatch):
+    monkeypatch.setattr(circuits, "_BLAS_ONE", True)
 
 
 def blocked_case(seed=2501):
@@ -81,29 +91,45 @@ def test_a_child_forked_after_a_blocked_step_makes_its_own_helper():
     assert got == [want, str(helpers)]  # the same bytes, from a helper of its own
 
 
-PINNED_CHILD = """
+CHILD = """
 import os, sys
-os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-sys.path[:0] = sys.argv[1:]
+if sys.argv[1] == "pin":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+sys.path[:0] = sys.argv[2:]
 from compent.circuits import _helper
 from test_step_threads import blocked_case, digest, step
 case = blocked_case()
 print(digest(step(*case)), _helper.cache_info().currsize)
 """
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def child_step(pin, blas_threads):
+    """The digest of one blocked step in a fresh process, and how many helpers it made."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(dict.fromkeys(BLAS_VARS, blas_threads) if blas_threads else {})
+    src = os.path.dirname(os.path.dirname(compent.__file__))
+    out = subprocess.run([sys.executable, "-c", CHILD, "pin" if pin else "all", src, os.path.dirname(__file__)],
+                         capture_output=True, text=True, timeout=TIMEOUT_S, check=True, env=env)
+    return out.stdout.split()
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
 def test_a_process_pinned_to_one_cpu_runs_without_the_helper_and_gives_the_same_bytes():
-    case = blocked_case()
-    want = digest(step(*case))
+    want = digest(step(*blocked_case()))
     if CPUS > 1:
         assert _helper.cache_info().currsize >= 1  # this process stepped on two threads
-    src = os.path.dirname(os.path.dirname(compent.__file__))
-    out = subprocess.run([sys.executable, "-c", PINNED_CHILD, src, os.path.dirname(__file__)],
-                         capture_output=True, text=True, timeout=TIMEOUT_S, check=True)
-    assert out.stdout.split() == [want, "0"]  # the same bytes, and no helper was made
+    assert child_step(True, "1") == [want, "0"]  # the same bytes, and no helper was made
+    assert child_step(False, "1") == [want, str(int(CPUS > 1))]
 
 
+@pytest.mark.parametrize("blas_threads", ["2", None])
+def test_with_blas_on_more_threads_a_step_makes_no_helper_and_gives_the_same_bytes(blas_threads):
+    # unset, OpenBLAS takes a thread per CPU, which already share out each block's product
+    assert child_step(False, blas_threads) == [digest(step(*blocked_case())), "0"]
+
+
+@two_cpus
 def test_a_step_whose_helper_is_busy_runs_alone_and_its_queued_task_holds_no_tensor():
     # the helper is held, as when the OS gives it no CPU: the caller takes every
     # block, and the cancelled task, still queued, must not keep the tensors alive
@@ -120,6 +146,27 @@ def test_a_step_whose_helper_is_busy_runs_alone_and_its_queued_task_holds_no_ten
     finally:
         release.set()
     assert held.result(TIMEOUT_S)
+
+
+@two_cpus
+def test_an_error_in_the_helpers_block_is_raised_by_the_caller_once_the_helper_is_done(monkeypatch):
+    caller, claimed, ended = threading.current_thread(), threading.Event(), threading.Event()
+    matmul = np.matmul
+
+    def failing(*args, **kwargs):
+        if threading.current_thread() is caller:  # wait until the helper holds a block
+            claimed.wait(TIMEOUT_S)
+            return matmul(*args, **kwargs)
+        claimed.set()
+        try:
+            raise MemoryError("the helper's block")
+        finally:
+            ended.set()
+
+    monkeypatch.setattr(np, "matmul", failing)
+    with pytest.raises(MemoryError, match="the helper's block"):
+        step(*blocked_case())
+    assert claimed.is_set() and ended.is_set()
 
 
 def test_callers_sharing_the_helper_each_get_every_block():
