@@ -282,6 +282,24 @@ _STEP_AXES = 15
 _BLAS_ONE = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS")) == "1"
 
 
+def _quota_cpus(cpu_max: str) -> int | None:
+    """The CPUs a cgroup v2 ``cpu.max`` line grants: quota over period,
+    rounded down, at least 1; None when the quota is ``max``."""
+    quota, period = cpu_max.split()
+    return None if quota == "max" else max(1, int(quota) // int(period))
+
+
+def cpu_count() -> int:
+    """The CPUs this process may use: its affinity, or ``os.cpu_count``
+    where there is none, capped by the cgroup's CPU quota where it has one."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    try:
+        with open("/sys/fs/cgroup/cpu.max") as fh:
+            return min(cpus, _quota_cpus(fh.read()) or cpus)
+    except (OSError, ValueError):  # no cgroup v2 quota file, or one this parser does not know
+        return cpus
+
+
 @cache  # keyed by pid: a forked child's copy of the pool has no thread, so it makes its own
 def _helper(pid: int) -> ThreadPoolExecutor:
     """The one-thread pool that takes blocks of this process's large gate steps."""
@@ -309,8 +327,8 @@ def _step(t: np.ndarray, u: np.ndarray, axes: list[int]) -> np.ndarray:
     """Operator ``u`` on the tensor ``axes``: one ``np.dot`` with those axes
     moved in front.  Above 2**_STEP_AXES entries it runs block by block into
     one preallocated output, with the single dot's bits and strides, on this
-    thread and, with two CPUs and ``_BLAS_ONE``, on the helper thread too:
-    its peak allocation is one tensor plus a block per thread.
+    thread and, where ``cpu_count()`` is two or more and ``_BLAS_ONE``, on the
+    helper thread too: its peak allocation is one tensor plus a block per thread.
     """
     # np.tensordot's dot on its operands; u keeps its memory order (a copy can move last bits)
     n = len(u)
@@ -333,8 +351,7 @@ def _step(t: np.ndarray, u: np.ndarray, axes: list[int]) -> np.ndarray:
                 return
             np.matmul(u, view[(slice(None),) * len(axes) + i].reshape(n, -1), out=parts[:, c])
 
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
-    helper = _BLAS_ONE and len(cpus) > 1 and _helper(os.getpid()).submit(run)
+    helper = _BLAS_ONE and cpu_count() > 1 and _helper(os.getpid()).submit(run)
     try:
         run()
     finally:  # no thread writes into cols once _step returns

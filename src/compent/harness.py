@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field, replace
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from itertools import product
 from typing import Callable, NamedTuple, Sequence
 
@@ -24,6 +24,7 @@ from .circuits import (
     bob_unitary_circuit,
     compose,
     conjugate_by_local_unitary,
+    cpu_count,
     dephase_bob_circuit,
     gate_count,
     identity_circuit,
@@ -64,6 +65,7 @@ from .states import (
 EQ_TOL = 1e-9          # default tolerance for equality checks
 STRICT_MARGIN = 1e-6   # margin demanded of strict inequalities
 INSTANCES = 2          # randomized instances of each one-shot suite per lambda
+KEY_SLICE = 8          # key tuples per keyed task: kappa = 3's 64 key pairs make eight tasks
 
 @dataclass(frozen=True)
 class CheckRecord:
@@ -481,21 +483,37 @@ def run_keyed_suite(
     the matching keyed rotations, so a uniform error budget holds across keys.
     """
     kappa, lambdas = as_count(kappa, "kappa", 1, 3), [as_count(n, "lambda", 1) for n in lambdas]
+    return _relabelled([r for task in _keyed_tasks(selector, kappa, lambdas, seed, tolerance)
+                        for r in task()], lambdas)
+
+
+def _keyed_slice(selector, kappa, lam, seed, tolerance, tuples) -> list[CheckRecord]:
+    """The keyed suite's records at one lambda for the given key tuples."""
+    suite, name, m = SUITES[selector], f"keyed-{selector}", (kappa + 1) // 2
+    rng = _rng(seed, name, lam, 0)
+    # draw order: the two fixed rotations, then Alice's and Bob's layers
+    setting = KeyedSetting(m, list(haar_unitary(2 ** m, rng, 2)),
+                           _random_local_layer(m, rng), _random_local_layer(m, rng))
+    return [replace(suite.check(*suite.keyed(setting, *keys), tolerance),
+                    name=name, lam=lam, key=key_label(*keys)) for keys in tuples]
+
+
+def _keyed_tasks(selector, kappa, lambdas, seed, tolerance) -> list[Callable[[], list]]:
+    """A task per lambda and slice of KEY_SLICE key tuples; a lambda-free
+    suite runs at the first lambda only (see ``_relabelled``)."""
     suite = _suite(selector)
-    m = (kappa + 1) // 2
-    name = f"keyed-{selector}"
-    records: list[CheckRecord] = []
-    for lam in lambdas if suite.per_lambda else lambdas[:1]:
-        rng = _rng(seed, name, lam, 0)
-        # draw order: the two fixed rotations, then Alice's and Bob's layers
-        setting = KeyedSetting(m, list(haar_unitary(2 ** m, rng, 2)),
-                               _random_local_layer(m, rng), _random_local_layer(m, rng))
-        for keys in product(all_keys(kappa), repeat=suite.arity):
-            record = suite.check(*suite.keyed(setting, *keys), tolerance)
-            records.append(replace(record, name=name, lam=lam, key=key_label(*keys)))
-    if not suite.per_lambda:  # the same checks at every lambda: relabel, one details dict each
-        records += [replace(r, lam=lam, details=dict(r.details)) for lam in lambdas[1:] for r in records]
-    return records
+    tuples = list(product(all_keys(kappa), repeat=suite.arity))
+    return [partial(_keyed_slice, selector, kappa, lam, seed, tolerance, tuples[i:i + KEY_SLICE])
+            for lam in (lambdas if suite.per_lambda else lambdas[:1])
+            for i in range(0, len(tuples), KEY_SLICE)]
+
+
+def _relabelled(records: list[CheckRecord], lambdas: list[int]) -> list[CheckRecord]:
+    """The records, then each lambda-free keyed record copied to every further
+    lambda, one details dict each: the same checks at every lambda."""
+    free = {f"keyed-{name}" for name, suite in SUITES.items() if not suite.per_lambda}
+    return records + [replace(r, lam=lam, details=dict(r.details))
+                      for lam in lambdas[1:] for r in records if r.name in free]
 
 
 # -- orchestration ------------------------------------------------------------------
@@ -517,19 +535,94 @@ def run_suites(
     if unknown:
         raise ValueError(f"unknown suite selector {unknown[0]!r}")
 
-    records: list[CheckRecord] = []
+    tasks: list[Callable[[], list]] = []  # each returns a list of records
     for sel in ordered:
         if sel == "counterexample":
-            for m, eps in ((1, 0.0), (1, 1e-4), (2, 0.25)):
-                records.append(run_noninvariance_counterexample(m, eps, seed))
+            tasks += [partial(_listed, run_noninvariance_counterexample, m, eps, seed)
+                      for m, eps in ((1, 0.0), (1, 1e-4), (2, 0.25))]
         elif sel.startswith("keyed-"):
-            records.extend(run_keyed_suite(sel[len("keyed-"):], kappa, lambdas, seed, tolerance))
+            tasks += _keyed_tasks(sel[len("keyed-"):], kappa, lambdas, seed, tolerance)
         else:
-            for lam in lambdas:
-                for instance in range(INSTANCES):
-                    records.append(run_one_shot_check(sel, lam, instance, seed, tolerance))
+            tasks += [partial(_listed, run_one_shot_check, sel, lam, instance, seed, tolerance)
+                      for lam in lambdas for instance in range(INSTANCES)]
+    records = _relabelled([r for found in _run_tasks(tasks) for r in found], lambdas)
     records.sort(key=lambda r: (r.name, r.lam if r.lam is not None else -1, r.key or ""))
     return records
+
+
+def _listed(check: Callable[..., CheckRecord], *args) -> list[CheckRecord]:
+    return [check(*args)]
+
+
+def _run_tasks(tasks: Sequence[Callable[[], list]]) -> list[list]:
+    """Each task's result in task order, raising the first failing task's error.
+
+    Where ``os.sched_getaffinity`` and ``os.fork`` exist, this process and
+    ``cpu_count() - 1`` forked workers take task indices from one pre-filled
+    pipe.  A worker writes nothing to stdout or stderr and pickles {index:
+    result or exception} back; a task no worker reported runs here.
+    """
+    import os, pickle, signal  # noqa: E401  numpy loads all but signal
+
+    def take(parent: int | None = None) -> dict:  # until the pipe is empty or the parent has gone
+        out = {}
+        while (parent is None or os.getppid() == parent) and (token := os.read(queue, 4)):
+            for i in range(first := int.from_bytes(token, "little"), min(first + step, len(tasks))):
+                try:
+                    out[i] = tasks[i]()
+                except Exception as exc:  # raised below, in task order
+                    out[i] = exc
+        return out
+
+    step = -(-len(tasks) // 1024) or 1  # at most 1024 four-byte indices: a page, which any pipe holds
+    firsts = range(0, len(tasks), step)
+    forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    workers = min(cpu_count(), len(firsts)) - 1 if forks else 0
+    done, pids, pipes = {}, [], []
+    try:
+        if workers > 0:
+            queue, fill = os.pipe()
+            pipes.append(open(queue, "rb"))
+            # last task first: the costly keyed tasks start early, small one-shot ones fill the end
+            os.write(fill, b"".join(i.to_bytes(4, "little") for i in reversed(firsts)))
+            os.close(fill)
+            for _ in range(workers):
+                read, write = os.pipe()
+                pipes.append(open(read, "rb"))
+                try:
+                    pid = os.fork()
+                except OSError:  # no process to spare: the tasks run on those made so far
+                    os.close(write)
+                    break
+                if pid == 0:  # a worker: silent, its results pickled to this process
+                    try:
+                        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+                        os.dup2(1, 2)
+                        data = pickle.dumps(take(os.getppid()))
+                        with open(write, "wb") as fh:
+                            fh.write(data)
+                    finally:
+                        os._exit(0)
+                pids.append(pid)
+                os.close(write)
+            done = take()
+            for fh in pipes[1:]:
+                try:  # a worker that died or whose results do not round-trip: its tasks run below
+                    done.update(pickle.loads(fh.read()))
+                except Exception:
+                    pass
+    finally:  # however the call ends, every worker is killed and reaped
+        for fh in pipes:
+            fh.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    out = []
+    for i, task in enumerate(tasks):
+        out.append(done[i] if i in done else task())
+        if isinstance(out[-1], Exception):
+            raise out[-1]
+    return out
 
 
 def all_selectors() -> list[str]:
