@@ -289,15 +289,31 @@ def _quota_cpus(cpu_max: str) -> int | None:
     return None if quota == "max" else max(1, int(quota) // int(period))
 
 
+@cache  # read once per process: _step asks on every blocked step, and a quota seldom moves
+def _cgroup_cpus(mount: str = "/sys/fs/cgroup", own: str = "/proc/self/cgroup") -> int | None:
+    """The least of the CPU quotas on this process's cgroup v2 group (the
+    ``0::`` line of ``own``) and on each group above it under ``mount``;
+    None where no group has one."""
+    try:
+        with open(own) as fh:
+            path = next((line[3:].strip() for line in fh if line.startswith("0::")), "/")
+    except OSError:
+        path = "/"
+    parts, quotas = [p for p in path.split("/") if p], []
+    for k in range(len(parts) + 1):
+        try:
+            with open(os.path.join(mount, *parts[:k], "cpu.max")) as fh:
+                quotas.append(_quota_cpus(fh.read()))
+        except (OSError, ValueError):  # no quota file here, or one this parser does not know
+            pass
+    return min((q for q in quotas if q), default=None)
+
+
 def cpu_count() -> int:
     """The CPUs this process may use: its affinity, or ``os.cpu_count``
-    where there is none, capped by the cgroup's CPU quota where it has one."""
+    where there is none, capped by its cgroups' CPU quotas where they have one."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    try:
-        with open("/sys/fs/cgroup/cpu.max") as fh:
-            return min(cpus, _quota_cpus(fh.read()) or cpus)
-    except (OSError, ValueError):  # no cgroup v2 quota file, or one this parser does not know
-        return cpus
+    return min(cpus, _cgroup_cpus() or cpus)
 
 
 @cache  # keyed by pid: a forked child's copy of the pool has no thread, so it makes its own

@@ -557,12 +557,16 @@ def _listed(check: Callable[..., CheckRecord], *args) -> list[CheckRecord]:
 def _run_tasks(tasks: Sequence[Callable[[], list]]) -> list[list]:
     """Each task's result in task order, raising the first failing task's error.
 
-    Where ``os.sched_getaffinity`` and ``os.fork`` exist, this process and
-    ``cpu_count() - 1`` forked workers take task indices from one pre-filled
-    pipe.  A worker writes nothing to stdout or stderr and pickles {index:
-    result or exception} back; a task no worker reported runs here.
+    Where ``os.sched_getaffinity`` and ``os.fork`` exist and OpenBLAS runs one
+    thread (``_BLAS_ONE``, as for the gate-step helper: BLAS's own threads
+    already take the other CPUs, and a worker beside them made a kappa = 3
+    run about four times slower), this process and ``cpu_count() - 1`` forked workers take
+    task indices from one pre-filled pipe.  A worker writes nothing to stdout
+    or stderr and pickles {index: result or exception} back; a task no worker
+    reported runs here.
     """
     import os, pickle, signal  # noqa: E401  numpy loads all but signal
+    from .circuits import _BLAS_ONE  # looked up at each call, so a test may set it
 
     def take(parent: int | None = None) -> dict:  # until the pipe is empty or the parent has gone
         out = {}
@@ -576,7 +580,7 @@ def _run_tasks(tasks: Sequence[Callable[[], list]]) -> list[list]:
 
     step = -(-len(tasks) // 1024) or 1  # at most 1024 four-byte indices: a page, which any pipe holds
     firsts = range(0, len(tasks), step)
-    forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    forks = _BLAS_ONE and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
     workers = min(cpu_count(), len(firsts)) - 1 if forks else 0
     done, pids, pipes = {}, [], []
     try:
@@ -596,6 +600,8 @@ def _run_tasks(tasks: Sequence[Callable[[], list]]) -> list[list]:
                     break
                 if pid == 0:  # a worker: silent, its results pickled to this process
                     try:
+                        for fh in pipes[1:]:  # its own and earlier workers' read ends: a dead
+                            fh.close()        # caller then breaks the pipe, and no write blocks
                         os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
                         os.dup2(1, 2)
                         data = pickle.dumps(take(os.getppid()))

@@ -5,9 +5,11 @@ CPUs - 1 workers that share the checks with the calling process.  These
 tests pin that path to the serial one: the CLI's reports in a child pinned
 to one CPU and in an unpinned child, the records in process, a failing
 check's exit code and ``error:`` line, a refused fork, an interrupt, results
-a worker cannot send back, more tasks than a pipe page holds indices for, and no worker or
-zombie left after any of them.  The CPU count's
-quota parser is tested here too.
+a worker cannot send back, more tasks than a pipe page holds indices for, a
+worker whose caller is killed, and no worker or zombie left after any of
+them.  Workers are forked only where OpenBLAS runs one thread
+(``circuits._BLAS_ONE``); the in-process tests set it, since the suite may
+run with BLAS at its default.  The CPU count's quota reader is tested here too.
 """
 
 import os
@@ -20,8 +22,8 @@ from functools import partial
 import pytest
 
 import compent
-from compent import cli, harness
-from compent.circuits import _quota_cpus, cpu_count
+from compent import circuits, cli, harness
+from compent.circuits import _cgroup_cpus, _quota_cpus, cpu_count
 from compent.harness import run_suites
 
 TIMEOUT_S = 120
@@ -38,10 +40,30 @@ sys.exit(main(sys.argv[2:]))
 """
 
 
+@pytest.fixture(autouse=True)
+def blas_one(monkeypatch):
+    monkeypatch.setattr(circuits, "_BLAS_ONE", True)
+
+
 @pytest.mark.parametrize("line, cpus", [("max 100000\n", None), ("50000 100000\n", 1),
                                         ("250000 100000\n", 2)])
 def test_quota_parser_rounds_down_to_at_least_one_cpu(line, cpus):
     assert _quota_cpus(line) == cpus
+
+
+@pytest.mark.parametrize("own, unlimited_b, limited_b", [
+    ("0::/\n", None, None), ("0::/a\n", 3, 3), ("0::/a/b\n", 3, 2), ("1:cpu:/a/b\n", None, None)],
+    ids=["root", "a", "a-b", "v1-only"])
+def test_the_quota_is_the_least_on_the_own_group_and_those_above_it(tmp_path, own, unlimited_b,
+                                                                    limited_b):
+    (tmp_path / "a" / "b").mkdir(parents=True)
+    (tmp_path / "a" / "cpu.max").write_text("300000 100000\n")
+    (tmp_path / "cgroup").write_text(own)
+    read = partial(_cgroup_cpus.__wrapped__, str(tmp_path), str(tmp_path / "cgroup"))  # uncached
+    (tmp_path / "a" / "b" / "cpu.max").write_text("max 100000\n")
+    assert read() == unlimited_b
+    (tmp_path / "a" / "b" / "cpu.max").write_text("200000 100000\n")
+    assert read() == limited_b
 
 
 def test_cpu_count_is_at_most_the_affinity():
@@ -80,6 +102,14 @@ def test_workers_run_in_process_and_give_the_serial_records(monkeypatch):
     no_workers_left()
     monkeypatch.setattr(harness, "cpu_count", lambda: 1)
     assert forked == run_suites(["all"], [1, 2, 3], 7)
+
+
+@forks
+def test_no_worker_is_forked_where_blas_runs_more_threads(monkeypatch):
+    monkeypatch.setattr(circuits, "_BLAS_ONE", False)
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert run_suites(["convexity", "keyed-subadditivity"], [1, 2], 7)
+    assert resource.getrusage(resource.RUSAGE_CHILDREN) == before  # no child ran and was reaped
 
 
 @forks
@@ -170,3 +200,60 @@ def test_more_tasks_than_a_pipe_page_of_indices_all_run_once_in_order():
     assert [r[0] for r in ran] == list(range(3000))
     assert len({r[1] for r in ran}) > 1  # the workers took some
     no_workers_left()
+
+
+ORPHAN = """
+import os, sys, time
+from functools import partial
+from compent import harness
+caller = os.getpid()
+
+def task(i):
+    if os.getpid() == caller:
+        time.sleep(TIMEOUT_S)  # the caller stays in its share until it is killed
+    with open(sys.argv[1], "w") as fh:
+        fh.write(str(os.getpid()))
+    time.sleep(0.02)
+    return [bytes(1 << 17)]  # more than a pipe buffer holds
+
+harness._run_tasks([partial(task, i) for i in range(10)])
+""".replace("TIMEOUT_S", str(TIMEOUT_S))
+
+
+def gone(pid):
+    """Whether ``pid`` has exited: no such process, or a zombie its new parent has not reaped."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+@forks
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads a process's state under /proc")
+def test_a_worker_whose_caller_is_killed_exits_though_its_results_fill_the_pipe(tmp_path):
+    mark = tmp_path / "worker"
+    env = dict(os.environ, **dict.fromkeys(BLAS_VARS, "1"),
+               PYTHONPATH=os.path.dirname(os.path.dirname(compent.__file__)))
+    caller = subprocess.Popen([sys.executable, "-c", ORPHAN, str(mark)], env=env,
+                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    worker = None
+    try:
+        deadline = time.monotonic() + TIMEOUT_S
+        text = ""
+        while not text:  # until the worker has run a task
+            assert time.monotonic() < deadline and caller.poll() is None
+            time.sleep(0.01)
+            text = mark.read_text() if mark.exists() else ""
+        worker = int(text)
+        caller.kill()
+        caller.wait()
+        deadline = time.monotonic() + 30  # a worker that is not stuck leaves within milliseconds
+        while not gone(worker) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert gone(worker)
+    finally:
+        caller.kill()
+        caller.wait()
+        if worker is not None and not gone(worker):
+            os.kill(worker, 9)
