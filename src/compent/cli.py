@@ -108,11 +108,14 @@ def _require_size(flag: str, value: int) -> int:
 def cmd_net(args) -> int:
     _require_size("--m", args.m)
     packing = greedy_packing(args.m, args.eta, seed=args.seed,
-                             max_candidates=args.max_candidates)
+                             max_candidates=args.max_candidates, deadline_s=args.deadline)
     if not separation_check(packing):
         sys.stderr.write("separation check failed\n")
         return 1
-    write_report(json.dumps(packing_to_dict(packing), sort_keys=True) + "\n", args.out)
+    report = packing_to_dict(packing)
+    if packing.stop == "deadline":
+        report["truncated"] = True
+    write_report(json.dumps(report, sort_keys=True) + "\n", args.out)
     sys.stderr.write(f"{len(packing)} members from {packing.candidates} candidates "
                      f"(stopped: {packing.stop}), separation check passed\n")
     return 0
@@ -201,6 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     net.add_argument("--seed", type=int, default=0)
     net.add_argument("--out", default=None)
     net.add_argument("--max-candidates", type=int, default=None, help="stop after N candidates")
+    net.add_argument("--deadline", type=float, default=None,
+                     help="draw no more candidates after S seconds (the first draw always runs)")
     net.set_defaults(func=cmd_net)
 
     cex = sub.add_parser("counterexample", help="run the non-invariance pipeline")

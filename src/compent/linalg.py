@@ -186,12 +186,29 @@ def haar_unitary(dim: int, rng: np.random.Generator, count: int | None = None) -
     """Haar-distributed unitary via QR of a complex Gaussian matrix.
 
     With ``count`` it returns a ``(count, dim, dim)`` stack, bitwise equal to
-    ``count`` single draws from the same generator.
+    ``count`` single draws from the same generator.  It is
+    ``haar_finish(haar_gaussian(dim, rng, count))``.
     """
-    g = rng.standard_normal((1 if count is None else count, 2, dim, dim))
+    q = haar_finish(haar_gaussian(dim, rng, 1 if count is None else count))
+    return q[0] if count is None else q
+
+
+def haar_gaussian(dim: int, rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` complex Gaussian ``dim x dim`` matrices: the draw behind ``haar_unitary``.
+
+    Each matrix takes ``2 dim^2`` consecutive normals, so one stack of ``a + b``
+    equals a stack of ``a`` followed by a stack of ``b``.
+    """
+    g = rng.standard_normal((count, 2, dim, dim))
     z = g[:, 0] + 1j * g[:, 1]
     z /= np.sqrt(2.0)
+    return z
+
+
+def haar_finish(z: np.ndarray) -> np.ndarray:
+    """The Haar unitaries of a stack of Gaussian matrices: LAPACK's QR with R's
+    diagonal phases moved into Q.  Each matrix's Q is bitwise the same inside
+    any sub-stack of ``z``."""
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
-    q = q * (d / np.abs(d))[:, None, :]
-    return q[0] if count is None else q
+    return q * (d / np.abs(d))[:, None, :]

@@ -10,23 +10,39 @@ from __future__ import annotations
 
 import math
 import sys
+import time
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from .linalg import (
-    as_count, as_ints, haar_unitary, matrix_from_dict, matrix_to_dict, require_unitary,
+    as_count, as_ints, haar_finish, haar_gaussian, matrix_from_dict, matrix_to_dict, require_unitary,
     schatten_norm,
 )
 from .states import _pair_count, pauli_shift, shared
 
-_BLOCK = 64  # candidates per Haar draw, and members per overlap product
+_BLOCK = 64  # members per overlap product, and candidates in a packing's first draw
+_DRAW = 256  # candidates per later draw and per screen product
 SEPARATION_TOL = 1e-9  # slack on separation_check's root-fidelity bound
 MAX_REJECTIONS = 500  # consecutive rejected candidates that end a greedy packing
-# Margin of the complex64 screen: on rows and columns of Frobenius norm 2^(m/2), the two casts
-# (2u each, u = 2^-24) and a gamma_16 inner product move an overlap by about 5e-6 at m = 2.
+# Margin of the complex64 screen. A packing's bytes do not depend on the screen, because:
+# - Same stream: ``haar_gaussian`` takes 2 d^2 normals per matrix, so draws of 64, 128, then
+#   256 Gaussians take the normals that 64-matrix ``haar_unitary`` stacks take.
+# - Same Q: ``haar_finish`` of a sub-stack ``z[idx]`` is bitwise its part of the full
+#   stack's Q, so a member finished in any batch is the one ``haar_unitary`` returns.
+# - The screen's budget: on rows and columns of Frobenius norm 2^(m/2), the two casts (2u
+#   each, u = 2^-24) and a gamma_16 inner product move an overlap by about 5e-6 at m = 2;
+#   Gram-Schmidt copies U + dU and V + dV move it by at most 2^(m/2) (||dU||_F + ||dV||_F)
+#   more, under 3e-5 while ``GS_FLOOR`` holds.
 DELTA = 1e-4
+# Least share ||v_c|| / ||a_c|| of a column's norm that modified Gram-Schmidt keeps after its
+# projections (Bjorck, BIT 7, 1967). To first order, column c's rounding (gamma u ||a_c||,
+# gamma = 16 at d = 4, u = 2^-53) and the errors e_p before it (times |r_pc| <= ||a_c||) are
+# divided by ||v_c||: e_c <= (gamma u + sum e_p) / share, so e_4 <= 2 gamma u / share^3 =
+# 3.6e-6 at share 1e-3 and ||dV||_F <= 2 e_4. Over 1.2 M draws at d = 4 the largest entry
+# error was 1.2e-12 and about 4 in a million fell below the floor; those use LAPACK's Q.
+GS_FLOOR = 1e-3
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,15 +123,31 @@ def _orbit_max(rows, cols, groups: int) -> np.ndarray:
     return np.abs(rows @ cols.T).reshape(groups, len(rows) // groups, -1).max(axis=1)
 
 
-def _within(rows, rows32, cols, cols32, bound: float, groups: int) -> np.ndarray:
+def _within(rows32, cols32, bound: float, groups: int, exact) -> np.ndarray:
     """``_orbit_max(rows, cols, groups) <= bound`` from the complex64 copies; only the
-    columns with a maximum within ``DELTA`` of the bound are recomputed in complex128."""
+    columns with a maximum within ``DELTA`` of the bound are recomputed in complex128,
+    on ``exact(near)``, the complex128 rows and those columns."""
     top = _orbit_max(rows32, cols32, groups)
     within, gap = top <= bound, np.abs(top - bound)
     if gap.min(initial=DELTA + 1) <= DELTA:
         near = np.flatnonzero((gap <= DELTA).any(axis=0))
-        within[:, near] = _orbit_max(rows, cols[near], groups) <= bound
+        within[:, near] = _orbit_max(*exact(near), groups) <= bound
     return within
+
+
+def _gram_schmidt(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Modified Gram-Schmidt Q of each matrix in the stack ``z``, whose R has the positive
+    diagonal that ``haar_finish`` gives, and per matrix the least share of a column's norm
+    that its projections kept."""
+    a = z.transpose(2, 1, 0).copy()  # a[c, i] is entry i of column c across the stack
+    before = (a.real ** 2 + a.imag ** 2).sum(axis=1)
+    after = np.empty_like(before)
+    for c, q in enumerate(a):
+        after[c] = (q.real ** 2 + q.imag ** 2).sum(axis=0)
+        q *= 1 / np.sqrt(after[c])
+        rest = a[c + 1:]
+        rest -= np.einsum("ib,rib->rb", q.conj(), rest)[:, None, :] * q
+    return a.transpose(2, 1, 0), np.sqrt((after / before).min(axis=0))
 
 
 def greedy_packing(
@@ -124,58 +156,87 @@ def greedy_packing(
     seed: int = 0,
     max_size: int | None = None,
     max_candidates: int | None = None,
+    deadline_s: float | None = None,
 ) -> UnitaryPacking:
     """Randomized greedy packing of Pauli-orbit-separated unitaries.
 
     Haar candidates are accepted when every existing member's orbit keeps
     root-fidelity at most 1 - eta from the candidate's rotated EPR state.
     The first candidate is always accepted; ``stop`` names the rule that ended
-    the run: ``MAX_REJECTIONS`` consecutive rejections, ``max_size`` members
-    or ``max_candidates`` candidates. Deterministic for a fixed seed.
+    the run: ``MAX_REJECTIONS`` consecutive rejections, ``max_size`` members,
+    ``max_candidates`` candidates or ``deadline``, when ``deadline_s`` seconds
+    have passed at the start of a draw after the first. Deterministic for a
+    fixed seed, and with ``deadline_s = 0`` too.
 
-    Candidates come in blocks of ``_BLOCK`` Haar draws; the members' orbit
-    rows live in one buffer that doubles when full. One product tests a
-    block's live candidates against ``_BLOCK`` members or against a member
-    accepted from the block, and the candidates it rejects leave the next.
-    ``_within`` screens each product in complex64 and keeps its complex128 decision.
+    Candidates are drawn as Gaussian matrices, ``_BLOCK`` at first and then twice
+    as many up to ``_DRAW``, and screened on their ``_gram_schmidt`` copies; the
+    members' orbit rows live in one buffer that doubles when full. One product
+    tests a draw's live candidates against ``_BLOCK`` members or against a member
+    accepted from the draw, and the candidates it rejects leave the next.
+    ``_within`` screens each product in complex64 and keeps its complex128
+    decision. LAPACK's Q (``haar_finish``) is built only for the members, in one
+    batch at the end or before an exact path, for the columns ``_within``
+    recomputes, and for the draws whose Gram-Schmidt kept less than ``GS_FLOOR``
+    of a column's norm.
     """
     m = as_count(m, "m", 1, 2)
     _check_eta(eta)
     size_cap = sys.maxsize if max_size is None else as_count(max_size, "max_size", 1)
     candidate_cap = (sys.maxsize if max_candidates is None
                      else as_count(max_candidates, "max_candidates", 1))
+    if deadline_s is not None and not deadline_s >= 0:  # refuses NaN too
+        raise ValueError(f"deadline_s must be at least 0, got {deadline_s}")
+    end = math.inf if deadline_s is None else time.monotonic() + deadline_s
     rng = np.random.default_rng(seed)
-    k = 4 ** m
+    d, k = 2 ** m, 4 ** m
     bound = (1.0 - eta) * 2 ** m  # on |tr((P U)^dag V)|, exact scaling by 2^m
-    rows = np.empty((_BLOCK * k, k), dtype=complex)
-    rows32 = np.empty_like(rows, dtype=np.complex64)  # the screen's copy of ``rows``
+    rows = np.empty((_BLOCK * k, k), dtype=complex)  # members' exact rows, filled by settle
+    rows32 = np.empty_like(rows, dtype=np.complex64)  # the screen's rows of every member
     members: list[np.ndarray] = []
-    candidates = rejections = 0
-    while rejections < MAX_REJECTIONS and len(members) < size_cap and candidates < candidate_cap:
-        i, n = candidates % _BLOCK, len(members)
-        if i == 0:
-            draws = haar_unitary(2 ** m, rng, _BLOCK)
-            flat32 = draws.reshape(_BLOCK, k).astype(np.complex64)
-            live, tested = np.ones(_BLOCK, dtype=bool), 0
-        for s in range(tested, n * k, _BLOCK * k):  # rows the block has not met
+    pending: list[np.ndarray] = []  # the Gaussians of the members after ``members``
+    n = candidates = rejections = size = i = 0  # n members; i: the next candidate in the draw
+
+    def settle() -> np.ndarray:
+        """Put the pending members on LAPACK's Q and their rows into ``rows``."""
+        if pending:
+            q, done = haar_finish(np.array(pending)), len(members)
+            rows[done * k:(done + len(q)) * k] = _orbit_rows(q, m)
+            members.extend(q)
+            pending.clear()
+        return rows
+
+    while rejections < MAX_REJECTIONS and n < size_cap and candidates < candidate_cap:
+        if i == size:
+            if size and time.monotonic() >= end:
+                break
+            size, i, tested = min(2 * size, _DRAW) if size else _BLOCK, 0, 0
+            z = haar_gaussian(d, rng, size)
+            draws, share = _gram_schmidt(z)
+            if share.min() < GS_FLOOR:
+                low = np.flatnonzero(share < GS_FLOOR)
+                draws[low] = haar_finish(z[low])
+            flat32 = draws.astype(np.complex64, order="C").reshape(size, k)
+            live = np.ones(size, dtype=bool)
+        for s in range(tested, n * k, _BLOCK * k):  # rows the draw has not met
             j, e = i + np.flatnonzero(live[i:]), min(s + _BLOCK * k, n * k)
-            live[j] = _within(rows[s:e], rows32[s:e], draws[j].reshape(-1, k), flat32[j], bound, 1)[0]
+            live[j] = _within(rows32[s:e], flat32[j], bound, 1, lambda near: (
+                settle()[s:e], haar_finish(z[j[near]]).reshape(-1, k)))[0]
         tested = n * k
         # the candidates before the next live one are rejected in one step, up to a cap
-        dead = next(iter(np.flatnonzero(live[i:])), _BLOCK - i)
+        dead = next(iter(np.flatnonzero(live[i:])), size - i)
         skip = min(dead, MAX_REJECTIONS - rejections, candidate_cap - candidates)
-        candidates, rejections = candidates + skip, rejections + skip
-        if i + dead == _BLOCK or rejections >= MAX_REJECTIONS or candidates >= candidate_cap:
+        candidates, rejections, i = candidates + skip, rejections + skip, i + skip
+        if i == size or rejections >= MAX_REJECTIONS or candidates >= candidate_cap:
             continue
-        i += dead
-        candidates += 1
         if (n + 1) * k > len(rows):
             rows, rows32 = (np.concatenate((b, np.empty_like(b))) for b in (rows, rows32))
-        rows[n * k:(n + 1) * k] = rows32[n * k:(n + 1) * k] = _orbit_rows(draws[i], m)
-        members.append(draws[i].copy())
-        rejections = 0
+        rows32[n * k:(n + 1) * k] = _orbit_rows(draws[i], m)
+        pending.append(z[i].copy())  # a view would keep the whole draw
+        candidates, i, n, rejections = candidates + 1, i + 1, n + 1, 0
+    members.extend(haar_finish(np.array(pending)) if pending else ())  # no rows needed now
     stop = ("max_rejections reached" if rejections >= MAX_REJECTIONS
-            else "max_size" if len(members) >= size_cap else "max_candidates")
+            else "max_size" if n >= size_cap
+            else "max_candidates" if candidates >= candidate_cap else "deadline")
     return UnitaryPacking(m, eta, tuple(members), seed, candidates, stop)
 
 
@@ -202,7 +263,9 @@ def separation_check(p: UnitaryPacking) -> bool:
         rows32 = rows.astype(np.complex64)
         for t in range(s, n, _BLOCK):
             # member s + i's orbit against member t + j
-            within = _within(rows, rows32, flat[t:t + _BLOCK], flat32[t:t + _BLOCK], bound, len(rows) // k)
+            cols = flat[t:t + _BLOCK]
+            within = _within(rows32, flat32[t:t + _BLOCK], bound, len(rows) // k,
+                             lambda near: (rows, cols[near]))
             if t == s:
                 within |= np.tri(len(within), dtype=bool)  # keep the pairs j > i
             if not within.all():

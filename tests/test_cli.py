@@ -124,6 +124,19 @@ def test_net_command(tmp_path, capsys):
     assert run(["net", "--m", "3", "--eta", "0.5"]) == 2
 
 
+def test_net_deadline_zero_keeps_the_first_draw(tmp_path, capsys):
+    late, capped = tmp_path / "late.json", tmp_path / "capped.json"
+    assert run(["net", "--m", "2", "--eta", "0.5", "--seed", "3", "--deadline", "0",
+                "--out", str(late)]) == 0
+    assert capsys.readouterr().err.endswith("from 64 candidates (stopped: deadline), "
+                                            "separation check passed\n")
+    assert run(["net", "--m", "2", "--eta", "0.5", "--seed", "3", "--max-candidates", "64",
+                "--out", str(capped)]) == 0
+    truncated, first_draw = json.loads(late.read_text()), json.loads(capped.read_text())
+    assert truncated.pop("truncated") is True and "truncated" not in first_draw
+    assert truncated == first_draw
+
+
 def test_counterexample_command(capsys, tmp_path):
     assert run(["counterexample", "--m", "1", "--eps", "0", "--seed", "7"]) == 0
     out = capsys.readouterr().out
@@ -211,6 +224,8 @@ BAD_ETAS = {"0": "0.0", "1": "1.0", "-0.5": "-0.5", "nan": "nan"}
     ["net", "--m", "0", "--eta", "0.5"],
     ["net", "--m", "3", "--eta", "0.5"],
     ["net", "--eta", "0.5", "--max-candidates", "0"],
+    ["net", "--eta", "0.5", "--deadline", "-1"],
+    ["net", "--eta", "0.5", "--deadline", "nan"],
     ["counterexample", "--m", "0"],
     ["counterexample", "--m", "3"],
     ["counterexample", "--m", "1", "--eps", "1.5"],
@@ -224,6 +239,8 @@ def test_out_of_range_sizes_exit_2(argv, capsys):
     assert captured.err.startswith("error: ")
     if argv[-2] == "--eta" and argv[-1] in BAD_ETAS:
         assert captured.err == f"error: eta must lie in (0, 1), got {BAD_ETAS[argv[-1]]}\n"
+    if argv[-2] == "--deadline":
+        assert captured.err == f"error: deadline_s must be at least 0, got {float(argv[-1])}\n"
     if argv[-2] == "--eps":  # the threshold scan's own check, word for word
         assert captured.err == "error: eps must lie in [0, 1), got 1.5\n"
     if argv[-2] == "--fidelity":

@@ -1,14 +1,19 @@
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from compent import packing
 from compent.circuits import GateBudget
-from compent.linalg import haar_unitary, matrix_to_dict
+from compent.linalg import haar_finish, haar_gaussian, haar_unitary, matrix_to_dict
 from compent.packing import (
     DELTA,
+    GS_FLOOR,
     SEPARATION_TOL,
     NetBoundEstimate,
     UnitaryPacking,
@@ -414,8 +419,8 @@ def test_candidates_at_the_bound_take_the_exact_path_and_its_decision(monkeypatc
     assert list(exact[:4]) == [True, False, True, False]
     for groups in (1, 64):  # the packing's test, and separation_check's per-pair test
         columns = _spy_exact_path(monkeypatch)
-        within = packing._within(rows, rows.astype(np.complex64), cols, cols.astype(np.complex64),
-                                 bound, groups)
+        within = packing._within(rows.astype(np.complex64), cols.astype(np.complex64), bound, groups,
+                                 lambda near: (rows, cols[near]))
         assert columns == [4]
         assert within.shape == (groups, 64)
         assert np.array_equal(within.all(axis=0), exact)
@@ -451,3 +456,157 @@ def test_separation_check_decides_a_planted_member_at_its_bound(monkeypatch, off
     columns = _spy_exact_path(monkeypatch)
     assert separation_check(UnitaryPacking(2, eta, (u, v), 0)) is separated
     assert columns == [2]
+
+
+# m, eta, seeds and caps whose packings ``packing_digest`` hashes: both m, etas from many
+# members to one, runs ended by each rule, and caps inside the first and later draws
+DIGEST_GRID = [(m, eta, seed, caps)
+               for m, etas in ((1, (0.1, 0.3, 0.6)), (2, (0.35, 0.5, 0.7)))
+               for eta in etas for seed in range(8)
+               for caps in ({}, {"max_size": 5}, {"max_candidates": 300}, {"max_candidates": 700})]
+# sha256 of the grid's members, candidate counts and stop rules, as the one-Haar-draw-per-
+# candidate packing (LAPACK's QR for every candidate, screened in 64-candidate blocks) wrote them
+PACKING_DIGEST = "37cadbf45211a923c0d163cc92f88e58d78b7e4c7223b08c8b7d714442119411"
+
+
+def packing_digest() -> str:
+    h = hashlib.sha256()
+    for m, eta, seed, caps in DIGEST_GRID:
+        p = greedy_packing(m, eta, seed=seed, **caps)
+        for u in p.members:
+            h.update(u.tobytes())
+        h.update(f"{p.candidates} {p.stop};".encode())
+    return h.hexdigest()
+
+
+def test_the_packings_keep_their_bytes():
+    assert packing_digest() == PACKING_DIGEST
+
+
+def test_the_packings_keep_their_bytes_with_blas_on_two_threads():
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(packing.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=os.pathsep.join((src, here)))
+    child = "from test_packing import packing_digest; print(packing_digest())"
+    done = subprocess.run([sys.executable, "-c", child], env=env, check=True, timeout=300,
+                          capture_output=True, text=True)
+    assert done.stdout == PACKING_DIGEST + "\n"
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_haar_unitary_is_the_gaussian_draw_then_the_finish(d):
+    for count in (None, 1, 64, 256):
+        split = haar_finish(haar_gaussian(d, np.random.default_rng(5), count or 1))
+        assert np.array_equal(haar_unitary(d, np.random.default_rng(5), count),
+                              split[0] if count is None else split)
+    rng = np.random.default_rng(6)
+    z = haar_gaussian(d, np.random.default_rng(6), 256)
+    assert np.array_equal(z, np.concatenate([haar_gaussian(d, rng, 64) for _ in range(4)]))
+    q = haar_finish(z)
+    for idx in ([0], [3, 17, 200], [255], list(range(1, 256, 2))):
+        assert np.array_equal(haar_finish(z[idx]), q[idx])
+
+
+def test_gram_schmidt_copies_stay_close_to_lapacks_q():
+    z = haar_gaussian(4, np.random.default_rng(8), 256)
+    q, share = packing._gram_schmidt(z)
+    assert np.abs(q - haar_finish(z)).max() < 1e-11
+    assert 0 < share.min() and share.max() <= 1 + 1e-12
+
+
+def _greedy_on(unitaries, m, eta) -> list[int]:
+    """The indices a one-at-a-time greedy packing over ``unitaries`` accepts, tested in complex128."""
+    bound, accepted = (1 - eta) * 2 ** m, []
+    for c, v in enumerate(unitaries):
+        if all(np.abs(packing._orbit_rows(unitaries[a], m) @ v.ravel()).max() <= bound for a in accepted):
+            accepted.append(c)
+    return accepted
+
+
+def _spy_finish(monkeypatch) -> list[np.ndarray]:
+    """Every stack that ``greedy_packing`` puts on LAPACK's Q."""
+    stacks = []
+
+    def spy(z):
+        stacks.append(z.copy())
+        return haar_finish(z)
+
+    monkeypatch.setattr(packing, "haar_finish", spy)
+    return stacks
+
+
+def _plant(monkeypatch, change):
+    """Has ``greedy_packing``'s first draw of Gaussians pass through ``change``; returns that draw."""
+    def planted(d, rng, count):
+        z = haar_gaussian(d, rng, count)
+        if count == 64:
+            change(z)
+        return z
+
+    monkeypatch.setattr(packing, "haar_gaussian", planted)
+    return lambda m, seed: planted(2 ** m, np.random.default_rng(seed), 64)
+
+
+def test_a_nearly_dependent_draw_is_screened_on_lapacks_q(monkeypatch):
+    def dependent(z):  # candidate 5's second column keeps about 1e-7 of its norm
+        z[5, :, 1] = z[5, :, 0] + 1e-7 * z[5, :, 1]
+
+    first_draw = _plant(monkeypatch, dependent)
+    stacks = _spy_finish(monkeypatch)
+    p = greedy_packing(2, 0.5, seed=1, max_candidates=64)
+    z = first_draw(2, 1)
+    assert packing._gram_schmidt(z)[1][5] < GS_FLOOR
+    assert np.array_equal(stacks[0], z[[5]])  # before any product
+    exact = haar_finish(z)
+    assert [u.tobytes() for u in p.members] == [exact[c].tobytes() for c in _greedy_on(exact, 2, 0.5)]
+
+
+@pytest.mark.parametrize("offset, accepted", [(-1e-6, True), (1e-6, False)])
+def test_a_candidate_near_the_bound_is_decided_on_lapacks_q(monkeypatch, offset, accepted):
+    eta = 0.3
+
+    def near(z):  # candidate 1 sits at the bound of candidate 0's orbit, a unitary is its own Q
+        z[1] = _at_overlap(haar_finish(z[:1])[0], (1 - eta) * 4 + offset)
+
+    first_draw = _plant(monkeypatch, near)
+    stacks = _spy_finish(monkeypatch)
+    columns = _spy_exact_path(monkeypatch)
+    p = greedy_packing(2, eta, seed=4, max_candidates=64)
+    z = first_draw(2, 4)
+    assert columns[0] >= 1
+    assert any(len(f) == 1 and np.array_equal(f[0], z[1]) for f in stacks)
+    exact = haar_finish(z)
+    kept = _greedy_on(exact, 2, eta)
+    assert (1 in kept) is accepted
+    assert [u.tobytes() for u in p.members] == [exact[c].tobytes() for c in kept]
+
+
+def test_a_zero_deadline_runs_one_draw():
+    p = greedy_packing(2, 0.5, seed=1, deadline_s=0)
+    capped = greedy_packing(2, 0.5, seed=1, max_candidates=64)
+    assert [u.tobytes() for u in p.members] == [u.tobytes() for u in capped.members]
+    assert (p.candidates, p.stop) == (64, "deadline")
+    late = greedy_packing(2, 0.5, seed=1, deadline_s=1e9)
+    full = greedy_packing(2, 0.5, seed=1)
+    assert [u.tobytes() for u in late.members] == [u.tobytes() for u in full.members]
+    assert (late.candidates, late.stop) == (full.candidates, full.stop)
+
+
+def test_the_deadline_is_read_before_each_draw_after_the_first(monkeypatch):
+    ticks = iter(range(100))  # one second per reading of the clock
+
+    class Clock:
+        monotonic = staticmethod(lambda: next(ticks))
+
+    monkeypatch.setattr(packing, "time", Clock)
+    # read at 0 to set the end at 2.5, then at 1 and 2 before draws 2 and 3 and at 3 before draw 4
+    p = greedy_packing(2, 0.5, seed=1, deadline_s=2.5)
+    capped = greedy_packing(2, 0.5, seed=1, max_candidates=64 + 128 + 256)
+    assert (p.candidates, p.stop) == (capped.candidates, "deadline")
+    assert [u.tobytes() for u in p.members] == [u.tobytes() for u in capped.members]
+
+
+def test_a_negative_or_nan_deadline_is_refused():
+    for deadline in (-1.0, -1e-9, math.nan):
+        with pytest.raises(ValueError, match="deadline_s must be at least 0"):
+            greedy_packing(1, 0.3, deadline_s=deadline)
