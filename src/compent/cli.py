@@ -205,7 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     net.add_argument("--out", default=None)
     net.add_argument("--max-candidates", type=int, default=None, help="stop after N candidates")
     net.add_argument("--deadline", type=float, default=None,
-                     help="draw no more candidates after S seconds (the first draw always runs)")
+                     help="draw no more candidates after S seconds (the first draw always runs); "
+                          "the separation check that follows is not bounded")
     net.set_defaults(func=cmd_net)
 
     cex = sub.add_parser("counterexample", help="run the non-invariance pipeline")

@@ -169,15 +169,16 @@ def greedy_packing(
     fixed seed, and with ``deadline_s = 0`` too.
 
     Candidates are drawn as Gaussian matrices, ``_BLOCK`` at first and then twice
-    as many up to ``_DRAW``, and screened on their ``_gram_schmidt`` copies; the
-    members' orbit rows live in one buffer that doubles when full. One product
-    tests a draw's live candidates against ``_BLOCK`` members or against a member
-    accepted from the draw, and the candidates it rejects leave the next.
-    ``_within`` screens each product in complex64 and keeps its complex128
-    decision. LAPACK's Q (``haar_finish``) is built only for the members, in one
-    batch at the end or before an exact path, for the columns ``_within``
-    recomputes, and for the draws whose Gram-Schmidt kept less than ``GS_FLOOR``
-    of a column's norm.
+    as many up to ``_DRAW``, and screened on their ``_gram_schmidt`` copies. Each
+    member is kept once, as its Gaussian draw, and its complex64 orbit rows live
+    in one buffer that doubles when full. One product tests a draw's live
+    candidates against ``_BLOCK`` members or against a member accepted from the
+    draw, and the candidates it rejects leave the next. ``_within`` screens each
+    product in complex64 and keeps its complex128 decision. LAPACK's Q
+    (``haar_finish``) is built for all members in one batch at the end, for the
+    columns ``_within`` recomputes and the ``_BLOCK`` members whose rows it reads
+    there, and for the draws whose Gram-Schmidt kept less than ``GS_FLOOR`` of a
+    column's norm.
     """
     m = as_count(m, "m", 1, 2)
     _check_eta(eta)
@@ -190,21 +191,9 @@ def greedy_packing(
     rng = np.random.default_rng(seed)
     d, k = 2 ** m, 4 ** m
     bound = (1.0 - eta) * 2 ** m  # on |tr((P U)^dag V)|, exact scaling by 2^m
-    rows = np.empty((_BLOCK * k, k), dtype=complex)  # members' exact rows, filled by settle
-    rows32 = np.empty_like(rows, dtype=np.complex64)  # the screen's rows of every member
-    members: list[np.ndarray] = []
-    pending: list[np.ndarray] = []  # the Gaussians of the members after ``members``
+    rows32 = np.empty((_BLOCK * k, k), dtype=np.complex64)  # the screen's rows of every member
+    gauss: list[np.ndarray] = []  # each member's Gaussian draw
     n = candidates = rejections = size = i = 0  # n members; i: the next candidate in the draw
-
-    def settle() -> np.ndarray:
-        """Put the pending members on LAPACK's Q and their rows into ``rows``."""
-        if pending:
-            q, done = haar_finish(np.array(pending)), len(members)
-            rows[done * k:(done + len(q)) * k] = _orbit_rows(q, m)
-            members.extend(q)
-            pending.clear()
-        return rows
-
     while rejections < MAX_REJECTIONS and n < size_cap and candidates < candidate_cap:
         if i == size:
             if size and time.monotonic() >= end:
@@ -220,7 +209,8 @@ def greedy_packing(
         for s in range(tested, n * k, _BLOCK * k):  # rows the draw has not met
             j, e = i + np.flatnonzero(live[i:]), min(s + _BLOCK * k, n * k)
             live[j] = _within(rows32[s:e], flat32[j], bound, 1, lambda near: (
-                settle()[s:e], haar_finish(z[j[near]]).reshape(-1, k)))[0]
+                _orbit_rows(haar_finish(np.array(gauss[s // k:e // k])), m),
+                haar_finish(z[j[near]]).reshape(-1, k)))[0]
         tested = n * k
         # the candidates before the next live one are rejected in one step, up to a cap
         dead = next(iter(np.flatnonzero(live[i:])), size - i)
@@ -228,16 +218,15 @@ def greedy_packing(
         candidates, rejections, i = candidates + skip, rejections + skip, i + skip
         if i == size or rejections >= MAX_REJECTIONS or candidates >= candidate_cap:
             continue
-        if (n + 1) * k > len(rows):
-            rows, rows32 = (np.concatenate((b, np.empty_like(b))) for b in (rows, rows32))
+        if (n + 1) * k > len(rows32):
+            rows32 = np.concatenate((rows32, np.empty_like(rows32)))
         rows32[n * k:(n + 1) * k] = _orbit_rows(draws[i], m)
-        pending.append(z[i].copy())  # a view would keep the whole draw
+        gauss.append(z[i].copy())  # a view would keep the whole draw
         candidates, i, n, rejections = candidates + 1, i + 1, n + 1, 0
-    members.extend(haar_finish(np.array(pending)) if pending else ())  # no rows needed now
     stop = ("max_rejections reached" if rejections >= MAX_REJECTIONS
             else "max_size" if n >= size_cap
             else "max_candidates" if candidates >= candidate_cap else "deadline")
-    return UnitaryPacking(m, eta, tuple(members), seed, candidates, stop)
+    return UnitaryPacking(m, eta, tuple(haar_finish(np.array(gauss))), seed, candidates, stop)
 
 
 def separation_check(p: UnitaryPacking) -> bool:

@@ -9,7 +9,7 @@ directory TREE) and writes each pinned output into OUTDIR under a fixed name:
   ``--kappa 3 --lambda 1..2 --seed 3`` and ``--kappa 3 --lambda 1..3 --seed 7``;
 - the ``apply`` digests of this script's ``apply_digest.py``, which runs
   against TREE's ``src`` like everything else;
-- the five ``net`` packings and their stderr lines;
+- the six ``net`` packings and their stderr lines;
 - the m = 2 ``counterexample`` record;
 - the stdout of ``counterexample``, of every ``demos/`` script and of the
   three ``compent demo`` commands;
@@ -54,6 +54,9 @@ RUNS = {
     # 16 members; the candidate cap ends the run in the middle of a draw
     "net-cap700.json": [*CLI, "net", "--m", "2", "--eta", "0.5", "--seed", "3", "--max-candidates", "700",
                         "--out", "{out}"],
+    # one 64-candidate draw: the clock is read only before later draws, so the bytes are fixed
+    "net-deadline0.json": [*CLI, "net", "--m", "2", "--eta", "0.5", "--seed", "3", "--deadline", "0",
+                           "--out", "{out}"],
     "counterexample.txt": [*CLI, "counterexample", "--m", "1", "--eps", "1e-4", "--seed", "7"],
     # the only pinned m = 2 overlap: verify's m = 2 counterexample record is inconclusive
     "counterexample-m2.json": [*CLI, "counterexample", "--m", "2", "--eps", "0", "--seed", "7",
@@ -65,7 +68,7 @@ RUNS = {
 # the stderr line of each run named here is pinned too
 STDERR = {"net-eta05.json": "net-eta05.err", "net-eta03.json": "net-eta03.err",
           "net-eta025.json": "net-eta025.err", "net-m1-eta01.json": "net-m1-eta01.err",
-          "net-cap700.json": "net-cap700.err"}
+          "net-cap700.json": "net-cap700.err", "net-deadline0.json": "net-deadline0.err"}
 # seeds 7, 0 and 7 in one process, each against the fresh-process report it must equal
 REPEAT = [("7", "repeat-1-seed7.json", "verify-seed7.json"),
           ("0", "repeat-2-seed0.json", "verify-seed0.json"),

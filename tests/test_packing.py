@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -610,3 +611,18 @@ def test_a_negative_or_nan_deadline_is_refused():
     for deadline in (-1.0, -1e-9, math.nan):
         with pytest.raises(ValueError, match="deadline_s must be at least 0"):
             greedy_packing(1, 0.3, deadline_s=deadline)
+
+
+def test_a_packing_keeps_each_member_once():
+    """At eta = 0.05 every candidate is accepted, so the packing grows with the run. A member's
+    Gaussian draw and complex64 orbit rows (2 KiB at m = 2) peak at about 4.3 KiB per member
+    with the row buffer's doubling; the bound allows 6 KiB."""
+    greedy_packing(2, 0.05, seed=0, max_candidates=64)  # the Pauli table and numpy's first calls
+    tracemalloc.start()
+    try:
+        p = greedy_packing(2, 0.05, seed=0, max_candidates=4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(p) == 4000
+    assert peak < 24 * 2 ** 20
