@@ -37,6 +37,7 @@ from .linalg import (
     QUBIT_CAP,
     SizeLimitError,
     as_ints,
+    eigh,
     embed_operator,
     kron,
     marginal,
@@ -413,8 +414,7 @@ def _as_vector(matrix: np.ndarray) -> np.ndarray | None:
     purity = float(np.real(np.einsum("ij,ji->", matrix, matrix)))
     if abs(purity - 1.0) > 1e-12:
         return None
-    vals, vecs = np.linalg.eigh(matrix)
-    return vecs[:, -1]
+    return eigh(matrix)[1][:, -1]
 
 
 def _plan(circuit: LoccCircuit, pure: bool) -> list[Callable[[np.ndarray], np.ndarray]]:

@@ -13,6 +13,8 @@ import operator
 from typing import Sequence
 
 import numpy as np
+# what np.linalg.eigh/eigvalsh call, by these names and signatures from numpy 1.24 through 2.x
+from numpy.linalg import _umath_linalg
 
 QUBIT_CAP = 14          # hard limit on dense simulation size
 HERMITIAN_TOL = 1e-10   # entrywise |m - m^dag| tolerance
@@ -134,16 +136,34 @@ def hermitian_gap(m: np.ndarray) -> np.floating:
     return np.max([np.abs(m[i:i + b, i:] - m[i:, i:i + b].conj().T).max() for i in range(0, len(m), b)])
 
 
+def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh`` of a complex matrix, bit for bit: ascending eigenvalues and
+    eigenvector columns.  A NaN spectrum (LAPACK did not converge) raises LinAlgError."""
+    vals, vecs = _umath_linalg.eigh_lo(m, signature="D->dD")
+    return _converged(vals), vecs
+
+
+def eigvalsh(m: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvalsh`` of a complex matrix, bit for bit, ascending; as ``eigh``."""
+    return _converged(_umath_linalg.eigvalsh_lo(m, signature="D->d"))
+
+
+def _converged(vals: np.ndarray) -> np.ndarray:
+    if vals[0] != vals[0]:  # LAPACK's failure fills the whole spectrum with NaN
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return vals
+
+
 def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
-    return tuple(np.linalg.eigh(as_hermitian(m, "matrix")))
+    return eigh(as_hermitian(m, "matrix"))
 
 
 def psd_sqrt(m) -> np.ndarray:
     """Principal square root of a positive semidefinite matrix."""
     vals, vecs = eig_hermitian(m)
-    if vals.min(initial=0.0) < PSD_FLOOR:
-        raise ValueError(f"matrix is not PSD: min eigenvalue {vals.min()}")
+    if vals[0] < PSD_FLOOR:  # eigh sorts them ascending
+        raise ValueError(f"matrix is not PSD: min eigenvalue {vals[0]}")
     vals = np.maximum(vals, 0.0)
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 

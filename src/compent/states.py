@@ -19,6 +19,7 @@ from .linalg import (
     as_count,
     as_hermitian,
     as_ints,
+    eigvalsh,
     haar_unitary,
     kron,
     marginal,
@@ -61,7 +62,7 @@ class DensityMatrix:
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace {tr} is not 1")
         if m.shape[0] <= PSD_CHECK_DIM:
-            low = np.linalg.eigvalsh(m).min()
+            low = eigvalsh(m)[0]
             if low < PSD_FLOOR:
                 raise ValueError(f"density matrix has negative eigenvalue {low}")
         object.__setattr__(self, "matrix", read_only(m))
@@ -256,7 +257,7 @@ def _mat(x, what: str) -> np.ndarray:
 def fidelity(rho, sigma) -> float:
     """Uhlmann fidelity ||sqrt(rho) sqrt(sigma)||_1^2.
 
-    Computed from the spectrum of sqrt(rho) sigma sqrt(rho).  Negative
+    Computed from the ``linalg.eigvalsh`` spectrum of sqrt(rho) sigma sqrt(rho).  Negative
     eigenvalue noise is clipped to zero, and eigenvalues below 1e-12 of the
     largest one are dropped: the square root would otherwise amplify
     O(machine epsilon) rank noise into O(1e-8) fidelity error.  ``psd_sqrt``
@@ -269,13 +270,12 @@ def fidelity(rho, sigma) -> float:
     if root.shape != s.shape:
         raise ValueError(f"dimension mismatch {root.shape} vs {s.shape}")
     core = root @ s @ root
-    vals = np.linalg.eigvalsh((core + core.conj().T) / 2.0)
-    if vals[0] < PSD_FLOOR:  # eigvalsh sorts them ascending
+    vals = eigvalsh((core + core.conj().T) / 2.0)
+    if vals[0] < PSD_FLOOR:  # linalg.eigvalsh sorts them ascending
         raise ValueError(f"fidelity's sigma is not PSD: min eigenvalue {vals[0]} on rho's support")
     vals = np.maximum(vals, 0.0)
-    top = vals.max(initial=0.0)
-    if top > 0.0:
-        vals[vals < top * 1e-12] = 0.0
+    if vals[-1] > 0.0:
+        vals[vals < vals[-1] * 1e-12] = 0.0
     f = float(np.sqrt(vals).sum() ** 2)
     return min(f, 1.0) if f <= 1.0 + 1e-9 else f
 
@@ -285,14 +285,14 @@ def trace_distance(rho, sigma) -> float:
     r, s = _mat(rho, "trace distance's rho"), _mat(sigma, "trace distance's sigma")
     if r.shape != s.shape:
         raise ValueError(f"trace distance needs inputs of one shape: {r.shape}, {s.shape}")
-    vals = np.linalg.eigvalsh(r - s)
+    vals = eigvalsh(r - s)
     return float(0.5 * np.abs(vals).sum())
 
 
 def von_neumann_entropy(rho) -> float:
     """-sum(p log2 p) over a spectrum held to ``PSD_FLOOR``, with 0 log 0 = 0."""
-    vals = np.linalg.eigvalsh(_mat(rho, "entropy's rho"))
-    if vals[0] < PSD_FLOOR:  # eigvalsh sorts them ascending
+    vals = eigvalsh(_mat(rho, "entropy's rho"))
+    if vals[0] < PSD_FLOOR:  # linalg.eigvalsh sorts them ascending
         raise ValueError(f"entropy's rho is not PSD: min eigenvalue {vals[0]}")
     vals = vals[vals > 1e-15]
     return float(-np.sum(vals * np.log2(vals)))

@@ -1,6 +1,11 @@
+import re
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from compent import linalg
 from compent.circuits import GateBudget, dephase_bob_circuit, keyed_pauli_state, teleport_dilution
 from compent.harness import random_pure_teleport, run_keyed_suite, run_one_shot_check, run_suites
 from compent.linalg import (
@@ -198,6 +203,46 @@ def test_psd_sqrt():
         assert schatten_norm(root @ root - p, 2) <= 1e-9
     with pytest.raises(ValueError):
         psd_sqrt(np.diag([1.0, -0.5]))
+
+
+def _eigensolve_inputs(d, rng):
+    """Hermitian d x d inputs: C-ordered, F-ordered, a transposed view, an every-other-row
+    view, and one whose off-diagonal entries are all -0.0."""
+    h = random_hermitian(d, rng)
+    zeros = np.full((d, d), complex(-0.0, -0.0))
+    np.fill_diagonal(zeros, rng.standard_normal(d))
+    return [h, np.asfortranarray(h), h.T, random_hermitian(2 * d, rng)[::2, ::2], zeros]
+
+
+@pytest.mark.parametrize("d", range(1, 65))
+def test_eigensolves_are_numpys_bit_for_bit(d):
+    for m in _eigensolve_inputs(d, np.random.default_rng([79, d])):
+        vals, vecs = linalg.eigh(m)
+        want_vals, want_vecs = np.linalg.eigh(m)
+        assert vals.dtype == want_vals.dtype and vals.tobytes() == want_vals.tobytes()
+        assert vecs.dtype == want_vecs.dtype and vecs.tobytes() == want_vecs.tobytes()
+        got, want = linalg.eigvalsh(m), np.linalg.eigvalsh(m)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_a_nan_spectrum_raises_linalg_error(monkeypatch):
+    """LAPACK's failure comes back as a NaN spectrum, which numpy's wrapper raises on."""
+    monkeypatch.setattr(linalg, "_umath_linalg", SimpleNamespace(
+        eigh_lo=lambda m, signature: (np.full(len(m), np.nan), np.full(m.shape, np.nan + 0j)),
+        eigvalsh_lo=lambda m, signature: np.full(len(m), np.nan)))
+    rho = np.eye(2, dtype=complex) / 2
+    for solve in (linalg.eigh, linalg.eigvalsh, psd_sqrt, lambda m: trace_distance(m, m),
+                  lambda m: DensityMatrix(m, (1,))):
+        with pytest.raises(np.linalg.LinAlgError):
+            solve(rho)
+
+
+def test_linalg_is_the_one_eigensolve_path():
+    src = Path(linalg.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        if path.name != "linalg.py":
+            assert not re.search(r"\b(np|numpy)\.linalg\.eig|from numpy\.linalg import",
+                                 path.read_text()), path.name
 
 
 VALIDATED = {
