@@ -18,7 +18,8 @@ from functools import cache
 import numpy as np
 
 from .circuits import apply, bbpssw_round, epr_expectation, gate_count, unrotate_distillation
-from .harness import all_selectors, random_pure_teleport, run_noninvariance_counterexample, run_suites
+from .harness import (EQ_TOL, all_selectors, random_pure_teleport, run_noninvariance_counterexample,
+                      run_suites)
 from .linalg import haar_unitary
 from .measures import p_err_dilute, p_err_distill
 from .packing import greedy_packing, packing_to_dict, separation_check
@@ -191,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--lambda", dest="lambdas", default="1..2",
                         help="growth parameters, 'a..b' inclusive or a single value")
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--tolerance", type=float, default=1e-9)
+    verify.add_argument("--tolerance", type=float, default=EQ_TOL)
     verify.add_argument("--kappa", type=int, default=1, choices=(1, 2, 3),
                         help="key length for keyed suites")
     verify.add_argument("--out", default=None, help="report file (default stdout)")

@@ -416,7 +416,7 @@ class Suite(NamedTuple):
     one_shot: Callable[..., tuple]
     keyed: Callable[..., tuple]
     arity: int = 1
-    per_lambda: bool = True  # False: the keyed builder reads no per-lambda draw
+    per_lambda: bool = True  # False: reads no per-lambda draw, so each check runs once for every lambda
 
 
 SUITES: dict[str, Suite] = {
@@ -477,43 +477,29 @@ def run_keyed_suite(
     tolerance: float = EQ_TOL,
 ) -> list[CheckRecord]:
     """Run the keyed analogue of a one-shot check for every key, or every
-    pair of keys for the tensor-product laws.
+    pair of keys for the tensor-product laws: ``run_suites`` on its keyed
+    selector, so the records come in its order, by (lambda, key).
 
     The keyed family lives on m = ceil(kappa/2) pairs; witnesses are
     the matching keyed rotations, so a uniform error budget holds across keys.
     """
-    kappa, lambdas = as_count(kappa, "kappa", 1, 3), [as_count(n, "lambda", 1) for n in lambdas]
-    return _relabelled([r for task in _keyed_tasks(selector, kappa, lambdas, seed, tolerance)
-                        for r in task()], lambdas)
+    _suite(selector)
+    return run_suites([f"keyed-{selector}"], lambdas, seed, tolerance, kappa)
 
 
-def _keyed_slice(selector, kappa, lam, seed, tolerance, tuples) -> list[CheckRecord]:
-    """The keyed suite's records at one lambda for the given key tuples."""
-    suite, name, m = SUITES[selector], f"keyed-{selector}", (kappa + 1) // 2
-    rng = _rng(seed, name, lam, 0)
+def _keyed_slice(name, kappa, lams, seed, tolerance, tuples) -> list[CheckRecord]:
+    """The keyed suite's records for the given key tuples at each lambda of
+    ``lams``: ``[lam]`` for a per-lambda suite, every requested lambda for a
+    lambda-free one.  The setting is drawn at the first of them and each check
+    runs once; each record gets its own details dict."""
+    suite, m = SUITES[name.removeprefix("keyed-")], (kappa + 1) // 2
+    rng = _rng(seed, name, lams[0], 0)
     # draw order: the two fixed rotations, then Alice's and Bob's layers
     setting = KeyedSetting(m, list(haar_unitary(2 ** m, rng, 2)),
                            _random_local_layer(m, rng), _random_local_layer(m, rng))
-    return [replace(suite.check(*suite.keyed(setting, *keys), tolerance),
-                    name=name, lam=lam, key=key_label(*keys)) for keys in tuples]
-
-
-def _keyed_tasks(selector, kappa, lambdas, seed, tolerance) -> list[Callable[[], list]]:
-    """A task per lambda and slice of KEY_SLICE key tuples; a lambda-free
-    suite runs at the first lambda only (see ``_relabelled``)."""
-    suite = _suite(selector)
-    tuples = list(product(all_keys(kappa), repeat=suite.arity))
-    return [partial(_keyed_slice, selector, kappa, lam, seed, tolerance, tuples[i:i + KEY_SLICE])
-            for lam in (lambdas if suite.per_lambda else lambdas[:1])
-            for i in range(0, len(tuples), KEY_SLICE)]
-
-
-def _relabelled(records: list[CheckRecord], lambdas: list[int]) -> list[CheckRecord]:
-    """The records, then each lambda-free keyed record copied to every further
-    lambda, one details dict each: the same checks at every lambda."""
-    free = {f"keyed-{name}" for name, suite in SUITES.items() if not suite.per_lambda}
-    return records + [replace(r, lam=lam, details=dict(r.details))
-                      for lam in lambdas[1:] for r in records if r.name in free]
+    checked = [(key_label(*keys), suite.check(*suite.keyed(setting, *keys), tolerance)) for keys in tuples]
+    return [replace(r, name=name, lam=lam, key=key, details=dict(r.details))
+            for key, r in checked for lam in lams]
 
 
 # -- orchestration ------------------------------------------------------------------
@@ -540,14 +526,17 @@ def run_suites(
         if sel == "counterexample":
             tasks += [partial(_listed, run_noninvariance_counterexample, m, eps, seed)
                       for m, eps in ((1, 0.0), (1, 1e-4), (2, 0.25))]
-        elif sel.startswith("keyed-"):
-            tasks += _keyed_tasks(sel[len("keyed-"):], kappa, lambdas, seed, tolerance)
+        elif sel.startswith("keyed-"):  # a lambda-free suite's task covers every lambda
+            suite = SUITES[sel.removeprefix("keyed-")]
+            tuples = list(product(all_keys(kappa), repeat=suite.arity))
+            groups = [[lam] for lam in lambdas] if suite.per_lambda else [lambdas] if lambdas else []
+            tasks += [partial(_keyed_slice, sel, kappa, lams, seed, tolerance, tuples[i:i + KEY_SLICE])
+                      for lams in groups for i in range(0, len(tuples), KEY_SLICE)]
         else:
             tasks += [partial(_listed, run_one_shot_check, sel, lam, instance, seed, tolerance)
                       for lam in lambdas for instance in range(INSTANCES)]
-    records = _relabelled([r for found in _run_tasks(tasks) for r in found], lambdas)
-    records.sort(key=lambda r: (r.name, r.lam if r.lam is not None else -1, r.key or ""))
-    return records
+    records = [r for found in _run_tasks(tasks) for r in found]
+    return sorted(records, key=lambda r: (r.name, r.lam if r.lam is not None else -1, r.key or ""))
 
 
 def _listed(check: Callable[..., CheckRecord], *args) -> list[CheckRecord]:

@@ -276,6 +276,7 @@ def test_run_suites_all_selector():
 
 
 def test_lambda_free_keyed_checks_run_once_per_key_tuple(monkeypatch):
+    monkeypatch.setattr(harness, "cpu_count", lambda: 1)  # the calls are counted in this process
     assert {name for name, suite in SUITES.items() if not suite.per_lambda} == LAMBDA_FREE
     for name, suite in SUITES.items():
         calls = []
@@ -340,11 +341,18 @@ def test_keyed_setting_builds_each_bob_rotation_once(monkeypatch):
         return bob_unitary_circuit(u, m)
 
     monkeypatch.setattr(harness, "bob_unitary_circuit", counting)
+    monkeypatch.setattr(harness, "cpu_count", lambda: 1)  # the builds are counted in this process
     for name in ("convexity", "concavity"):
         built.clear()
         records = run_keyed_suite(name, 2, [1, 2, 3], seed=5)
         assert len(records) == 12 and all(r.passed for r in records), name
         assert built == [1] * 6, name  # two fixed rotations for each lambda's setting
+
+
+def test_an_empty_lambda_list_runs_only_the_counterexamples():
+    assert [r.name for r in run_suites(["all"], [], 7)] == ["noninvariance-counterexample"] * 3
+    for name in SUITES:  # a lambda-free suite too: no setting is drawn
+        assert run_keyed_suite(name, 1, [], 7) == [], name
 
 
 @pytest.mark.parametrize("run", [lambda sel: run_one_shot_check(sel, 1, 0, 7),
