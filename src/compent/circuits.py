@@ -36,6 +36,7 @@ import numpy as np
 from .linalg import (
     QUBIT_CAP,
     SizeLimitError,
+    _loader,
     as_ints,
     eigh,
     embed_operator,
@@ -890,6 +891,7 @@ def circuit_to_dict(c: LoccCircuit) -> dict:
     }
 
 
+@_loader
 def circuit_from_dict(d: dict) -> LoccCircuit:
     r = d["registers"]
     rounds = tuple(

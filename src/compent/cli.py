@@ -82,8 +82,6 @@ def cmd_verify(args) -> int:
     lambdas = parse_lambdas(args.lambdas)
     if not args.suite:
         raise ConfigError("verify needs at least one --suite")
-    if not 0.0 <= args.tolerance < float("inf"):
-        raise ConfigError(f"tolerance must be finite and nonnegative, got {args.tolerance}")
     records = run_suites(
         args.suite, lambdas, args.seed,
         tolerance=args.tolerance, kappa=args.kappa,

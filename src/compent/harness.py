@@ -69,7 +69,7 @@ KEY_SLICE = 8          # key tuples per keyed task: kappa = 3's 64 key pairs mak
 
 @dataclass(frozen=True)
 class CheckRecord:
-    name: str
+    name: str | None  # None until a suite runner stamps it
     lam: int | None
     key: str | None
     lhs: float | None  # the four values are None on inconclusive records
@@ -86,18 +86,24 @@ class CheckRecord:
         return d
 
 
-def _equality(name, lhs, rhs, tol, details) -> CheckRecord:
-    return _upper_bound(name, lhs, rhs, tol, details, slack=-abs(lhs - rhs))
+def _equality(lhs, rhs, tol, details) -> CheckRecord:
+    return _upper_bound(lhs, rhs, tol, details, slack=-abs(lhs - rhs))
 
 
-def _upper_bound(name, lhs, rhs, tol, details, slack=None) -> CheckRecord:
+def _upper_bound(lhs, rhs, tol, details, slack=None) -> CheckRecord:
     """Pass iff slack >= -tol; the slack defaults to rhs - lhs.  The record
-    carries no lambda or key; the suite runner stamps those on."""
+    carries no name, lambda or key; the suite runner stamps those on."""
     slack = rhs - lhs if slack is None else slack
     return CheckRecord(
-        name, None, None, float(lhs), float(rhs), float(slack), tol,
+        None, None, None, float(lhs), float(rhs), float(slack), tol,
         slack >= -tol, details=details,
     )
+
+
+def _tolerance(tolerance: float) -> float:
+    if not 0.0 <= tolerance < float("inf"):
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance}")
+    return tolerance
 
 
 def _rng(seed: int, name: str, lam: int, instance: int) -> np.random.Generator:
@@ -105,143 +111,53 @@ def _rng(seed: int, name: str, lam: int, instance: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-# -- one-shot checks -----------------------------------------------------------
+# -- theorem bodies: each SUITES row binds one to its measure ------------------
 
 
-def _mixture_check(name, p_err, verdict, g, states, p, size, tolerance) -> CheckRecord:
+def _mixture_check(p_err, verdict, g, states, p, size, tolerance=EQ_TOL) -> CheckRecord:
     """``verdict`` on p_err of the mixture against the weighted individual errors."""
     eps = p_err(g, mixture(states, p), size)
     eps_x = [p_err(g, s, size) for s in states]
     rhs = float(sum(w * e for w, e in zip(p, eps_x)))
-    return verdict(name, eps, rhs, tolerance, {"eps_x": eps_x, "p": [float(w) for w in p]})
+    return verdict(eps, rhs, tolerance, {"eps_x": eps_x, "p": [float(w) for w in p]})
 
 
-def _product_check(name, p_err, g1, g2, rho1, rho2, size1, size2, tolerance) -> CheckRecord:
+def _product_check(p_err, g1, g2, rho1, rho2, size1, size2, tolerance=EQ_TOL) -> CheckRecord:
     """p_err of the tensor product against 1 - (1-eps1)(1-eps2), as an equality."""
     eps1 = p_err(g1, rho1, size1)
     eps2 = p_err(g2, rho2, size2)
     eps12 = p_err(tensor(g1, g2), tensor_states(rho1, rho2), size1 + size2)
     rhs = 1.0 - (1.0 - eps1) * (1.0 - eps2)
-    return _equality(name, eps12, rhs, tolerance,
-                     {"eps1": eps1, "eps2": eps2, "sum_bound": eps1 + eps2})
+    return _equality(eps12, rhs, tolerance, {"eps1": eps1, "eps2": eps2, "sum_bound": eps1 + eps2})
 
 
-def check_convexity_distillation(
-    g: LoccCircuit,
-    states: Sequence[BipartiteState],
-    p: Sequence[float],
-    m: int,
-    tolerance: float = EQ_TOL,
-) -> CheckRecord:
-    """Distillation error of a mixture equals the weighted individual errors."""
-    return _mixture_check("convexity", p_err_distill, _equality, g, states, p, m, tolerance)
-
-
-def check_concavity_dilution(
-    g: LoccCircuit,
-    states: Sequence[BipartiteState],
-    p: Sequence[float],
-    n: int,
-    tolerance: float = EQ_TOL,
-) -> CheckRecord:
-    """Dilution error toward a mixture is at most the weighted individual errors."""
-    return _mixture_check("concavity", p_err_dilute, _upper_bound, g, states, p, n, tolerance)
-
-
-def check_superadditivity_distillation(
-    g1: LoccCircuit,
-    g2: LoccCircuit,
-    rho1: BipartiteState,
-    rho2: BipartiteState,
-    m1: int,
-    m2: int,
-    tolerance: float = EQ_TOL,
-) -> CheckRecord:
-    """Product witnesses obey eps12 = 1 - (1-eps1)(1-eps2) exactly."""
-    return _product_check("superadditivity", p_err_distill, g1, g2, rho1, rho2, m1, m2, tolerance)
-
-
-def check_subadditivity_cost(
-    g1: LoccCircuit,
-    g2: LoccCircuit,
-    rho1: BipartiteState,
-    rho2: BipartiteState,
-    n1: int,
-    n2: int,
-    tolerance: float = EQ_TOL,
-) -> CheckRecord:
-    """Fidelity factorization makes product dilution errors multiply."""
-    return _product_check("subadditivity", p_err_dilute, g1, g2, rho1, rho2, n1, n2, tolerance)
-
-
-def _lu_check(name, p_err, g, state, layers, size, tolerance, on_output) -> CheckRecord:
-    """p_err on the state conjugated by a local layer's (U_A, U_B) against p_err
-    on the state itself, as an equality: a dilution witness runs the layer on its
-    output, a distillation witness first runs the inverse layer on its input."""
-    widths = (g.m_a, g.m_b) if on_output else (g.n_a, g.n_b)
+def _lu_check(p_err, on_output, g, state, alice, bob, size, tolerance=EQ_TOL) -> CheckRecord:
+    """p_err on the state conjugated by the local layers' (U_A, U_B) against p_err
+    on the state itself, as an equality: a dilution witness runs the layers on its
+    output, a distillation witness first runs the inverse layers on its input."""
+    layers, widths = (alice, bob), ((g.m_a, g.m_b) if on_output else (g.n_a, g.n_b))
     u_a, u_b = (local_layer_unitary(layer, w) for layer, w in zip(layers, widths))
     inverse = ([Gate.unitary(x.matrix.conj().T, x.wires) for x in reversed(layer)] for layer in layers)
     moved = (conjugate_by_local_unitary(g, *layers) if on_output else
              compose(g, conjugate_by_local_unitary(identity_circuit(*widths), *inverse)))
     details = {"gate_count_delta": gate_count(moved) - gate_count(g)} if on_output else {}
     moved_err = p_err(moved, conjugate_local(state, u_a, u_b), size)
-    return _equality(name, moved_err, p_err(g, state, size), tolerance,
-                     {**details, "layer_size": len(layers[0]) + len(layers[1])})
+    return _equality(moved_err, p_err(g, state, size), tolerance,
+                     {**details, "layer_size": len(alice) + len(bob)})
 
 
-def check_lu_invariance_cost(
-    g: LoccCircuit,
-    target: BipartiteState,
-    alice_layer: Sequence[Gate],
-    bob_layer: Sequence[Gate],
-    n: int,
-    tolerance: float = EQ_TOL,
-) -> CheckRecord:
-    """Conjugated witnesses dilute the conjugated targets at identical error."""
-    return _lu_check("lu-cost", p_err_dilute, g, target, (alice_layer, bob_layer), n,
-                     tolerance, on_output=True)
-
-
-def check_lu_invariance_distillation(
-    g: LoccCircuit,
-    rho: BipartiteState,
-    alice_layer: Sequence[Gate],
-    bob_layer: Sequence[Gate],
-    m: int,
-    tolerance: float = EQ_TOL,
-) -> CheckRecord:
-    """Pre-composing with the inverse layer distills the rotated family at the
-    original error."""
-    return _lu_check("lu-distillation", p_err_distill, g, rho, (alice_layer, bob_layer), m,
-                     tolerance, on_output=False)
-
-
-def check_locc_monotonicity_cost(
-    g: LoccCircuit,
-    post: LoccCircuit,
-    target: BipartiteState,
-    n: int,
-    tolerance: float = EQ_TOL,
-) -> CheckRecord:
+def _monotonicity_cost(g, post, target, n, tolerance=EQ_TOL) -> CheckRecord:
     """Post-processing the witness dilutes the processed target no worse."""
     base = p_err_dilute(g, target, n)
     processed = p_err_dilute(compose(post, g), apply(post, target), n)
-    return _upper_bound("monotonicity-cost", processed, base, tolerance,
-                        {"post_gates": gate_count(post)})
+    return _upper_bound(processed, base, tolerance, {"post_gates": gate_count(post)})
 
 
-def check_locc_monotonicity_distillation(
-    g: LoccCircuit,
-    pre_map: LoccCircuit,
-    rho: BipartiteState,
-    m: int,
-    tolerance: float = EQ_TOL,
-) -> CheckRecord:
+def _monotonicity_distillation(g, pre_map, rho, m, tolerance=EQ_TOL) -> CheckRecord:
     """Distilling through a pre-map equals distilling the mapped state."""
     lhs = p_err_distill(compose(g, pre_map), rho, m)
     rhs = p_err_distill(g, apply(pre_map, rho), m)
-    return _equality("monotonicity-distillation", lhs, rhs, tolerance,
-                     {"combined_gates": gate_count(g) + gate_count(pre_map)})
+    return _equality(lhs, rhs, tolerance, {"combined_gates": gate_count(g) + gate_count(pre_map)})
 
 
 def run_noninvariance_counterexample(m: int, eps: float, seed: int) -> CheckRecord:
@@ -269,11 +185,8 @@ def run_noninvariance_counterexample(m: int, eps: float, seed: int) -> CheckReco
     overlap = abs(epr_overlap(u, v, m))
     psi = mixture([rotated_epr(u, m), rotated_epr(v, m)], [0.5, 0.5])
     upper = distillable_upper_via_squashed(psi, eps)
-    return _upper_bound(
-        name, upper, m - STRICT_MARGIN, 0.0,
-        details={"m": m, "eps": eps, "threshold": eta, "overlap": overlap,
-                 "squashed_upper": upper},
-    )
+    details = {"m": m, "eps": eps, "threshold": eta, "overlap": overlap, "squashed_upper": upper}
+    return replace(_upper_bound(upper, m - STRICT_MARGIN, 0.0, details), name=name)
 
 
 # -- randomized one-shot suites ---------------------------------------------------
@@ -404,12 +317,12 @@ class KeyedSetting:
 
 
 class Suite(NamedTuple):
-    """One theorem in both settings.
-
-    ``one_shot(rng, size, lam, instance)`` and ``keyed(setting, *keys)``
-    return the check's positional arguments up to the tolerance; a keyed
-    suite runs once per tuple of ``arity`` keys.  Each builder draws from its
-    generator in a fixed order, which keeps reports byte-identical.
+    """One theorem in both settings: ``check`` is its body, whose record the
+    runners name.  ``one_shot(rng, size, lam, instance)`` and
+    ``keyed(setting, *keys)`` return the check's positional arguments up to
+    the tolerance; a keyed suite runs once per tuple of ``arity`` keys.  Each
+    builder draws from its generator in a fixed order, which keeps reports
+    byte-identical.
     """
 
     check: Callable[..., CheckRecord]
@@ -421,31 +334,33 @@ class Suite(NamedTuple):
 
 SUITES: dict[str, Suite] = {
     "convexity": Suite(
-        check_convexity_distillation, _convexity_one_shot,
+        partial(_mixture_check, p_err_distill, _equality), _convexity_one_shot,
         lambda k, key: (k.unrotate(key), k.rotated(key), [0.5, 0.5], k.m)),
     "concavity": Suite(
-        check_concavity_dilution, _concavity_one_shot,
+        partial(_mixture_check, p_err_dilute, _upper_bound), _concavity_one_shot,
         lambda k, key: (k.rotate(key), k.rotated(key), [0.5, 0.5], k.m)),
     "superadditivity": Suite(
-        check_superadditivity_distillation, _superadditivity_one_shot,
+        partial(_product_check, p_err_distill), _superadditivity_one_shot,
         lambda k, k1, k2: (k.unrotate(k1), k.unrotate(k2), k.state(k1), k.state(k2), k.m, k.m),
         arity=2, per_lambda=False),
     "subadditivity": Suite(
-        check_subadditivity_cost, _subadditivity_one_shot,
+        partial(_product_check, p_err_dilute), _subadditivity_one_shot,
         lambda k, k1, k2: (k.rotate(k1), k.rotate(k2), k.state(k1), k.state(k2), k.m, k.m),
         arity=2, per_lambda=False),
+    # conjugated witnesses dilute the conjugated targets at identical error
     "lu-cost": Suite(
-        check_lu_invariance_cost, _lu_cost_one_shot,
+        partial(_lu_check, p_err_dilute, True), _lu_cost_one_shot,
         lambda k, key: (k.rotate(key), k.state(key), k.alice, k.bob, k.m)),
+    # pre-composing with the inverse layers distills the rotated family at the original error
     "lu-distillation": Suite(
-        check_lu_invariance_distillation, _lu_distillation_one_shot,
+        partial(_lu_check, p_err_distill, False), _lu_distillation_one_shot,
         lambda k, key: (k.unrotate(key), k.state(key), k.alice, k.bob, k.m)),
     "monotonicity-cost": Suite(
-        check_locc_monotonicity_cost, _monotonicity_cost_one_shot,
+        _monotonicity_cost, _monotonicity_cost_one_shot,
         lambda k, key: (k.rotate(key), dephase_bob_circuit(k.m), k.state(key), k.m),
         per_lambda=False),
     "monotonicity-distillation": Suite(
-        check_locc_monotonicity_distillation, _monotonicity_distillation_one_shot,
+        _monotonicity_distillation, _monotonicity_distillation_one_shot,
         lambda k, key: (identity_circuit(k.m, k.m), k.unrotate(key), k.state(key), k.m),
         per_lambda=False),
 }
@@ -453,38 +368,16 @@ ONE_SHOT_SUITES = tuple(SUITES)
 _SELECTORS = (*SUITES, *(f"keyed-{s}" for s in SUITES), "counterexample")
 
 
-def _suite(selector: str) -> Suite:
-    if selector not in SUITES:
-        raise ValueError(f"unknown suite selector {selector!r}")
-    return SUITES[selector]
-
-
 def run_one_shot_check(selector: str, lam: int, instance: int, seed: int,
                        tolerance: float = EQ_TOL) -> CheckRecord:
     """One randomized instance of a named one-shot check."""
-    suite = _suite(selector)
+    if selector not in SUITES:
+        raise ValueError(f"unknown suite selector {selector!r}")
+    suite, tolerance = SUITES[selector], _tolerance(tolerance)
     lam, instance = as_count(lam, "lambda", 1), as_count(instance, "instance", 0)
     size = min(lam, 2)  # witnesses grow with lambda up to two pairs per side
     args = suite.one_shot(_rng(seed, selector, lam, instance), size, lam, instance)
     return replace(suite.check(*args, tolerance), name=f"{selector}#{instance}", lam=lam)
-
-
-def run_keyed_suite(
-    selector: str,
-    kappa: int,
-    lambdas: Sequence[int],
-    seed: int,
-    tolerance: float = EQ_TOL,
-) -> list[CheckRecord]:
-    """Run the keyed analogue of a one-shot check for every key, or every
-    pair of keys for the tensor-product laws: ``run_suites`` on its keyed
-    selector, so the records come in its order, by (lambda, key).
-
-    The keyed family lives on m = ceil(kappa/2) pairs; witnesses are
-    the matching keyed rotations, so a uniform error budget holds across keys.
-    """
-    _suite(selector)
-    return run_suites([f"keyed-{selector}"], lambdas, seed, tolerance, kappa)
 
 
 def _keyed_slice(name, kappa, lams, seed, tolerance, tuples) -> list[CheckRecord]:
@@ -514,7 +407,7 @@ def run_suites(
 ) -> list[CheckRecord]:
     """Run the requested suites and return records in canonical order."""
     lambdas = [as_count(lam, "lambda", 1) for lam in lambdas]
-    kappa = as_count(kappa, "kappa", 1, 3)
+    kappa, tolerance = as_count(kappa, "kappa", 1, 3), _tolerance(tolerance)
     chosen = (_SELECTORS if sel == "all" else (sel,) for sel in selectors)
     ordered = list(dict.fromkeys(s for group in chosen for s in group))  # first occurrences
     unknown = [s for s in ordered if s not in _SELECTORS]

@@ -10,6 +10,7 @@ and the basis state ``|b_0 b_1 .. b_{n-1}>`` sits at row
 from __future__ import annotations
 
 import operator
+from functools import wraps
 from typing import Sequence
 
 import numpy as np
@@ -200,6 +201,17 @@ def matrix_from_dict(d: dict, shape: tuple[int, ...]) -> np.ndarray:
     m = np.empty(shape, dtype=complex)
     m.real, m.imag = (np.asarray(d[k], dtype=float).reshape(shape) for k in ("re", "im"))
     return m
+
+
+def _loader(load):
+    """``load`` with a missing field's KeyError raised as a ValueError that names the field."""
+    @wraps(load)
+    def checked(d):
+        try:
+            return load(d)
+        except KeyError as exc:
+            raise ValueError(f"{load.__name__}: missing field {exc.args[0]!r}") from None
+    return checked
 
 
 def haar_unitary(dim: int, rng: np.random.Generator, count: int | None = None) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .linalg import (
     as_count, as_ints, haar_finish, haar_gaussian, matrix_from_dict, matrix_to_dict, require_unitary,
-    schatten_norm,
+    _loader, schatten_norm,
 )
 from .states import _pair_count, pauli_shift, shared
 
@@ -296,6 +296,7 @@ def packing_to_dict(p: UnitaryPacking) -> dict:
     }
 
 
+@_loader
 def packing_from_dict(d: dict) -> UnitaryPacking:
     m, seed = as_ints((d["m"], d["seed"]), "m and seed")
     m = as_count(m, "m", 1, 2)

@@ -16,6 +16,7 @@ import numpy as np
 
 from .linalg import (
     PSD_FLOOR,
+    _loader,
     as_count,
     as_hermitian,
     as_ints,
@@ -413,5 +414,6 @@ def state_to_dict(s: BipartiteState) -> dict:
     }
 
 
+@_loader
 def state_from_dict(d: dict) -> BipartiteState:
     return bipartite_from_matrix(matrix_from_dict(d, as_ints(d["dims"], "dims")), tuple(d["cut"]))

@@ -25,14 +25,9 @@ from compent.circuits import (
 )
 from compent.harness import (
     ONE_SHOT_SUITES,
-    check_concavity_dilution,
-    check_convexity_distillation,
-    check_lu_invariance_cost,
-    check_lu_invariance_distillation,
-    check_subadditivity_cost,
-    check_superadditivity_distillation,
-    run_keyed_suite,
+    SUITES,
     run_noninvariance_counterexample,
+    run_suites,
 )
 from compent.linalg import haar_unitary
 from compent.measures import (
@@ -132,14 +127,14 @@ def test_criterion_02_convexity_and_concavity():
             g = compose(dephase_bob_circuit(s), g)
         states = [bipartite_from_matrix(random_dm(4 ** s, rng), (s, s)) for _ in range(3)]
         p = rng.dirichlet(np.ones(3))
-        rec = check_convexity_distillation(g, states, p, s)
+        rec = SUITES["convexity"].check(g, states, p, s)
         assert rec.passed and abs(rec.lhs - rec.rhs) <= 1e-9
     for i in range(50):
         s = 1 + (i % 2)
         g = bob_unitary_circuit(haar_unitary(2 ** s, rng), s)
         states = [bipartite_from_matrix(random_dm(4 ** s, rng), (s, s)) for _ in range(3)]
         p = rng.dirichlet(np.ones(3))
-        rec = check_concavity_dilution(g, states, p, s)
+        rec = SUITES["concavity"].check(g, states, p, s)
         assert rec.passed and rec.slack >= SLACK
     report("criterion 2: convexity equality and concavity bound (50 + 50 instances)")
 
@@ -151,7 +146,7 @@ def test_criterion_03_tensor_product_laws():
         rho1, rho2 = rotated_epr(u1, 1), rotated_epr(u2, 1)
         g1 = unrotate_distillation(u1, 1)
         g2 = unrotate_distillation(u2, 1) if i % 2 == 0 else identity_circuit(1, 1)
-        rec = check_superadditivity_distillation(g1, g2, rho1, rho2, 1, 1)
+        rec = SUITES["superadditivity"].check(g1, g2, rho1, rho2, 1, 1)
         assert rec.passed
         assert rec.lhs <= rec.details["eps1"] + rec.details["eps2"] + 1e-9
     for i in range(50):
@@ -165,7 +160,7 @@ def test_criterion_03_tensor_product_laws():
             g1, t1 = bob_unitary_circuit(u, 1), rotated_epr(u, 1)
             g2 = identity_circuit(1, 1)
             t2 = bipartite_from_matrix(random_dm(4, rng), (1, 1))
-        rec = check_subadditivity_cost(g1, g2, t1, t2, 1, 1)
+        rec = SUITES["subadditivity"].check(g1, g2, t1, t2, 1, 1)
         assert rec.passed
         assert rec.lhs <= rec.details["eps1"] + rec.details["eps2"] + 1e-9
     report("criterion 3: tensor-product error laws (50 + 50 instances)")
@@ -180,7 +175,7 @@ def test_criterion_04_lu_invariance():
             [Gate.unitary(haar_unitary(2, rng), (0,))],
             [Gate.unitary(haar_unitary(2, rng), (0,))],
         )
-        rec = check_lu_invariance_cost(g, bipartite_pure(vec, (1, 1)), *layers, 1)
+        rec = SUITES["lu-cost"].check(g, bipartite_pure(vec, (1, 1)), *layers, 1)
         assert rec.passed and abs(rec.lhs - rec.rhs) <= 1e-9
         assert rec.details["gate_count_delta"] == rec.details["layer_size"] == 2
     for i in range(25):
@@ -191,7 +186,7 @@ def test_criterion_04_lu_invariance():
         layer_b = [Gate.unitary(haar_unitary(2, rng), (w,)) for w in range(m)]
         if m == 2:
             layer_b.append(Gate.unitary(haar_unitary(4, rng), (0, 1)))
-        rec = check_lu_invariance_distillation(g, rho, layer_a, layer_b, m)
+        rec = SUITES["lu-distillation"].check(g, rho, layer_a, layer_b, m)
         assert rec.passed and abs(rec.lhs - rec.rhs) <= 1e-9
     report("criterion 4: local-unitary invariance with exact count deltas (50 layers)")
 
@@ -291,7 +286,7 @@ def test_criterion_09_protocol_exactness():
 def test_criterion_10_uniform_suites():
     for kappa in (1, 2):
         for selector in ONE_SHOT_SUITES:
-            records = run_keyed_suite(selector, kappa=kappa, lambdas=[1, 2], seed=10)
+            records = run_suites([f"keyed-{selector}"], [1, 2], 10, kappa=kappa)
             assert records and all(r.passed for r in records), (selector, kappa)
             by_group: dict = {}
             for r in records:

@@ -16,16 +16,7 @@ from compent.harness import (
     ONE_SHOT_SUITES,
     SUITES,
     KeyedSetting,
-    check_concavity_dilution,
-    check_convexity_distillation,
-    check_locc_monotonicity_cost,
-    check_locc_monotonicity_distillation,
-    check_lu_invariance_cost,
-    check_lu_invariance_distillation,
-    check_subadditivity_cost,
-    check_superadditivity_distillation,
     random_pure_teleport,
-    run_keyed_suite,
     run_noninvariance_counterexample,
     run_one_shot_check,
     run_suites,
@@ -55,7 +46,7 @@ def zero_state():
 
 
 def test_convexity_identical_states():
-    rec = check_convexity_distillation(
+    rec = SUITES["convexity"].check(
         identity_circuit(1, 1), [epr_pairs(1), epr_pairs(1)], [0.4, 0.6], 1
     )
     assert rec.passed
@@ -63,7 +54,7 @@ def test_convexity_identical_states():
 
 
 def test_convexity_epr_vs_zero():
-    rec = check_convexity_distillation(
+    rec = SUITES["convexity"].check(
         identity_circuit(1, 1), [epr_pairs(1), zero_state()], [0.5, 0.5], 1
     )
     assert rec.passed
@@ -72,13 +63,13 @@ def test_convexity_epr_vs_zero():
 
 
 def test_concavity_single_state_is_equality():
-    rec = check_concavity_dilution(identity_circuit(1, 1), [zero_state()], [1.0], 1)
+    rec = SUITES["concavity"].check(identity_circuit(1, 1), [zero_state()], [1.0], 1)
     assert rec.passed
     assert abs(rec.lhs - rec.rhs) < 1e-12
 
 
 def test_concavity_example():
-    rec = check_concavity_dilution(
+    rec = SUITES["concavity"].check(
         identity_circuit(1, 1), [epr_pairs(1), zero_state()], [0.5, 0.5], 1
     )
     assert rec.passed
@@ -88,7 +79,7 @@ def test_concavity_example():
 
 def test_superadditivity_both_perfect():
     u1, u2 = haar_unitary(2, RNG), haar_unitary(2, RNG)
-    rec = check_superadditivity_distillation(
+    rec = SUITES["superadditivity"].check(
         unrotate_distillation(u1, 1), unrotate_distillation(u2, 1),
         rotated_epr(u1, 1), rotated_epr(u2, 1), 1, 1,
     )
@@ -97,7 +88,7 @@ def test_superadditivity_both_perfect():
 
 
 def test_superadditivity_mixed_errors():
-    rec = check_superadditivity_distillation(
+    rec = SUITES["superadditivity"].check(
         identity_circuit(1, 1), identity_circuit(1, 1),
         zero_state(), zero_state(), 1, 1,
     )
@@ -110,14 +101,14 @@ def test_subadditivity_two_teleports():
     vec = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
     tele = teleport_dilution(prep_gates_for_state(vec, 2), 1)
     target = bipartite_pure(vec, (1, 1))
-    rec = check_subadditivity_cost(tele, tele, target, target, 1, 1)
+    rec = SUITES["subadditivity"].check(tele, tele, target, target, 1, 1)
     assert rec.passed
     assert rec.lhs <= 1e-9
 
 
 def test_lu_invariance_cost_identity_layer():
     u = haar_unitary(2, RNG)
-    rec = check_lu_invariance_cost(
+    rec = SUITES["lu-cost"].check(
         bob_unitary_circuit(u, 1), rotated_epr(u, 1), [], [], 1
     )
     assert rec.passed and rec.details["gate_count_delta"] == 0
@@ -127,7 +118,7 @@ def test_lu_invariance_cost_bitflip_layer():
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     vec = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
     tele = teleport_dilution(prep_gates_for_state(vec, 2), 1)
-    rec = check_lu_invariance_cost(
+    rec = SUITES["lu-cost"].check(
         tele, bipartite_pure(vec, (1, 1)), [], [Gate.unitary(x, (0,))], 1
     )
     assert rec.passed
@@ -138,7 +129,7 @@ def test_lu_invariance_distillation_random_layer():
     u = haar_unitary(2, RNG)
     layer_a = [Gate.unitary(haar_unitary(2, RNG), (0,))]
     layer_b = [Gate.unitary(haar_unitary(2, RNG), (0,))]
-    rec = check_lu_invariance_distillation(
+    rec = SUITES["lu-distillation"].check(
         unrotate_distillation(u, 1), rotated_epr(u, 1), layer_a, layer_b, 1
     )
     assert rec.passed
@@ -147,7 +138,7 @@ def test_lu_invariance_distillation_random_layer():
 def test_monotonicity_cost_identity_post():
     vec = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
     tele = teleport_dilution(prep_gates_for_state(vec, 2), 1)
-    rec = check_locc_monotonicity_cost(tele, identity_circuit(1, 1), bipartite_pure(vec, (1, 1)), 1)
+    rec = SUITES["monotonicity-cost"].check(tele, identity_circuit(1, 1), bipartite_pure(vec, (1, 1)), 1)
     assert rec.passed
     assert abs(rec.slack) < 1e-9  # equality for the identity post-map
 
@@ -159,13 +150,13 @@ def test_monotonicity_cost_all_stock_channels():
     for name, post in stock_channel_zoo():
         if (post.n_a, post.n_b) != (1, 1):
             continue
-        rec = check_locc_monotonicity_cost(tele, post, target, 1)
+        rec = SUITES["monotonicity-cost"].check(tele, post, target, 1)
         assert rec.passed, name
 
 
 def test_monotonicity_distillation_unrotate_premap():
     u = haar_unitary(2, RNG)
-    rec = check_locc_monotonicity_distillation(
+    rec = SUITES["monotonicity-distillation"].check(
         identity_circuit(1, 1), unrotate_distillation(u, 1), rotated_epr(u, 1), 1
     )
     assert rec.passed
@@ -211,7 +202,7 @@ def test_counterexample_bound_at_half_eta():
 
 def test_keyed_suites_all_pass():
     for selector in ONE_SHOT_SUITES:
-        records = run_keyed_suite(selector, kappa=1, lambdas=[1], seed=5)
+        records = run_suites([f"keyed-{selector}"], [1], 5, kappa=1)
         assert records, selector
         assert all(r.passed for r in records), selector
         keys = {r.key for r in records}
@@ -223,15 +214,15 @@ def test_keyed_suites_all_pass():
 
 def test_keyed_suite_kappa_three():
     # kappa = 3 pads to two EPR pairs per side; eight keys per family
-    records = run_keyed_suite("lu-distillation", kappa=3, lambdas=[1], seed=5)
+    records = run_suites(["keyed-lu-distillation"], [1], 5, kappa=3)
     assert len(records) == 8
     assert all(r.passed for r in records)
     with pytest.raises(ValueError):
-        run_keyed_suite("convexity", kappa=4, lambdas=[1], seed=5)
+        run_suites(["keyed-convexity"], [1], 5, kappa=4)
 
 
 def test_keyed_suite_kappa_two():
-    records = run_keyed_suite("convexity", kappa=2, lambdas=[1], seed=5)
+    records = run_suites(["keyed-convexity"], [1], 5, kappa=2)
     assert len(records) == 4
     assert all(r.passed for r in records)
     eps = {r.key: r.lhs for r in records}
@@ -288,7 +279,7 @@ def test_lambda_free_keyed_checks_run_once_per_key_tuple(monkeypatch):
         monkeypatch.setitem(SUITES, name, suite._replace(check=counting))
         for kappa in (1, 2):
             calls.clear()
-            records = run_keyed_suite(name, kappa, [1, 2, 3], seed=5)
+            records = run_suites([f"keyed-{name}"], [1, 2, 3], 5, kappa=kappa)
             per_lambda = len(all_keys(kappa)) ** suite.arity  # key tuples
             assert len(records) == 3 * per_lambda, name
             assert len(calls) == per_lambda * (1 if name in LAMBDA_FREE else 3), (name, kappa)
@@ -327,8 +318,8 @@ def test_lambda_free_keyed_builders_read_no_per_lambda_draw(kappa):
 
 def test_keyed_suite_over_lambdas_equals_one_lambda_at_a_time():
     for name in SUITES:
-        together = run_keyed_suite(name, 2, [1, 2, 3], seed=11)
-        apart = [r for lam in (1, 2, 3) for r in run_keyed_suite(name, 2, [lam], seed=11)]
+        together = run_suites([f"keyed-{name}"], [1, 2, 3], 11, kappa=2)
+        apart = [r for lam in (1, 2, 3) for r in run_suites([f"keyed-{name}"], [lam], 11, kappa=2)]
         assert together == apart, name
         assert len({id(r.details) for r in together}) == len(together), name
 
@@ -344,7 +335,7 @@ def test_keyed_setting_builds_each_bob_rotation_once(monkeypatch):
     monkeypatch.setattr(harness, "cpu_count", lambda: 1)  # the builds are counted in this process
     for name in ("convexity", "concavity"):
         built.clear()
-        records = run_keyed_suite(name, 2, [1, 2, 3], seed=5)
+        records = run_suites([f"keyed-{name}"], [1, 2, 3], 5, kappa=2)
         assert len(records) == 12 and all(r.passed for r in records), name
         assert built == [1] * 6, name  # two fixed rotations for each lambda's setting
 
@@ -352,23 +343,32 @@ def test_keyed_setting_builds_each_bob_rotation_once(monkeypatch):
 def test_an_empty_lambda_list_runs_only_the_counterexamples():
     assert [r.name for r in run_suites(["all"], [], 7)] == ["noninvariance-counterexample"] * 3
     for name in SUITES:  # a lambda-free suite too: no setting is drawn
-        assert run_keyed_suite(name, 1, [], 7) == [], name
+        assert run_suites([f"keyed-{name}"], [], 7, kappa=1) == [], name
 
 
 @pytest.mark.parametrize("run", [lambda sel: run_one_shot_check(sel, 1, 0, 7),
-                                 lambda sel: run_keyed_suite(sel, 1, [1], 7)], ids=["one-shot", "keyed"])
+                                 lambda sel: run_suites([f"keyed-{sel}"], [1], 7, kappa=1)], ids=["one-shot", "keyed"])
 @pytest.mark.parametrize("selector", ["nope", "keyed-convexity", "counterexample"])
 def test_suite_runners_refuse_an_unknown_selector(run, selector):
     with pytest.raises(ValueError, match="unknown suite selector"):
         run(selector)
 
 
-@pytest.mark.parametrize("check", [check_lu_invariance_cost, check_lu_invariance_distillation])
-def test_lu_checks_refuse_a_layer_that_is_not_unitary(check):
+@pytest.mark.parametrize("run", [lambda tol: run_one_shot_check("convexity", 1, 0, 7, tol),
+                                 lambda tol: run_suites(["convexity", "keyed-convexity"], [1], 7, tol)],
+                         ids=["one-shot", "run_suites"])
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1e-9])
+def test_suite_runners_refuse_a_non_finite_or_negative_tolerance(run, tolerance):
+    with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
+        run(tolerance)
+
+
+@pytest.mark.parametrize("name", ["lu-cost", "lu-distillation"])
+def test_lu_checks_refuse_a_layer_that_is_not_unitary(name):
     u = haar_unitary(2, RNG)
-    g = bob_unitary_circuit(u, 1) if check is check_lu_invariance_cost else unrotate_distillation(u, 1)
+    g = bob_unitary_circuit(u, 1) if name == "lu-cost" else unrotate_distillation(u, 1)
     with pytest.raises(ValueError, match="only unitary gates"):
-        check(g, rotated_epr(u, 1), [Gate.pinch((0,))], [], 1)
+        SUITES[name].check(g, rotated_epr(u, 1), [Gate.pinch((0,))], [], 1)
 
 
 def test_lu_distillation_runs_the_inverse_layer_on_the_input():
@@ -376,7 +376,7 @@ def test_lu_distillation_runs_the_inverse_layer_on_the_input():
     u = haar_unitary(4, RNG)
     layers = [[Gate.unitary(haar_unitary(2, RNG), (0,)), Gate.unitary(haar_unitary(4, RNG), (1, 0))]
               for _ in range(2)]
-    rec = check_lu_invariance_distillation(unrotate_distillation(u, 2), rotated_epr(u, 2), *layers, 2)
+    rec = SUITES["lu-distillation"].check(unrotate_distillation(u, 2), rotated_epr(u, 2), *layers, 2)
     assert rec.passed and rec.lhs < 1e-12 and rec.details == {"layer_size": 4}
 
 

@@ -1,4 +1,7 @@
+import json
 import re
+from functools import reduce
+from operator import getitem
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -6,8 +9,11 @@ import numpy as np
 import pytest
 
 from compent import linalg
-from compent.circuits import GateBudget, dephase_bob_circuit, keyed_pauli_state, teleport_dilution
-from compent.harness import random_pure_teleport, run_keyed_suite, run_one_shot_check, run_suites
+from compent.circuits import (
+    GateBudget, bob_unitary_circuit, circuit_from_dict, circuit_to_dict, dephase_bob_circuit,
+    keyed_pauli_state, teleport_dilution,
+)
+from compent.harness import random_pure_teleport, run_one_shot_check, run_suites
 from compent.linalg import (
     SizeLimitError,
     as_count,
@@ -24,11 +30,11 @@ from compent.linalg import (
 from compent.measures import counterexample_eta_threshold
 from compent.packing import (
     UnitaryPacking, counting_ratio_log, epr_overlap, greedy_packing, net_cardinality_bounds,
-    packing_from_dict, pauli_orbit, separation_check,
+    packing_from_dict, packing_to_dict, pauli_orbit, separation_check,
 )
 from compent.states import (
     KEY_LENGTH_CAP, DensityMatrix, all_keys, epr_pairs, random_density_matrix, rotated_epr,
-    trace_distance,
+    state_from_dict, state_to_dict, trace_distance,
 )
 
 from oracles import BAD_INPUTS, haar_single
@@ -306,10 +312,8 @@ COUNTED = {
                            "lambda", (1.5, 0)),
     "run_one_shot_check instance": (lambda i: run_one_shot_check("convexity", 1, i, 0), 0, None,
                                     "instance", (1.5, -1)),
-    "run_keyed_suite": (lambda lam: run_keyed_suite("convexity", 1, [lam], 0), 1, None, "lambda",
-                        (1.5, 0)),
-    "run_keyed_suite kappa": (lambda k: run_keyed_suite("convexity", k, [1], 0), 1, 3, "kappa",
-                              (1.5, 0, 4)),
+    "run_suites keyed kappa": (lambda k: run_suites(["keyed-convexity"], [1], 0, kappa=k), 1, 3,
+                               "kappa", (1.5, 0, 4)),
     "run_suites kappa": (lambda k: run_suites(["convexity"], [1], 0, kappa=k), 1, 3, "kappa",
                          (1.5, 0, 4)),
     "net_cardinality_bounds": (lambda d: net_cardinality_bounds(d, 0.5, 1.0, 2.0), 1, None, "d",
@@ -327,6 +331,28 @@ def test_each_count_refusal_names_its_argument(entry, bad):
         call(bad)
     assert type(refused.value) is (ValueError if bad == 1.5 or cap is None else SizeLimitError)
     assert str(refused.value).startswith(f"{name} ") and str(bad) in str(refused.value)
+
+
+# each loader with its own serialized output; a circuit's outA and outB may be left out
+LOADERS = {
+    "state": (lambda: state_to_dict(epr_pairs(1)), state_from_dict),
+    "circuit": (lambda: circuit_to_dict(bob_unitary_circuit(X, 1)), circuit_from_dict),
+    "packing": (lambda: packing_to_dict(greedy_packing(1, 0.5, seed=0, max_size=2)), packing_from_dict),
+}
+REQUIRED = [(loader, (key,)) for loader, (dump, _) in LOADERS.items() for key in dump()
+            if key not in ("outA", "outB")]
+REQUIRED += [("circuit", ("registers", "nB")), ("circuit", ("rounds", 0, "bob", 0, "wires")),
+             ("packing", ("members", 0, "im"))]
+
+
+@pytest.mark.parametrize("loader, path", REQUIRED, ids=[f"{n}-{'.'.join(map(str, p))}" for n, p in REQUIRED])
+def test_each_loader_names_a_missing_field(loader, path):
+    dump, load = LOADERS[loader]
+    d = json.loads(json.dumps(dump()))
+    assert load(d) is not None  # the whole output loads
+    del reduce(getitem, path[:-1], d)[path[-1]]
+    with pytest.raises(ValueError, match=f"^{load.__name__}: missing field '{path[-1]}'$"):
+        load(d)
 
 
 def test_permute_and_embed():

@@ -4,10 +4,11 @@ Where the process may run on two or more CPUs, ``harness._run_tasks`` forks
 CPUs - 1 workers that share the checks with the calling process.  These
 tests pin that path to the serial one: the CLI's reports in a child pinned
 to one CPU and in an unpinned child, the records in process (``run_suites``
-and ``run_keyed_suite``), a failing check's exit code and ``error:`` line, a
-refused fork, an interrupt, results a worker cannot send back, more tasks
-than a pipe page holds indices for, a worker whose caller is killed, and no
-worker or zombie left after any of them.  Workers are forked only where
+on every suite, and on one keyed suite at kappa = 3), a failing check's
+exit code and ``error:`` line, a refused fork, an interrupt, results a
+worker cannot send back, more tasks than a pipe page holds indices for, a
+worker whose caller is killed, and no worker or zombie left after any of
+them.  Workers are forked only where
 OpenBLAS runs one thread (``circuits._BLAS_ONE``); the in-process tests set
 it, since the suite may run with BLAS at its default.  The CPU count's quota
 reader is tested here too.
@@ -25,7 +26,7 @@ import pytest
 import compent
 from compent import circuits, cli, harness
 from compent.circuits import _cgroup_cpus, _quota_cpus, cpu_count
-from compent.harness import run_keyed_suite, run_suites
+from compent.harness import run_suites
 
 TIMEOUT_S = 120
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -98,7 +99,7 @@ def test_a_forked_report_equals_the_report_on_one_cpu(tmp_path, args):
 @forks
 def test_workers_run_in_process_and_give_the_serial_records(monkeypatch):
     def records():
-        return run_suites(["all"], [1, 2, 3], 7), run_keyed_suite("subadditivity", 3, [1, 2], 3)
+        return run_suites(["all"], [1, 2, 3], 7), run_suites(["keyed-subadditivity"], [1, 2], 3, kappa=3)
 
     before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_utime
     forked = records()
