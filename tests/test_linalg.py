@@ -306,8 +306,9 @@ COUNTED = {
     "max_size": (lambda n: greedy_packing(1, 0.5, max_size=n), 1, None, "max_size", (1.5,)),
     "max_candidates": (lambda n: greedy_packing(1, 0.5, max_candidates=n), 1, None,
                        "max_candidates", (1.5,)),
-    "run_suites": (lambda lam: run_suites(["keyed-convexity"], [lam], 0), 1, None, "lambda",
-                   (1.5, 0)),
+    "run_suites": (lambda lam: run_suites(["convexity"], [lam], 0), 1, None, "lambda", (1.5, 0)),
+    "run_suites keyed": (lambda lam: run_suites(["keyed-convexity"], [lam], 0), 1, None, "lambda",
+                         (1.5, 0)),
     "run_one_shot_check": (lambda lam: run_one_shot_check("convexity", lam, 0, 0), 1, None,
                            "lambda", (1.5, 0)),
     "run_one_shot_check instance": (lambda i: run_one_shot_check("convexity", 1, i, 0), 0, None,
