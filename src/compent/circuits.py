@@ -29,7 +29,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cache, partial, reduce
 from itertools import accumulate, chain, zip_longest
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -277,10 +277,16 @@ def gate_count(circuit: LoccCircuit) -> int:
 # -- simulation ---------------------------------------------------------------
 
 # A gate step on a tensor of more than 2**_STEP_AXES entries gathers and
-# multiplies blocks of 2**_STEP_AXES entries (512 KiB), which stay in cache.
-# It takes a helper thread only where OpenBLAS runs one thread, as set before
-# numpy loaded: more BLAS threads already share out each block's product.
+# multiplies blocks of 2**_STEP_AXES entries (512 KiB), which stay in cache,
+# and a run of such steps whose axes fit in one block runs as one grouped
+# move, which holds two blocks on each of its two threads.  Blocks take a
+# helper thread only where OpenBLAS runs one thread, as set before numpy
+# loaded: more BLAS threads already share out each block's product.
 _STEP_AXES = 15
+_GROUP_BLOCKS = 4
+# The most bytes one move of a run may hold; ``apply`` refuses a plan that
+# needs more (a density tensor on 13 wires takes 1 GiB).
+MOVE_BYTES_CAP = 2 ** 30
 _BLAS_ONE = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS")) == "1"
 
 
@@ -341,12 +347,37 @@ def _ensure(t: np.ndarray, f: int, k: int | None = None) -> np.ndarray:
                         *range(k, 2 * k), *range(2 * k + f, 2 * (k + f))])
 
 
-def _step(t: np.ndarray, u: np.ndarray, axes: list[int]) -> np.ndarray:
+def _share(items: Iterator, work: Callable) -> None:
+    """``work(item)`` for each of ``items``, claimed one at a time under a lock
+    by this thread and, where ``cpu_count()`` is two or more and ``_BLAS_ONE``,
+    by the helper thread too.  Returns once no thread runs ``work``; an error
+    raised in the helper's item is raised here."""
+    lock = threading.Lock()
+
+    def run() -> None:
+        while True:
+            with lock:
+                item = next(items, None)
+            if item is None:
+                return
+            work(item)
+
+    helper = _BLAS_ONE and cpu_count() > 1 and _helper(os.getpid()).submit(run)
+    try:
+        run()
+    finally:  # no thread runs work once _share returns
+        if helper and not helper.cancel():
+            helper.result()
+        del items, work  # a cancelled task stays queued until the helper runs: it holds no tensor
+
+
+def _step(t: np.ndarray, u: np.ndarray, axes: list[int], out: np.ndarray | None = None) -> np.ndarray:
     """Operator ``u`` on the tensor ``axes``: one ``np.dot`` with those axes
-    moved in front.  Above 2**_STEP_AXES entries it runs block by block into
-    one preallocated output, with the single dot's bits and strides, on this
-    thread and, where ``cpu_count()`` is two or more and ``_BLAS_ONE``, on the
-    helper thread too: its peak allocation is one tensor plus a block per thread.
+    moved in front, into ``out`` (C-contiguous, ``len(u)`` rows) if one is
+    given and ``t`` has at most 2**_STEP_AXES entries.  Above that it runs
+    block by block into one preallocated output, with the single dot's bits
+    and strides, the blocks ``_share``d between this thread and the helper:
+    its peak allocation is one tensor plus a block per thread.
     """
     # np.tensordot's dot on its operands; u keeps its memory order (a copy can move last bits)
     n = len(u)
@@ -354,29 +385,45 @@ def _step(t: np.ndarray, u: np.ndarray, axes: list[int]) -> np.ndarray:
     back = sorted(range(len(perm)), key=perm.__getitem__)  # the inverse of perm
     view = t.transpose(perm)
     if t.ndim <= _STEP_AXES:
-        return np.dot(u, view.reshape(n, -1)).reshape(t.shape).transpose(back)
+        return np.dot(u, view.reshape(n, -1), out=out).reshape(t.shape).transpose(back)
     # one cache-sized gathered copy per index of the leading non-gate axes
     lead = t.ndim - _STEP_AXES
     cols = np.empty((n, t.size // n), dtype=complex)
     parts = cols.reshape(n, 2 ** lead, -1)
-    blocks, lock = enumerate(np.ndindex((2,) * lead)), threading.Lock()
 
-    def run() -> None:
-        while True:
-            with lock:
-                c, i = next(blocks, (-1, ()))
-            if c < 0:
-                return
-            np.matmul(u, view[(slice(None),) * len(axes) + i].reshape(n, -1), out=parts[:, c])
+    def block(item) -> None:
+        c, i = item
+        np.matmul(u, view[(slice(None),) * len(axes) + i].reshape(n, -1), out=parts[:, c])
 
-    helper = _BLAS_ONE and cpu_count() > 1 and _helper(os.getpid()).submit(run)
-    try:
-        run()
-    finally:  # no thread writes into cols once _step returns
-        if helper and not helper.cancel():
-            helper.result()
-        del view, parts  # a cancelled task stays queued until the helper runs: it holds no tensor
+    _share(enumerate(np.ndindex((2,) * lead)), block)
     return cols.reshape(t.shape).transpose(back)
+
+
+def _group(t: np.ndarray, steps: list[tuple[np.ndarray, list[int]]]) -> np.ndarray:
+    """The gate ``steps`` (operator, axes), whose axes together number at
+    most _STEP_AXES, in one pass over ``t``: for each index of the leading
+    axes outside theirs, one 2**_STEP_AXES-entry block takes the steps in
+    order by ``_step``'s single dot into one buffer, then is written into one
+    preallocated output.  The blocks are ``_share``d as ``_step``'s are.  The
+    output has the bits and strides that chained ``_step`` calls give, and
+    the move's peak allocation is one tensor plus ``_GROUP_BLOCKS`` blocks.
+    """
+    touched = {a for _, axes in steps for a in axes}
+    lead = [a for a in range(t.ndim) if a not in touched][:t.ndim - _STEP_AXES]
+    inner = [a for a in range(t.ndim) if a not in lead]
+    moved = [(u, [inner.index(a) for a in axes]) for u, axes in steps]
+    perm = steps[-1][1] + [a for a in range(t.ndim) if a not in steps[-1][1]]  # the last _step's layout
+    out = np.empty([t.shape[a] for a in perm], dtype=complex).transpose(np.argsort(perm))
+    view, dest = t.transpose(lead + inner), out.transpose(lead + inner)
+
+    def block(i) -> None:
+        b, cols = view[i], np.empty(2 ** _STEP_AXES, dtype=complex)
+        for u, axes in moved:  # b is gathered into a copy before the dot writes cols
+            b = _step(b, u, axes, cols.reshape(len(u), -1))
+        dest[i] = b
+
+    _share(np.ndindex((2,) * len(lead)), block)
+    return out
 
 
 def _densify(t: np.ndarray) -> np.ndarray:
@@ -418,9 +465,10 @@ def _as_vector(matrix: np.ndarray) -> np.ndarray | None:
     return eigh(matrix)[1][:, -1]
 
 
-def _plan(circuit: LoccCircuit, pure: bool) -> list[Callable[[np.ndarray], np.ndarray]]:
+def _plan(circuit: LoccCircuit, pure: bool) -> tuple[list[Callable[[np.ndarray], np.ndarray]], int]:
     """The run of ``circuit`` on an amplitude (``pure``) or density tensor over
-    its input wires, as moves with every axis position fixed.
+    its input wires, as moves with every axis position fixed, and the most
+    bytes one move holds: its input and its output, and a grouped move's blocks.
 
     The steps are the gates in order; once C is in use, each half-round ends
     with a dephasing of the C wires that a later gate still touches.  An
@@ -428,7 +476,10 @@ def _plan(circuit: LoccCircuit, pure: bool) -> list[Callable[[np.ndarray], np.nd
     non-output past its last use) is traced out at once while the state is
     mixed, before a pinch while it is pure.  The non-outputs left are traced
     out last, then the marginal on the outputs is taken.  On a density tensor
-    a gate step carries its ``kron(U, conj U)``, built here once.
+    a gate step carries its ``kron(U, conj U)``, built here once.  On a tensor
+    of more than 2**_STEP_AXES entries, consecutive gate steps join one
+    ``_group`` move, greedily in gate order, while their axes together fit in
+    _STEP_AXES; a step left alone stays a ``_step``.
     """
     steps, last = [], {}  # (wires, operator or None for a dephasing); each wire's last gate step
     for rnd in circuit.rounds:
@@ -442,7 +493,15 @@ def _plan(circuit: LoccCircuit, pure: bool) -> list[Callable[[np.ndarray], np.nd
     outs = circuit.out_a_global + circuit.out_b_global
     active = [*circuit.block("n_a"), *circuit.block("n_b")]
     dead = {w for w in active if w not in last and w not in outs}
-    moves: list[Callable[[np.ndarray], np.ndarray]] = []
+    moves: list = []  # a run of gate steps sits here as a list of (operator, axes)
+    # entries of the tensor, and the most one move holds (a pinch, in place, holds its tensor)
+    size = peak = 2 ** (len(active) if pure else 2 * len(active))
+
+    def resized(before):
+        """Count a move from a tensor of ``before`` entries to one on the wires now active."""
+        nonlocal size, peak
+        size = 2 ** (len(active) if pure else 2 * len(active))
+        peak = max(peak, before + size)
 
     def at(wires):
         return [active.index(w) for w in wires]
@@ -452,6 +511,7 @@ def _plan(circuit: LoccCircuit, pure: bool) -> list[Callable[[np.ndarray], np.nd
         if fresh:
             moves.append(partial(_ensure, f=len(fresh), k=None if pure else len(active)))
             active.extend(fresh)
+            resized(size)
 
     def drop(wires):
         nonlocal pure
@@ -461,6 +521,24 @@ def _plan(circuit: LoccCircuit, pure: bool) -> list[Callable[[np.ndarray], np.nd
                          partial(_trace, positions=[p - j for j, p in enumerate(pos)]))
             active[:] = [w for w in active if w not in wires]
             pure = False
+            resized(size)
+
+    def densify():
+        nonlocal pure
+        if pure:
+            moves.append(_densify)
+            pure = False
+            resized(size)
+
+    def step(u, axes):
+        nonlocal peak
+        run = moves[-1] if moves and isinstance(moves[-1], list) else []
+        if run and size > 2 ** _STEP_AXES and len(set(axes).union(*(a for _, a in run))) <= _STEP_AXES:
+            run.append((u, axes))
+            peak = max(peak, 2 * size + _GROUP_BLOCKS * 2 ** _STEP_AXES)
+        else:
+            moves.append([(u, axes)])
+            peak = max(peak, 2 * size)
 
     if not pure:
         drop(dead)
@@ -470,25 +548,26 @@ def _plan(circuit: LoccCircuit, pure: bool) -> list[Callable[[np.ndarray], np.nd
         ensure(wires)
         if op is not None:
             axes = at(wires)
-            moves.append(partial(_step, u=op, axes=axes) if pure else partial(
-                _step, u=kron(op, op.conj()), axes=axes + [len(active) + a for a in axes]))
+            if not pure:
+                op, axes = kron(op, op.conj()), axes + [len(active) + a for a in axes]
+            step(op, axes)
         else:
             if pure:  # shed dead wires before the pinch densifies
                 drop(dead)
             if wires:
-                moves += [_densify] if pure else []
+                densify()
                 moves.append(partial(_pinch, k=len(active), positions=at(wires)))
-                pure = False
         dead.update(w for w in wires if last[w] == j and w not in outs)
         if not pure:
             drop(dead)
     ensure(outs)  # untouched ancilla outputs are still |0>
     drop([w for w in active if w not in outs])
-    if pure:
-        moves.append(_densify)
+    densify()
     n, keep = len(active), at(outs)
     moves.append(lambda t: marginal(t, n, keep))  # looked up per run, as a tracer rebinds it
-    return moves
+    peak = max(peak, 2 * size)
+    return [m if not isinstance(m, list) else partial(_group, steps=m) if len(m) > 1
+            else partial(_step, u=m[0][0], axes=m[0][1]) for m in moves], peak * np.dtype(complex).itemsize
 
 
 def apply(circuit: LoccCircuit, state: BipartiteState) -> BipartiteState:
@@ -498,9 +577,11 @@ def apply(circuit: LoccCircuit, state: BipartiteState) -> BipartiteState:
     copy of the input.  A circuit keeps its plans, and a state the result of
     the purity probe ``_as_vector``; the stock states and circuits up to
     ``SHARED_ENTRIES`` entries per array are ``shared``, so a verify pass
-    probes and plans each of them once.  Every move is an exact density-matrix
-    identity, so the result equals the static full-register simulation, and
-    the output skips ``DensityMatrix``'s checks.
+    probes and plans each of them once.  A plan whose largest move would
+    hold more than ``MOVE_BYTES_CAP`` bytes raises ``SizeLimitError`` before
+    the copy.  Every move is an exact density-matrix identity, so the result
+    equals the static full-register simulation, and the output skips
+    ``DensityMatrix``'s checks.
     """
     if state.cut != (circuit.n_a, circuit.n_b):
         raise ValueError(
@@ -512,9 +593,12 @@ def apply(circuit: LoccCircuit, state: BipartiteState) -> BipartiteState:
     plans = vars(circuit).setdefault("_plans", {})  # deterministic; a frozen circuit's gates never change
     if pure not in plans:
         plans[pure] = _plan(circuit, pure)
+    moves, peak = plans[pure]
+    if peak > MOVE_BYTES_CAP:
+        raise SizeLimitError(f"a move of this run holds {peak} bytes, cap is {MOVE_BYTES_CAP}")
     t = np.array(state._vector if pure else state.matrix, dtype=complex)
     t = t.reshape((2,) * (t.ndim * (circuit.n_a + circuit.n_b)))  # a vector has one axis per wire
-    for move in plans[pure]:
+    for move in moves:
         t = move(t)
     return DensityMatrix._trusted(t, (circuit.m_a, circuit.m_b))
 

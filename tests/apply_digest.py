@@ -11,9 +11,12 @@ whose 10-qubit density tensor takes the blocked gate step.  Then the pure
 inputs, which the simulator runs as amplitude tensors until a pinch or
 trace: the zoo on Haar pure states, the n=2 teleport on ``epr_pairs(2)``,
 ``bbpssw_round`` and the 3+3 circuit on Haar pure states, and a circuit
-whose C wire no one reads on a Haar pure state.  Each line is
-``<case> <sha256 of the output's bytes>``.  New cases go last, so the lines
-of the earlier ones do not change.
+whose C wire no one reads on a Haar pure state.  Last come the
+``grouped_cases``, whose runs of gates on an 8- or 9-wire density tensor
+``_plan`` joins into grouped moves: a 4+4 circuit that traces non-output
+wires out after its runs, and one whose run ends in a dephasing of C.  Each
+line is ``<case> <sha256 of the output's bytes>``.  New cases go last, so
+the lines of the earlier ones do not change.
 """
 
 import hashlib
@@ -27,6 +30,7 @@ from compent.circuits import (
 from compent.states import DensityMatrix, epr_pairs
 
 PHI = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
+_CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
 
 
 def ginibre(dim, rng):
@@ -96,11 +100,33 @@ def cases():
     yield "pure-unread-c", unread, pure(4, (1, 1), rng)
 
 
-def digests():
+def grouped_cases():
+    """(name, circuit, input state) for the applies that run grouped moves."""
+    rng = np.random.default_rng(2033)
+
+    def run(wires):
+        """A Haar gate on each wire, a Haar gate on each neighbouring pair, and
+        the first wire controlling a Haar payload on the last."""
+        return ([Gate.unitary(haar(2, rng), (w,)) for w in wires]
+                + [Gate.unitary(haar(4, rng), pair) for pair in zip(wires, wires[1:])]
+                + [Gate.controlled(haar(2, rng), (wires[-1],), (wires[0],))])
+
+    # wires 1, 2 of each side's four are no output: each is traced out after its last gate
+    traced = LoccCircuit(4, 0, 0, 4, 0, (Round(tuple(run((0, 1, 2, 3))), tuple(run((4, 5, 6, 7)))),),
+                         2, 2, out_a=(0, 3), out_b=(0, 3))
+    yield "grouped-traced-4+4", traced, DensityMatrix(ginibre(256, rng), (4, 4))
+    # Alice writes C (wire 4) first, so her later gates run on 9 wires, then C is dephased
+    alice = (Gate.unitary(_CNOT, (0, 4)), *run((0, 1, 2, 3)), Gate.unitary(_CNOT, (3, 4)))
+    bob = (Gate.controlled(haar(2, rng), (5,), (4,)), *run((5, 6, 7, 8)))
+    pinched = LoccCircuit(4, 0, 1, 4, 0, (Round(alice, bob),), 4, 4)
+    yield "grouped-pinched-4+4", pinched, DensityMatrix(ginibre(256, rng), (4, 4))
+
+
+def digests(source=cases):
     return [(name, hashlib.sha256(apply(c, s).matrix.tobytes()).hexdigest())
-            for name, c, s in cases()]
+            for name, c, s in source()]
 
 
 if __name__ == "__main__":
-    for name, digest in digests():
+    for name, digest in digests() + digests(grouped_cases):
         print(name, digest)
