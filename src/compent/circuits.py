@@ -276,12 +276,12 @@ def gate_count(circuit: LoccCircuit) -> int:
 
 # -- simulation ---------------------------------------------------------------
 
-# A gate step on a tensor of more than 2**_STEP_AXES entries gathers and
-# multiplies blocks of 2**_STEP_AXES entries (512 KiB), which stay in cache,
-# and a run of such steps whose axes fit in one block runs as one grouped
-# move, which holds two blocks on each of its two threads.  Blocks take a
-# helper thread only where OpenBLAS runs one thread, as set before numpy
-# loaded: more BLAS threads already share out each block's product.
+# Gate steps on a tensor of more than 2**_STEP_AXES entries run as grouped
+# moves: a run of one or more steps whose axes fit in one block of
+# 2**_STEP_AXES entries (512 KiB), which stays in cache, takes the run block by
+# block, with two blocks on each of its two threads.  Blocks take a helper
+# thread only where OpenBLAS runs one thread, as set before numpy loaded: more
+# BLAS threads already share out each block's product.
 _STEP_AXES = 15
 _GROUP_BLOCKS = 4
 # The most bytes one move of a run may hold; ``apply`` refuses a plan that
@@ -297,7 +297,7 @@ def _quota_cpus(cpu_max: str) -> int | None:
     return None if quota == "max" else max(1, int(quota) // int(period))
 
 
-@cache  # read once per process: _step asks on every blocked step, and a quota seldom moves
+@cache  # read once per process: _share asks on every grouped move, and a quota seldom moves
 def _cgroup_cpus(mount: str = "/sys/fs/cgroup", own: str = "/proc/self/cgroup") -> int | None:
     """The least of the CPU quotas on this process's cgroup v2 group (the
     ``0::`` line of ``own``) and on each group above it under ``mount``;
@@ -326,7 +326,7 @@ def cpu_count() -> int:
 
 @cache  # keyed by pid: a forked child's copy of the pool has no thread, so it makes its own
 def _helper(pid: int) -> ThreadPoolExecutor:
-    """The one-thread pool that takes blocks of this process's large gate steps."""
+    """The one-thread pool that takes blocks of this process's grouped moves."""
     return ThreadPoolExecutor(1)
 
 
@@ -348,10 +348,10 @@ def _ensure(t: np.ndarray, f: int, k: int | None = None) -> np.ndarray:
 
 
 def _share(items: Iterator, work: Callable) -> None:
-    """``work(item)`` for each of ``items``, claimed one at a time under a lock
-    by this thread and, where ``cpu_count()`` is two or more and ``_BLAS_ONE``,
-    by the helper thread too.  Returns once no thread runs ``work``; an error
-    raised in the helper's item is raised here."""
+    """``work(item)`` for each of ``items`` (a ``_group`` move's blocks), claimed
+    one at a time under a lock by this thread and, where ``cpu_count()`` is two
+    or more and ``_BLAS_ONE``, by the helper thread too.  Returns once no
+    thread runs ``work``; an error raised in the helper's item is raised here."""
     lock = threading.Lock()
 
     def run() -> None:
@@ -373,40 +373,23 @@ def _share(items: Iterator, work: Callable) -> None:
 
 def _step(t: np.ndarray, u: np.ndarray, axes: list[int], out: np.ndarray | None = None) -> np.ndarray:
     """Operator ``u`` on the tensor ``axes``: one ``np.dot`` with those axes
-    moved in front, into ``out`` (C-contiguous, ``len(u)`` rows) if one is
-    given and ``t`` has at most 2**_STEP_AXES entries.  Above that it runs
-    block by block into one preallocated output, with the single dot's bits
-    and strides, the blocks ``_share``d between this thread and the helper:
-    its peak allocation is one tensor plus a block per thread.
+    moved in front, into ``out`` (C-contiguous, ``len(u)`` rows) if one is given.
     """
     # np.tensordot's dot on its operands; u keeps its memory order (a copy can move last bits)
-    n = len(u)
     perm = axes + [i for i in range(t.ndim) if i not in axes]
     back = sorted(range(len(perm)), key=perm.__getitem__)  # the inverse of perm
-    view = t.transpose(perm)
-    if t.ndim <= _STEP_AXES:
-        return np.dot(u, view.reshape(n, -1), out=out).reshape(t.shape).transpose(back)
-    # one cache-sized gathered copy per index of the leading non-gate axes
-    lead = t.ndim - _STEP_AXES
-    cols = np.empty((n, t.size // n), dtype=complex)
-    parts = cols.reshape(n, 2 ** lead, -1)
-
-    def block(item) -> None:
-        c, i = item
-        np.matmul(u, view[(slice(None),) * len(axes) + i].reshape(n, -1), out=parts[:, c])
-
-    _share(enumerate(np.ndindex((2,) * lead)), block)
-    return cols.reshape(t.shape).transpose(back)
+    return np.dot(u, t.transpose(perm).reshape(len(u), -1), out=out).reshape(t.shape).transpose(back)
 
 
 def _group(t: np.ndarray, steps: list[tuple[np.ndarray, list[int]]]) -> np.ndarray:
-    """The gate ``steps`` (operator, axes), whose axes together number at
-    most _STEP_AXES, in one pass over ``t``: for each index of the leading
-    axes outside theirs, one 2**_STEP_AXES-entry block takes the steps in
-    order by ``_step``'s single dot into one buffer, then is written into one
-    preallocated output.  The blocks are ``_share``d as ``_step``'s are.  The
-    output has the bits and strides that chained ``_step`` calls give, and
-    the move's peak allocation is one tensor plus ``_GROUP_BLOCKS`` blocks.
+    """The gate ``steps`` (operator, axes), one or more, whose axes together
+    number at most _STEP_AXES, in one pass over ``t`` of more than
+    2**_STEP_AXES entries: for each index of the leading axes outside theirs,
+    one 2**_STEP_AXES-entry block takes the steps in order by ``_step``'s
+    single dot into one buffer, then is written into one preallocated output.
+    The blocks are ``_share``d between this thread and the helper.  The output
+    has the bits and strides that chained ``_step`` calls give, and the move's
+    peak allocation is one tensor plus ``_GROUP_BLOCKS`` blocks.
     """
     touched = {a for _, axes in steps for a in axes}
     lead = [a for a in range(t.ndim) if a not in touched][:t.ndim - _STEP_AXES]
@@ -476,10 +459,11 @@ def _plan(circuit: LoccCircuit, pure: bool) -> tuple[list[Callable[[np.ndarray],
     non-output past its last use) is traced out at once while the state is
     mixed, before a pinch while it is pure.  The non-outputs left are traced
     out last, then the marginal on the outputs is taken.  On a density tensor
-    a gate step carries its ``kron(U, conj U)``, built here once.  On a tensor
-    of more than 2**_STEP_AXES entries, consecutive gate steps join one
-    ``_group`` move, greedily in gate order, while their axes together fit in
-    _STEP_AXES; a step left alone stays a ``_step``.
+    a gate step carries its ``kron(U, conj U)``, built here once.  A gate step
+    on a tensor of at most 2**_STEP_AXES entries is a ``_step``.  On a larger
+    one, every gate step runs in a ``_group`` move: consecutive steps join
+    one, greedily in gate order, while their axes together fit in _STEP_AXES,
+    and a step that does not fit opens the next.
     """
     steps, last = [], {}  # (wires, operator or None for a dephasing); each wire's last gate step
     for rnd in circuit.rounds:
@@ -533,12 +517,14 @@ def _plan(circuit: LoccCircuit, pure: bool) -> tuple[list[Callable[[np.ndarray],
     def step(u, axes):
         nonlocal peak
         run = moves[-1] if moves and isinstance(moves[-1], list) else []
-        if run and size > 2 ** _STEP_AXES and len(set(axes).union(*(a for _, a in run))) <= _STEP_AXES:
+        if size <= 2 ** _STEP_AXES:
+            moves.append(partial(_step, u=u, axes=axes))
+            peak = max(peak, 2 * size)
+        elif run and len(set(axes).union(*(a for _, a in run))) <= _STEP_AXES:
             run.append((u, axes))
-            peak = max(peak, 2 * size + _GROUP_BLOCKS * 2 ** _STEP_AXES)
         else:
             moves.append([(u, axes)])
-            peak = max(peak, 2 * size)
+            peak = max(peak, 2 * size + _GROUP_BLOCKS * 2 ** _STEP_AXES)
 
     if not pure:
         drop(dead)
@@ -566,8 +552,8 @@ def _plan(circuit: LoccCircuit, pure: bool) -> tuple[list[Callable[[np.ndarray],
     n, keep = len(active), at(outs)
     moves.append(lambda t: marginal(t, n, keep))  # looked up per run, as a tracer rebinds it
     peak = max(peak, 2 * size)
-    return [m if not isinstance(m, list) else partial(_group, steps=m) if len(m) > 1
-            else partial(_step, u=m[0][0], axes=m[0][1]) for m in moves], peak * np.dtype(complex).itemsize
+    return ([partial(_group, steps=m) if isinstance(m, list) else m for m in moves],
+            peak * np.dtype(complex).itemsize)
 
 
 def apply(circuit: LoccCircuit, state: BipartiteState) -> BipartiteState:

@@ -14,7 +14,7 @@ from functools import wraps
 from typing import Sequence
 
 import numpy as np
-# what np.linalg.eigh/eigvalsh call, by these names and signatures from numpy 1.24 through 2.x
+# what np.linalg.eigh/eigvalsh/cholesky call, by these names and signatures from numpy 1.24 through 2.x
 from numpy.linalg import _umath_linalg
 
 QUBIT_CAP = 14          # hard limit on dense simulation size
@@ -147,6 +147,15 @@ def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def eigvalsh(m: np.ndarray) -> np.ndarray:
     """``np.linalg.eigvalsh`` of a complex matrix, bit for bit, ascending; as ``eigh``."""
     return _converged(_umath_linalg.eigvalsh_lo(m, signature="D->d"))
+
+
+def is_psd(m: np.ndarray) -> bool:
+    """Whether Hermitian ``m`` has no eigenvalue below ``PSD_FLOOR``: LAPACK's Cholesky of
+    ``m`` succeeds (a fraction of an eigensolve), or else ``eigvalsh`` reads the least
+    eigenvalue.  A failed factor is NaN, which numpy's own cholesky warns of and raises on."""
+    with np.errstate(invalid="ignore"):
+        low = _umath_linalg.cholesky_lo(m, signature="D->D")
+    return bool(low[0, 0] == low[0, 0] or eigvalsh(m)[0] >= PSD_FLOOR)
 
 
 def _converged(vals: np.ndarray) -> np.ndarray:

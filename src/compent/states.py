@@ -22,6 +22,7 @@ from .linalg import (
     as_ints,
     eigvalsh,
     haar_unitary,
+    is_psd,
     kron,
     marginal,
     matrix_from_dict,
@@ -263,13 +264,17 @@ def fidelity(rho, sigma) -> float:
     largest one are dropped: the square root would otherwise amplify
     O(machine epsilon) rank noise into O(1e-8) fidelity error.  ``psd_sqrt``
     is the one check of rho (finite, square, Hermitian, PSD).  A raw sigma
-    goes through ``as_hermitian``, and any sigma must keep that spectrum above
+    goes through ``as_hermitian`` and ``is_psd`` (no eigenvalue below
+    ``PSD_FLOOR``, off rho's support too); a ``DensityMatrix`` was checked when
+    built, up to ``PSD_CHECK_DIM``.  Any sigma must keep that spectrum above
     ``PSD_FLOOR`` before the clipping: on rho's support, sigma is PSD.
     """
     s = _mat(sigma, "fidelity's sigma")
     root = psd_sqrt(rho.matrix if isinstance(rho, DensityMatrix) else rho)
     if root.shape != s.shape:
         raise ValueError(f"dimension mismatch {root.shape} vs {s.shape}")
+    if not (isinstance(sigma, DensityMatrix) or is_psd(s)):
+        raise ValueError(f"fidelity's sigma is not PSD: an eigenvalue is below {PSD_FLOOR}")
     core = root @ s @ root
     vals = eigvalsh((core + core.conj().T) / 2.0)
     if vals[0] < PSD_FLOOR:  # linalg.eigvalsh sorts them ascending

@@ -7,7 +7,8 @@ source trees that simulate bit for bit alike print the same lines.  The cases ar
 the stock channel zoo on random mixed states, ``bbpssw_round`` on isotropic
 pairs, the n=2 teleport on a noisy isotropic resource, a 3+3 Haar local
 circuit on a mixed state, and a 5+5 one on a 1024-dimensional mixed state,
-whose 10-qubit density tensor takes the blocked gate step.  Then the pure
+whose 10-qubit density tensor takes grouped gate moves, as the teleport's
+lone gates on 8 and 9 wires take groups of one.  Then the pure
 inputs, which the simulator runs as amplitude tensors until a pinch or
 trace: the zoo on Haar pure states, the n=2 teleport on ``epr_pairs(2)``,
 ``bbpssw_round`` and the 3+3 circuit on Haar pure states, and a circuit

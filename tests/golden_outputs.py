@@ -42,7 +42,7 @@ RUNS = {
     # 579 checks, 432 of them in the four lambda-free keyed suites (each computed once per key tuple)
     "verify-kappa3-full.json": [*VERIFY, "--lambda", "1..3", "--kappa", "3", "--seed", "7",
                                 "--out", "{out}"],
-    # the 5+5 local circuit runs the blocked gate step on a 10-qubit density tensor
+    # the 5+5 local circuit runs grouped gate moves on a 10-qubit density tensor
     "apply-digests.txt": [str(HERE / "apply_digest.py")],
     "net-eta05.json": [*CLI, "net", "--m", "2", "--eta", "0.5", "--seed", "0", "--out", "{out}"],
     # 636 members: ten 64-member chunks and several buffer doublings

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from functools import reduce
 from operator import getitem
 from pathlib import Path
@@ -15,6 +16,7 @@ from compent.circuits import (
 )
 from compent.harness import random_pure_teleport, run_one_shot_check, run_suites
 from compent.linalg import (
+    PSD_FLOOR,
     SizeLimitError,
     as_count,
     eig_hermitian,
@@ -241,6 +243,26 @@ def test_a_nan_spectrum_raises_linalg_error(monkeypatch):
                   lambda m: DensityMatrix(m, (1,))):
         with pytest.raises(np.linalg.LinAlgError):
             solve(rho)
+
+
+@pytest.mark.parametrize("d", (2, 8, 32))
+def test_is_psd_holds_the_least_eigenvalue_to_the_psd_floor(d):
+    rng = np.random.default_rng([3401, d])
+    u = haar_unitary(d, rng)
+    spectrum = rng.uniform(0.1, 1.0, d)
+    for least, want in ((0.9 * PSD_FLOOR, True), (1.1 * PSD_FLOOR, False), (0.0, True)):
+        spectrum[-1] = least
+        assert linalg.is_psd((u * spectrum) @ u.conj().T) is want, (d, least)
+    assert linalg.is_psd(np.diag([1.0, 0.0] * (d // 2)).astype(complex))  # rank-deficient
+
+
+def test_is_psd_reports_lapacks_nan_factor_without_a_warning():
+    m = np.diag([1.5, -0.5]).astype(complex)
+    with np.errstate(invalid="ignore"):  # LAPACK's failure: a factor of NaN
+        assert np.isnan(linalg._umath_linalg.cholesky_lo(m, signature="D->D")).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not linalg.is_psd(m)
 
 
 def test_linalg_is_the_one_eigensolve_path():

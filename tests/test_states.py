@@ -137,6 +137,26 @@ def test_fidelity_dimension_mismatch():
         fidelity(np.eye(2) / 2, np.eye(4) / 4)
 
 
+def test_fidelity_refuses_a_raw_sigma_negative_off_rhos_support():
+    # on rho's support sigma is 1.5, so the core spectrum is PSD; sigma is not
+    with pytest.raises(ValueError, match="sigma is not PSD"):
+        fidelity(np.diag([1.0, 0]), np.diag([1.5, -0.5]))
+
+
+def test_fidelity_holds_a_raw_sigma_to_the_psd_floor_and_keeps_the_bits_it_accepts(monkeypatch):
+    rng = np.random.default_rng(3402)
+    rho, u = np.eye(4) / 4, haar_unitary(4, rng)  # the core is sigma / 4: above the floor either way
+    near = {scale: (u * [0.5, 0.3, 0.2, scale * linalg.PSD_FLOOR]) @ u.conj().T for scale in (0.9, 1.1)}
+    with pytest.raises(ValueError, match="sigma is not PSD"):
+        fidelity(rho, near[1.1])
+    # just above the floor, rank-deficient, and pure sigmas are accepted
+    accepted = [(rho, near[0.9]), (np.diag([1.0, 0]), np.diag([1.0, 0]))]
+    accepted += [(ginibre(d, rng, d), ginibre(d, rng, rank)) for d in (2, 4, 16, 32) for rank in (1, d // 2)]
+    got = [fidelity(a, b) for a, b in accepted]
+    monkeypatch.setattr(states, "is_psd", lambda m: True)  # the same calls without the check
+    assert got == [fidelity(a, b) for a, b in accepted]
+
+
 def test_trace_distance_values():
     zero = pure_dm(np.array([1.0, 0.0]))
     one = pure_dm(np.array([0.0, 1.0]))
@@ -152,9 +172,10 @@ SPOILED = {**BAD_INPUTS, "vector": np.full(2, 0.5, dtype=complex), "empty": np.z
 SCANNED = ("nan-real", "+inf-imag", "-inf-imag", "non-square", "vector", "empty")
 # schatten_norm runs linalg.as_square (finite, non-empty, square); the trace distance runs
 # linalg.as_hermitian (also Hermitian) on each raw argument; fidelity's rho goes
-# through psd_sqrt (as_hermitian, then the PSD floor); fidelity's sigma and the
-# entropy's argument go through as_hermitian, then a spectrum held to the PSD
-# floor; DensityMatrix runs as_hermitian, then its cut-shape, trace and PSD tests
+# through psd_sqrt (as_hermitian, then the PSD floor); fidelity's sigma goes
+# through as_hermitian, then linalg.is_psd; the entropy's argument goes through
+# as_hermitian, then a spectrum held to the PSD floor; DensityMatrix runs
+# as_hermitian, then its cut-shape, trace and PSD tests
 VALIDATED = {
     "fidelity-rho": (lambda m: fidelity(m, np.eye(2) / 2), tuple(SPOILED)),
     "fidelity-sigma": (lambda m: fidelity(np.eye(2) / 2, m), tuple(SPOILED)),

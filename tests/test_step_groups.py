@@ -2,14 +2,16 @@
 
 On a density tensor of more than 2**_STEP_AXES entries, ``_plan`` joins each
 run of consecutive gate steps whose axes fit in _STEP_AXES into one
-``_group`` move, which runs the run block by block in one pass.  It must give
-the bits and strides of the same steps chained through ``_step``, signed
-zeros included, so every move that can follow it (an ancilla, a trace, a
-pinch, the marginal) gives the chained bits too.  Every comparison is on
-``tobytes``.  The blocks are shared with the helper thread through the loop
-``_step`` uses, so the helper cases of ``test_step_threads.py`` are repeated
-here for the grouped move.  Last, ``apply`` refuses a plan whose largest move
-would hold more than ``MOVE_BYTES_CAP`` bytes before it allocates anything.
+``_group`` move, which runs the run block by block in one pass; a gate that
+fits in no run with its neighbours is a one-step group.  A move must give the
+bits and strides of the same steps chained through ``_step``, signed zeros
+included, so every move that can follow it (an ancilla, a trace, a pinch, the
+marginal) gives the chained bits too.  Every comparison is on ``tobytes``.
+``apply`` refuses a plan whose largest move would hold more than
+``MOVE_BYTES_CAP`` bytes before it allocates anything.  Last, the blocks are
+shared with the helper thread: its cases in this process run on a one-step
+and on a multi-step group, and ``test_step_threads.py`` compares with child
+processes that run without it.
 """
 
 import hashlib
@@ -29,8 +31,8 @@ import pytest
 import apply_digest
 from compent import circuits
 from compent.circuits import (
-    _GROUP_BLOCKS, _STEP_AXES, MOVE_BYTES_CAP, Gate, LoccCircuit, Round, _ensure, _group, _helper,
-    _pinch, _plan, _step, _trace, apply, local_unitary_circuit,
+    _GROUP_BLOCKS, _STEP_AXES, MOVE_BYTES_CAP, Gate, LoccCircuit, Round, _as_vector, _ensure, _group,
+    _helper, _pinch, _plan, _step, _trace, apply, local_unitary_circuit,
 )
 from compent.linalg import SizeLimitError, haar_unitary, kron, marginal
 from compent.states import DensityMatrix, random_density_matrix
@@ -146,10 +148,27 @@ def test_the_plan_groups_runs_greedily_and_only_above_one_block():
     assert moves_of(local_circuit(5, rng), False) == ["group11", "group7", "marginal"]
     assert moves_of(local_circuit(5, rng), True) == ["step"] * 18 + ["densify", "marginal"]
     assert moves_of(local_circuit(3, rng), False) == ["step"] * 10 + ["marginal"]  # 2**12 entries
-    # a gate alone stays a step: each of these two takes 8 axes, together 16
+    # a gate alone is a one-step group: each of these two takes 8 axes, together 16
     wide = [Gate.controlled(haar_unitary(4, rng), (2, 3), (0, 1)),
             Gate.controlled(haar_unitary(4, rng), (6, 7), (4, 5))]
-    assert moves_of(local_unitary_circuit(wide, [], 8, 1), False) == ["step", "step", "marginal"]
+    assert moves_of(local_unitary_circuit(wide, [], 8, 1), False) == ["group1", "group1", "marginal"]
+
+
+def test_each_digest_plan_steps_only_on_one_block_and_groups_every_larger_gate_move():
+    # the plan walked on its input, as ``apply`` runs it; a plan compiled here, not a kept one
+    lone = []  # the case of each one-step group
+    for name, c, state in [*apply_digest.cases(), *apply_digest.grouped_cases()]:
+        vector = _as_vector(state.matrix)
+        t = np.array(state.matrix if vector is None else vector, dtype=complex)
+        t = t.reshape((2,) * (t.ndim * (c.n_a + c.n_b)))
+        for move in _plan(c, vector is not None)[0]:
+            func = getattr(move, "func", None)
+            if func in (_step, _group):
+                assert (func is _group) == (t.size > 2 ** _STEP_AXES), (name, t.shape)
+                lone += [name] if func is _group and len(move.keywords["steps"]) == 1 else []
+            t = move(t)
+        assert t.tobytes() == apply(c, state).matrix.tobytes(), name
+    assert lone.count("teleport-n2-F0.9") == 5  # its lone gates on 16 and 18 axes
 
 
 def grouped_applies():
@@ -253,9 +272,21 @@ def digest(t):
     return hashlib.sha256(t.tobytes()).hexdigest()
 
 
+def lone_gate(rng, k=10):
+    """A Ginibre density tensor on k wires and a one-step run on it: a Haar
+    two-qubit gate on its wires 1 and k - 2, as a lone gate's group carries it."""
+    t = random_density_matrix(2 ** k, rng).reshape((2,) * (2 * k))
+    g = haar_unitary(4, rng)
+    return t, [(kron(g, g.conj()), [1, k - 2, k + 1, 2 * k - 2])]
+
+
+RUNS = {"one-step": lone_gate, "multi-step": big_run}
+
+
 @two_cpus
-def test_a_grouped_move_whose_helper_is_busy_runs_alone_and_its_queued_task_holds_no_tensor():
-    t, run = big_run(np.random.default_rng(3308), k=9)
+@pytest.mark.parametrize("make", RUNS.values(), ids=RUNS)
+def test_a_grouped_move_whose_helper_is_busy_runs_alone_and_its_queued_task_holds_no_tensor(make):
+    t, run = make(np.random.default_rng(3308), k=9)
     want = chained(t, run).tobytes()
     release = threading.Event()
     held = _helper(os.getpid()).submit(release.wait, TIMEOUT_S)
@@ -271,7 +302,8 @@ def test_a_grouped_move_whose_helper_is_busy_runs_alone_and_its_queued_task_hold
 
 
 @two_cpus
-def test_an_error_in_the_helpers_block_of_a_grouped_move_is_raised_once_the_helper_is_done(monkeypatch):
+@pytest.mark.parametrize("make", RUNS.values(), ids=RUNS)
+def test_an_error_in_the_helpers_block_of_a_grouped_move_is_raised_once_the_helper_is_done(monkeypatch, make):
     caller, claimed, ended = threading.current_thread(), threading.Event(), threading.Event()
     dot = np.dot
 
@@ -286,7 +318,7 @@ def test_an_error_in_the_helpers_block_of_a_grouped_move_is_raised_once_the_help
         finally:
             ended.set()
 
-    t, run = big_run(np.random.default_rng(3309), k=9)
+    t, run = make(np.random.default_rng(3309), k=9)
     monkeypatch.setattr(np, "dot", failing)
     with pytest.raises(MemoryError, match="the helper's block"):
         _group(t, run)
@@ -295,43 +327,48 @@ def test_an_error_in_the_helpers_block_of_a_grouped_move_is_raised_once_the_help
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_child_forked_after_a_grouped_move_makes_its_own_helper():
-    t, run = big_run(np.random.default_rng(3310), k=9)
-    want = digest(_group(t, run))  # the parent's helper thread exists from here on
+    # one fork runs both kinds of run: a one-step and a multi-step group
+    cases = [make(np.random.default_rng(3310), k=9) for make in RUNS.values()]
+    want = [digest(_group(t, run)) for t, run in cases]  # the parent's helper thread exists from here on
     helpers = _helper.cache_info().currsize + (CPUS > 1)  # the child's own makes one more
     read, write = os.pipe()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads running
         pid = os.fork()
-    if pid == 0:  # the child: one more grouped move, its digest to the parent, and out
+    if pid == 0:  # the child: the grouped moves again, their digests to the parent, and out
         code = 1
         try:
-            os.write(write, f"{digest(_group(t, run))} {_helper.cache_info().currsize}".encode())
+            got = [digest(_group(t, run)) for t, run in cases]
+            os.write(write, " ".join([*got, str(_helper.cache_info().currsize)]).encode())
             code = 0
         finally:
             os._exit(code)
     os.close(write)
     try:
         ready = select.select([read], [], [], TIMEOUT_S)[0]
-        got = os.read(read, 128).decode().split() if ready else None
+        got = os.read(read, 256).decode().split() if ready else None
     finally:
         os.close(read)
         if not ready:
             os.kill(pid, signal.SIGKILL)
         status = os.waitpid(pid, 0)[1]
-    assert ready, f"the child's grouped move did not end within {TIMEOUT_S} s"
+    assert ready, f"the child's grouped moves did not end within {TIMEOUT_S} s"
     assert os.waitstatus_to_exitcode(status) == 0
-    assert got == [want, str(helpers)]
+    assert got == [*want, str(helpers)]  # the same bytes, from a helper of its own
 
 
 def test_callers_sharing_the_helper_each_get_every_block_of_their_grouped_moves():
     # more callers than CPUs, switching threads every microsecond; each caller
-    # alternates two cases, so a block left unwritten holds another move's bits
-    cases = [big_run(np.random.default_rng([3311, i]), k=8) for i in range(4)]
+    # alternates a one-step and a multi-step case, so a block left unwritten
+    # holds another move's bits
+    cases = [make(np.random.default_rng([3311, i]), k=k)
+             for i in range(4) for make, k in ((lone_gate, 9), (big_run, 8))]
+    assert all(t.ndim > _STEP_AXES for t, _ in cases)  # each move runs blocks
     want = [digest(chained(t, run)) for t, run in cases]
     wrong, done = [], []
 
     def caller(first):
-        for r in range(4):
+        for r in range(6):
             j = (first + r % 2) % len(cases)
             if digest(_group(*cases[j])) != want[j]:
                 wrong.append(j)

@@ -1,7 +1,8 @@
 """Bitwise pins of the simulator's moves and of ``linalg.kron``.
 
-The gate step (single-dot and blocked), the ancilla, pinch and pure
-partial-trace moves and ``linalg.kron`` must give the same bits and strides
+The gate step (a single dot, or a one-step ``_group`` on a tensor of more
+than 2**_STEP_AXES entries), the ancilla, pinch and pure partial-trace moves
+and ``linalg.kron`` must give the same bits and strides
 as the ``np.kron`` / ``np.tensordot`` / ``np.moveaxis`` formulation they
 replace, signed zeros included, so every comparison is on ``tobytes``, not
 ``==``.  A run's plan hands a density-tensor step ``kron(U, conj U)`` and the
@@ -14,7 +15,8 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
-from compent.circuits import _STEP_AXES, Gate, _densify, _ensure, _pinch, _step, _trace_pure
+from compent import circuits
+from compent.circuits import _STEP_AXES, Gate, _densify, _ensure, _group, _pinch, _step, _trace_pure
 from compent.linalg import haar_unitary, kron
 from compent.states import random_density_matrix
 
@@ -41,9 +43,10 @@ def as_tensor(state, pure, k):
 
 def step(t, u, wires, pure, k):
     """Gate ``u`` on the wires ``wires`` of k (wire i on axis i) as a plan runs it:
-    on a density tensor, ``kron(u, conj u)`` on the bra and ket axes."""
-    axes = list(wires)
-    return _step(t, u, axes) if pure else _step(t, kron(u, u.conj()), axes + [k + a for a in axes])
+    on a density tensor, ``kron(u, conj u)`` on the bra and ket axes, and on a
+    tensor of more than 2**_STEP_AXES entries as a one-step ``_group``."""
+    u, axes = (u, list(wires)) if pure else (kron(u, u.conj()), [*wires, *(k + a for a in wires)])
+    return _step(t, u, axes) if t.size <= 2 ** _STEP_AXES else _group(t, [(u, axes)])
 
 
 def sparse_product_vector(k):
@@ -101,7 +104,7 @@ def payload_gate(kind, where, k, rng, f_ordered):
 
 @pytest.mark.parametrize("k", (8, 9, 10))
 def test_blocked_gate_step_is_bitwise_the_tensordot_step(k):
-    assert 2 * k > _STEP_AXES  # every case here runs the blocked step
+    assert 2 * k > _STEP_AXES  # every case here runs as a one-step group
     rng = np.random.default_rng([910, k])
     rho = random_density_matrix(2 ** k, rng)
     for kind in ("1q", "2q", "2-control"):
@@ -114,7 +117,10 @@ def test_blocked_gate_step_is_bitwise_the_tensordot_step(k):
                 assert_same(step(t, u, touched, False, k), ref, kind, where, f_ordered)
 
 
-def test_blocked_gate_step_allocates_one_tensor():
+def test_blocked_gate_step_allocates_one_tensor(monkeypatch):
+    # on one thread: the tensor, a block buffer and the copy its dot reads (the
+    # helper thread's two more blocks are pinned in test_step_groups.py)
+    monkeypatch.setattr(circuits, "_BLAS_ONE", False)
     k = 10
     rng = np.random.default_rng(911)
     t = as_tensor(random_density_matrix(2 ** k, rng), False, k)
@@ -122,7 +128,7 @@ def test_blocked_gate_step_allocates_one_tensor():
     superop = kron(u, u.conj())  # built once on the plan, outside the run
     tracemalloc.start()
     try:
-        t = _step(t, superop, [3, 7, k + 3, k + 7])
+        t = _group(t, [(superop, [3, 7, k + 3, k + 7])])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
