@@ -9,9 +9,9 @@ included, so every move that can follow it (an ancilla, a trace, a pinch, the
 marginal) gives the chained bits too.  Every comparison is on ``tobytes``.
 ``apply`` refuses a plan whose largest move would hold more than
 ``MOVE_BYTES_CAP`` bytes before it allocates anything.  Last, the blocks are
-shared with the helper thread: its cases in this process run on a one-step
-and on a multi-step group, and ``test_step_threads.py`` compares with child
-processes that run without it.
+shared with the helper thread: its cases in this process run here on a
+multi-step group, and in ``test_step_threads.py`` on a one-step group, where
+child processes that run without it are compared too.
 """
 
 import hashlib
@@ -272,21 +272,9 @@ def digest(t):
     return hashlib.sha256(t.tobytes()).hexdigest()
 
 
-def lone_gate(rng, k=10):
-    """A Ginibre density tensor on k wires and a one-step run on it: a Haar
-    two-qubit gate on its wires 1 and k - 2, as a lone gate's group carries it."""
-    t = random_density_matrix(2 ** k, rng).reshape((2,) * (2 * k))
-    g = haar_unitary(4, rng)
-    return t, [(kron(g, g.conj()), [1, k - 2, k + 1, 2 * k - 2])]
-
-
-RUNS = {"one-step": lone_gate, "multi-step": big_run}
-
-
 @two_cpus
-@pytest.mark.parametrize("make", RUNS.values(), ids=RUNS)
-def test_a_grouped_move_whose_helper_is_busy_runs_alone_and_its_queued_task_holds_no_tensor(make):
-    t, run = make(np.random.default_rng(3308), k=9)
+def test_a_grouped_move_whose_helper_is_busy_runs_alone_and_its_queued_task_holds_no_tensor():
+    t, run = big_run(np.random.default_rng(3308), k=9)
     want = chained(t, run).tobytes()
     release = threading.Event()
     held = _helper(os.getpid()).submit(release.wait, TIMEOUT_S)
@@ -302,8 +290,7 @@ def test_a_grouped_move_whose_helper_is_busy_runs_alone_and_its_queued_task_hold
 
 
 @two_cpus
-@pytest.mark.parametrize("make", RUNS.values(), ids=RUNS)
-def test_an_error_in_the_helpers_block_of_a_grouped_move_is_raised_once_the_helper_is_done(monkeypatch, make):
+def test_an_error_in_the_helpers_block_of_a_grouped_move_is_raised_once_the_helper_is_done(monkeypatch):
     caller, claimed, ended = threading.current_thread(), threading.Event(), threading.Event()
     dot = np.dot
 
@@ -318,7 +305,7 @@ def test_an_error_in_the_helpers_block_of_a_grouped_move_is_raised_once_the_help
         finally:
             ended.set()
 
-    t, run = make(np.random.default_rng(3309), k=9)
+    t, run = big_run(np.random.default_rng(3309), k=9)
     monkeypatch.setattr(np, "dot", failing)
     with pytest.raises(MemoryError, match="the helper's block"):
         _group(t, run)
@@ -327,48 +314,43 @@ def test_an_error_in_the_helpers_block_of_a_grouped_move_is_raised_once_the_help
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_child_forked_after_a_grouped_move_makes_its_own_helper():
-    # one fork runs both kinds of run: a one-step and a multi-step group
-    cases = [make(np.random.default_rng(3310), k=9) for make in RUNS.values()]
-    want = [digest(_group(t, run)) for t, run in cases]  # the parent's helper thread exists from here on
+    t, run = big_run(np.random.default_rng(3310), k=9)
+    want = digest(_group(t, run))  # the parent's helper thread exists from here on
     helpers = _helper.cache_info().currsize + (CPUS > 1)  # the child's own makes one more
     read, write = os.pipe()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads running
         pid = os.fork()
-    if pid == 0:  # the child: the grouped moves again, their digests to the parent, and out
+    if pid == 0:  # the child: one more grouped move, its digest to the parent, and out
         code = 1
         try:
-            got = [digest(_group(t, run)) for t, run in cases]
-            os.write(write, " ".join([*got, str(_helper.cache_info().currsize)]).encode())
+            os.write(write, f"{digest(_group(t, run))} {_helper.cache_info().currsize}".encode())
             code = 0
         finally:
             os._exit(code)
     os.close(write)
     try:
         ready = select.select([read], [], [], TIMEOUT_S)[0]
-        got = os.read(read, 256).decode().split() if ready else None
+        got = os.read(read, 128).decode().split() if ready else None
     finally:
         os.close(read)
         if not ready:
             os.kill(pid, signal.SIGKILL)
         status = os.waitpid(pid, 0)[1]
-    assert ready, f"the child's grouped moves did not end within {TIMEOUT_S} s"
+    assert ready, f"the child's grouped move did not end within {TIMEOUT_S} s"
     assert os.waitstatus_to_exitcode(status) == 0
-    assert got == [*want, str(helpers)]  # the same bytes, from a helper of its own
+    assert got == [want, str(helpers)]
 
 
 def test_callers_sharing_the_helper_each_get_every_block_of_their_grouped_moves():
     # more callers than CPUs, switching threads every microsecond; each caller
-    # alternates a one-step and a multi-step case, so a block left unwritten
-    # holds another move's bits
-    cases = [make(np.random.default_rng([3311, i]), k=k)
-             for i in range(4) for make, k in ((lone_gate, 9), (big_run, 8))]
-    assert all(t.ndim > _STEP_AXES for t, _ in cases)  # each move runs blocks
+    # alternates two cases, so a block left unwritten holds another move's bits
+    cases = [big_run(np.random.default_rng([3311, i]), k=8) for i in range(4)]
     want = [digest(chained(t, run)) for t, run in cases]
     wrong, done = [], []
 
     def caller(first):
-        for r in range(6):
+        for r in range(4):
             j = (first + r % 2) % len(cases)
             if digest(_group(*cases[j])) != want[j]:
                 wrong.append(j)
